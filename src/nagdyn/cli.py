@@ -15,7 +15,9 @@ Exit codes: 0 success, 2 configuration error, 3 trajectory saturated
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 
@@ -133,7 +135,12 @@ def cmd_sweep(grid: str, out_dir: str, measure: bool = False, jobs: int = 1) -> 
 
 
 def cmd_check(out_dir: str | None = None, dt: float = 0.01) -> int:
-    results = experiments.run_invariant_checks(dt=dt)
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ConfigError(f"--dt: expected a positive finite step, got {dt!r}")
+    try:
+        results = experiments.run_invariant_checks(dt=dt)
+    except ValueError as exc:
+        raise ConfigError(f"--dt {dt!r}: {exc}") from exc
     failures = [r for r in results if not r.passed]
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -164,6 +171,7 @@ def cmd_check(out_dir: str | None = None, dt: float = 0.01) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nagdyn",

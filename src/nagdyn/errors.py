@@ -18,7 +18,7 @@ class SingularBasis(NagdynError):
 
 
 class EigensolverNoConvergence(NagdynError):
-    """The QR iteration failed to deflate within its sweep budget."""
+    """LAPACK ``geev`` did not converge on the matrix."""
 
 
 class NoEquilibrium(NagdynError):

@@ -88,6 +88,9 @@ class PseudoGradientSystem:
 
     def __post_init__(self) -> None:
         g = _as_matrix(self.matrix, "matrix")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.linalg.norm(g)):
+                raise ValueError("matrix norm overflows; rescale the matrix")
         b = np.asarray(self.offset, dtype=float)
         if b.shape != (g.shape[0],) or not np.all(np.isfinite(b)):
             raise ValueError("offset must be a finite vector matching the matrix")

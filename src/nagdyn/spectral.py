@@ -6,11 +6,10 @@ The accelerated flow
 
 decouples along the eigenvectors of ``G``, so everything the package
 predicts about long-time behaviour is a function of the spectrum.  This
-module computes that spectrum with its own dense solver (Householder
-reduction to Hessenberg form followed by a shifted complex QR iteration,
-with closed-form fast paths for n <= 3), classifies each eigenvalue into
-the four dynamically distinct regions of the complex plane, and folds the
-per-eigenvalue verdicts into a stability verdict for the matrix.
+module computes that spectrum with LAPACK ``geev`` through
+``np.linalg.eig``, classifies each eigenvalue into the four dynamically
+distinct regions of the complex plane, and folds the per-eigenvalue
+verdicts into a stability verdict for the matrix.
 
 Eigenvalue classes and their mode-wise envelope rates:
 
@@ -27,16 +26,10 @@ with ``beta = sqrt((|lam| - Re lam)/2)``, the imaginary part of the
 principal square root of ``lam``.  Classification snaps to the real axis
 first, then to zero, so a value within tolerance of 0 in both parts is
 reported as Zero.
-
-numpy is used for the auxiliary dense kernels around the solver itself
-(matrix products, the SVD behind the condition number, and the linear
-solve that produces left eigenvectors); the Hessenberg/QR iteration and
-the n <= 3 closed forms are implemented here.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -74,9 +67,6 @@ DIAGONALIZABLE_KAPPA_MAX = 1e8
 
 #: Residual threshold for the left/right biorthogonality check.
 BIORTHOGONALITY_MAX = 1e-6
-
-_EPS = float(np.finfo(float).eps)
-
 
 def matrix_tolerance(matrix: np.ndarray) -> float:
     """Classification tolerance scaled to the matrix: 1e-9 * max(1, ||G||_F)."""
@@ -212,388 +202,52 @@ def predicted_rate(lam: complex, tol: float = DEFAULT_SCALAR_TOL) -> float:
 
 
 # --------------------------------------------------------------------------
-# dense eigensolver: Householder Hessenberg + shifted complex QR
-
-
-def _hessenberg(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unitary reduction H = Q^* A Q to upper Hessenberg form."""
-    n = a.shape[0]
-    h = a.astype(complex, copy=True)
-    q = np.eye(n, dtype=complex)
-    for k in range(n - 2):
-        x = h[k + 1 :, k]
-        tail = np.linalg.norm(x[1:])
-        if tail == 0.0:
-            continue
-        nx = math.hypot(abs(x[0]), tail)
-        phase = x[0] / abs(x[0]) if x[0] != 0 else 1.0
-        u = x.copy()
-        u[0] += phase * nx  # no cancellation: |u[0]| = |x0| + ||x||
-        u /= np.linalg.norm(u)
-        h[k + 1 :, k:] -= 2.0 * np.outer(u, u.conj() @ h[k + 1 :, k:])
-        h[:, k + 1 :] -= 2.0 * np.outer(h[:, k + 1 :] @ u, u.conj())
-        q[:, k + 1 :] -= 2.0 * np.outer(q[:, k + 1 :] @ u, u.conj())
-        h[k + 2 :, k] = 0.0
-    return h, q
-
-
-def _givens(f: complex, g: complex) -> tuple[float, complex]:
-    """c real, s complex with [[c, s], [-conj(s), c]] @ (f, g) = (r, 0)."""
-    if g == 0:
-        return 1.0, 0.0 + 0.0j
-    if f == 0:
-        return 0.0, complex(g).conjugate() / abs(g)
-    af, ag = abs(f), abs(g)
-    r = math.hypot(af, ag)
-    return af / r, (f / af) * complex(g).conjugate() / r
-
-
-def _block_eigs_2x2(a: complex, b: complex, c: complex, d: complex) -> tuple[complex, complex]:
-    disc = cmath.sqrt((a - d) * (a - d) + 4.0 * b * c)
-    tr = a + d
-    l1 = 0.5 * (tr + disc)
-    l2 = 0.5 * (tr - disc)
-    return l1, l2
-
-
-def _wilkinson_shift(t: np.ndarray, hi: int) -> complex:
-    a, b = t[hi - 1, hi - 1], t[hi - 1, hi]
-    c, d = t[hi, hi - 1], t[hi, hi]
-    l1, l2 = _block_eigs_2x2(a, b, c, d)
-    return l1 if abs(l1 - d) <= abs(l2 - d) else l2
-
-
-def _apply_unitary_2(t: np.ndarray, z: np.ndarray, i: int, j: int, u1: complex, u2: complex) -> None:
-    """Similarity-transform rows/cols (i, j) by U = [[u1, -conj(u2)], [u2, conj(u1)]]."""
-    ri, rj = t[i, :].copy(), t[j, :].copy()
-    t[i, :] = np.conj(u1) * ri + np.conj(u2) * rj
-    t[j, :] = -u2 * ri + u1 * rj
-    ci, cj = t[:, i].copy(), t[:, j].copy()
-    t[:, i] = u1 * ci + u2 * cj
-    t[:, j] = -np.conj(u2) * ci + np.conj(u1) * cj
-    zi, zj = z[:, i].copy(), z[:, j].copy()
-    z[:, i] = u1 * zi + u2 * zj
-    z[:, j] = -np.conj(u2) * zi + np.conj(u1) * zj
-
-
-def _deflate_2x2(t: np.ndarray, z: np.ndarray, lo: int, hi: int, floor: float) -> None:
-    """Triangularize the trailing 2x2 block (lo, hi) with one exact unitary."""
-    a, b = t[lo, lo], t[lo, hi]
-    c, d = t[hi, lo], t[hi, hi]
-    l1, l2 = _block_eigs_2x2(a, b, c, d)
-    x1 = (b, l1 - a)
-    x2 = (l1 - d, c)
-    n1 = math.hypot(abs(x1[0]), abs(x1[1]))
-    n2 = math.hypot(abs(x2[0]), abs(x2[1]))
-    x = x1 if n1 >= n2 else x2
-    nx = max(n1, n2)
-    if nx <= floor:
-        # block is (numerically) a scalar multiple of the identity
-        t[hi, lo] = 0.0
-        return
-    u1, u2 = x[0] / nx, x[1] / nx
-    _apply_unitary_2(t, z, lo, hi, u1, u2)
-    t[hi, lo] = 0.0
-    t[lo, lo] = l1
-    t[hi, hi] = l2
-
-
-def _qr_sweep(t: np.ndarray, z: np.ndarray, lo: int, hi: int, shift: complex) -> None:
-    """One explicit single-shift QR step on the active block [lo, hi]."""
-    for k in range(lo, hi + 1):
-        t[k, k] -= shift
-    rots: list[tuple[float, complex]] = []
-    for k in range(lo, hi):
-        c, s = _givens(t[k, k], t[k + 1, k])
-        rots.append((c, s))
-        rk, rk1 = t[k, k:].copy(), t[k + 1, k:].copy()
-        t[k, k:] = c * rk + s * rk1
-        t[k + 1, k:] = -np.conj(s) * rk + c * rk1
-        t[k + 1, k] = 0.0
-    for idx, (c, s) in enumerate(rots):
-        k = lo + idx
-        rmax = min(k + 2, hi) + 1
-        ck, ck1 = t[:rmax, k].copy(), t[:rmax, k + 1].copy()
-        t[:rmax, k] = c * ck + np.conj(s) * ck1
-        t[:rmax, k + 1] = -s * ck + c * ck1
-        zk, zk1 = z[:, k].copy(), z[:, k + 1].copy()
-        z[:, k] = c * zk + np.conj(s) * zk1
-        z[:, k + 1] = -s * zk + c * zk1
-    for k in range(lo, hi + 1):
-        t[k, k] += shift
-
-
-def _qr_schur(a: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Complex Schur form T = Z^* A Z by shifted QR with deflation."""
-    n = a.shape[0]
-    if n == 1:
-        return a.astype(complex, copy=True), np.eye(1, dtype=complex)
-    t, z = _hessenberg(a)
-    scale = max(float(np.linalg.norm(a)), 1e-300)
-    floor = _EPS * scale
-    hi = n - 1
-    sweeps = 0
-    stagnant = 0
-    while hi > 0:
-        for k in range(hi, 0, -1):
-            if t[k, k - 1] != 0:
-                thr = _EPS * (abs(t[k - 1, k - 1]) + abs(t[k, k]))
-                if thr == 0.0:
-                    thr = floor
-                if abs(t[k, k - 1]) <= thr:
-                    t[k, k - 1] = 0.0
-        if t[hi, hi - 1] == 0:
-            hi -= 1
-            stagnant = 0
-            continue
-        lo = hi
-        while lo > 0 and t[lo, lo - 1] != 0:
-            lo -= 1
-        if hi - lo == 1:
-            _deflate_2x2(t, z, lo, hi, floor)
-            stagnant = 0
-            continue
-        if sweeps >= max_sweeps:
-            raise EigensolverNoConvergence(
-                f"QR iteration exceeded {max_sweeps} sweeps on a block of size {hi - lo + 1}"
-            )
-        sweeps += 1
-        stagnant += 1
-        if stagnant % 12 == 0:
-            # exceptional shift to break symmetric stalls
-            shift = t[hi, hi] + 0.75 * (abs(t[hi, hi - 1]) + abs(t[hi - 1, hi - 2]))
-        else:
-            shift = _wilkinson_shift(t, hi)
-        _qr_sweep(t, z, lo, hi, shift)
-    return t, z
-
-
-def _schur_vectors(t: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Right eigenvectors from a triangular Schur pair by back substitution."""
-    n = t.shape[0]
-    vecs = np.empty((n, n), dtype=complex)
-    tnorm = max(float(np.max(np.abs(t))), 1e-300)
-    small = _EPS * tnorm
-    for k in range(n):
-        y = np.zeros(n, dtype=complex)
-        y[k] = 1.0
-        for i in range(k - 1, -1, -1):
-            num = t[i, i + 1 : k + 1] @ y[i + 1 : k + 1]
-            den = t[i, i] - t[k, k]
-            if abs(den) < small:
-                den = small
-            y[i] = -num / den
-            big = abs(y[i])
-            if big > 1e100:
-                y[i : k + 1] /= big
-        v = z @ y
-        vecs[:, k] = v / np.linalg.norm(v)
-    return vecs
-
-
-# closed forms for n <= 3 -----------------------------------------------------
-
-
-def _eigvec_2x2(a: np.ndarray, lam: complex, floor: float) -> np.ndarray | None:
-    x1 = np.array([a[0, 1], lam - a[0, 0]], dtype=complex)
-    x2 = np.array([lam - a[1, 1], a[1, 0]], dtype=complex)
-    n1, n2 = np.linalg.norm(x1), np.linalg.norm(x2)
-    if max(n1, n2) <= floor:
-        return None  # A is (numerically) lam * I
-    v = x1 if n1 >= n2 else x2
-    return v / np.linalg.norm(v)
-
-
-def _eig2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    l1, l2 = _block_eigs_2x2(a[0, 0], a[0, 1], a[1, 0], a[1, 1])
-    scale = max(float(np.max(np.abs(a))), 1.0)
-    floor = 64.0 * _EPS * scale
-    vals = np.array([l1, l2], dtype=complex)
-    vecs = np.empty((2, 2), dtype=complex)
-    for j, lam in enumerate(vals):
-        v = _eigvec_2x2(a, lam, floor)
-        vecs[:, j] = np.eye(2, dtype=complex)[:, j] if v is None else v
-    return vals, vecs
-
-
-def _cubic_roots(b2: float, b1: float, b0: float) -> list[complex]:
-    """Roots of x^3 + b2 x^2 + b1 x + b0 (real coefficients), Cardano form."""
-    shift = -b2 / 3.0
-    p = b1 - b2 * b2 / 3.0
-    q = 2.0 * b2**3 / 27.0 - b2 * b1 / 3.0 + b0
-    disc = cmath.sqrt((0.5 * q) ** 2 + (p / 3.0) ** 3)
-    u3a = -0.5 * q + disc
-    u3b = -0.5 * q - disc
-    u3 = u3a if abs(u3a) >= abs(u3b) else u3b
-    if abs(u3) < 1e-300:
-        return [complex(shift)] * 3
-    u = u3 ** (1.0 / 3.0)
-    omega = complex(-0.5, 0.5 * math.sqrt(3.0))
-    roots = []
-    for rot in (1.0 + 0.0j, omega, omega.conjugate()):
-        uu = u * rot
-        roots.append(uu - p / (3.0 * uu) + shift)
-    return roots
-
-
-def _eig3(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Closed-form 3x3 path; returns None when too degenerate to trust."""
-    tr = float(a[0, 0] + a[1, 1] + a[2, 2])
-    minors = float(
-        a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1]
-        + a[0, 0] * a[2, 2] - a[0, 2] * a[2, 0]
-        + a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    )
-    det = float(np.linalg.det(a))
-    roots = _cubic_roots(-tr, minors, -det)
-    scale = max(float(np.max(np.abs(a))), 1.0)
-
-    def charpoly(x: complex) -> complex:
-        return ((x - tr) * x + minors) * x - det
-
-    polished = []
-    for r in roots:
-        x = r
-        for _ in range(2):
-            dp = (3.0 * x - 2.0 * tr) * x + minors
-            if abs(dp) < 1e-30:
-                break
-            x -= charpoly(x) / dp
-        if abs(charpoly(x)) > 1e-8 * scale**3:
-            return None
-        polished.append(x)
-    # Near-multiple roots are where the characteristic-polynomial route
-    # loses accuracy even for semisimple (perfectly conditioned)
-    # eigenvalues: a triple root splits like cbrt(eps) ~ 3e-5.  The
-    # iterative path stays backward stable there, so defer to it.
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if abs(polished[i] - polished[j]) <= 1e-4 * scale:
-                return None
-    vals = np.array(polished, dtype=complex)
-    eye = np.eye(3, dtype=complex)
-    vecs = np.empty((3, 3), dtype=complex)
-    floor = (64.0 * _EPS * scale) ** 2
-    for j, lam in enumerate(vals):
-        m = a - lam * eye
-        cands = [np.cross(m[0], m[1]), np.cross(m[0], m[2]), np.cross(m[1], m[2])]
-        norms = [np.linalg.norm(c) for c in cands]
-        best = int(np.argmax(norms))
-        if norms[best] <= floor:
-            return None  # repeated eigenvalue; defer to the iterative path
-        vecs[:, j] = cands[best] / norms[best]
-    return vals, vecs
-
-
-# assembly --------------------------------------------------------------------
-
-
-def _symmetrize_conjugates(vals: np.ndarray, scale: float) -> np.ndarray:
-    """Pair complex eigenvalues of a real matrix and enforce exact conjugacy."""
-    out = vals.copy()
-    n = out.shape[0]
-    used = [False] * n
-    for i in range(n):
-        if used[i] or abs(out[i].imag) <= 1e-14 * scale:
-            continue
-        best, bestdist = -1, math.inf
-        for j in range(i + 1, n):
-            if used[j] or out[j].imag * out[i].imag >= 0:
-                continue
-            d = abs(out[j] - out[i].conjugate())
-            if d < bestdist:
-                best, bestdist = j, d
-        if best >= 0 and bestdist <= 1e-6 * max(scale, abs(out[i])):
-            mean = 0.5 * (out[i] + out[best].conjugate())
-            out[i] = mean
-            out[best] = mean.conjugate()
-            used[i] = used[best] = True
-    return out
+# eigendecomposition
 
 
 def _phase_normalize(vecs: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude entry is real positive."""
-    out = vecs.copy()
-    for j in range(out.shape[1]):
-        i = int(np.argmax(np.abs(out[:, j])))
-        piv = out[i, j]
-        if piv != 0:
-            out[:, j] /= piv / abs(piv)
-    return out
+    n = vecs.shape[1]
+    piv = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(n)]
+    return vecs / (piv / np.abs(piv))
 
 
 def eigendecompose(matrix: np.ndarray, tol: float | None = None) -> Spectrum:
-    """Full eigendecomposition of a real square matrix.
+    """Full eigendecomposition of a real square matrix by LAPACK ``geev``.
 
-    Uses quadratic/Cardano closed forms for n <= 3 (with an automatic
-    fallback to the iterative path on degeneracy) and Hessenberg + shifted
-    complex QR beyond, capped at 100 n sweeps
-    (:class:`~nagdyn.errors.EigensolverNoConvergence` on overrun).
+    Raises ``ValueError`` when the matrix is not square, not finite, or
+    its Frobenius norm overflows, and
+    :class:`~nagdyn.errors.EigensolverNoConvergence` when LAPACK ``geev``
+    does not converge.
     """
     g = np.asarray(matrix, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] == 0:
         raise ValueError("matrix must be square and nonempty")
     if not np.all(np.isfinite(g)):
         raise ValueError("matrix must be finite")
+    with np.errstate(over="ignore"):
+        normg = float(np.linalg.norm(g))
+    if not math.isfinite(normg):
+        raise ValueError("matrix norm overflows; rescale the matrix")
     n = g.shape[0]
     if tol is None:
         tol = matrix_tolerance(g)
     is_sym = float(np.linalg.norm(g - g.T)) <= tol
 
-    amax = float(np.max(np.abs(g)))
-    if amax == 0.0:
-        eye = np.eye(n, dtype=complex)
-        zeros = np.zeros(n, dtype=complex)
-        for arr in (zeros, eye):
-            arr.setflags(write=False)
-        return Spectrum(
-            eigenvalues=zeros,
-            right_vectors=eye,
-            left_vectors=eye,
-            kappa_P=1.0,
-            biorthogonality_residual=0.0,
-            is_symmetric=True,
-            is_normal=True,
-            is_diagonalizable=True,
-            tol=float(tol),
-        )
-    # Rebalance extreme magnitudes so the QR thresholds and the
-    # back-substitution clamp stay clear of under/overflow; eigenvalues
-    # scale linearly, eigenvectors not at all.
-    mult = 1.0
-    work = g
-    if not (1e-100 <= amax <= 1e100):
-        mult = amax
-        work = g / amax
-
-    if n == 1:
-        vals = np.array([complex(work[0, 0])])
-        vecs = np.eye(1, dtype=complex)
-    elif n == 2:
-        vals, vecs = _eig2(work)
-    elif n == 3:
-        res = _eig3(work)
-        if res is None:
-            t, z = _qr_schur(work, 100 * n)
-            vals, vecs = np.diag(t).copy(), _schur_vectors(t, z)
-        else:
-            vals, vecs = res
-    else:
-        t, z = _qr_schur(work, 100 * n)
-        vals, vecs = np.diag(t).copy(), _schur_vectors(t, z)
-    if mult != 1.0:
-        vals = vals * mult
-
-    normg = float(np.linalg.norm(g))
-    scale = max(normg, 1.0)
-    vals = _symmetrize_conjugates(vals, scale)
+    try:
+        vals, vecs = np.linalg.eig(g)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverNoConvergence(f"LAPACK geev did not converge: {exc}") from exc
+    # geev returns the complex eigenvalues of real input as exact
+    # conjugate pairs, so sorting keeps the spectrum closed under conjugation
     if is_sym:
         # a symmetric real matrix has a real spectrum; drop the rounding
-        # dust the closed-form cubic can leave in the imaginary parts
-        vals = vals.real.astype(complex)
+        # dust left in the imaginary parts
+        vals = vals.real
+    vals = vals.astype(complex)
     order = np.lexsort((vals.imag, vals.real))
     vals = vals[order]
-    vecs = _phase_normalize(vecs[:, order])
+    vecs = _phase_normalize(vecs[:, order].astype(complex))
 
     try:
         winv = np.linalg.solve(vecs, np.eye(n, dtype=complex))
@@ -604,7 +258,7 @@ def eigendecompose(matrix: np.ndarray, tol: float | None = None) -> Spectrum:
     biorth = float(np.max(np.abs(winv @ vecs - np.eye(n))))
     left = np.conj(winv)
 
-    is_normal = float(np.linalg.norm(g @ g.T - g.T @ g)) <= tol * scale
+    is_normal = float(np.linalg.norm(g @ g.T - g.T @ g)) <= tol * max(normg, 1.0)
     is_diag = kappa <= DIAGONALIZABLE_KAPPA_MAX and biorth <= BIORTHOGONALITY_MAX
 
     for arr in (vals, vecs, left):

@@ -203,6 +203,21 @@ def test_classify_jordan_warning(tmp_path, capsys):
     assert "IndeterminateJordan" in capsys.readouterr().out
 
 
+def test_classify_overflowing_matrix_is_config_error(tmp_path, capsys):
+    # eigenvalues 1e308 (1 -/+ i): the Frobenius norm overflows, so the
+    # input is refused rather than every eigenvalue snapping to zero
+    huge = {
+        "source": {"matrix": [[1e308, 1e308], [-1e308, 1e308]]},
+        "initial": {"q0": [1.0, 0.0]},
+    }
+    rc = cli.main(["classify", "--config", _write_config(tmp_path, huge)])
+    assert rc == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "source" in captured.err and "norm overflows" in captured.err
+    assert "flow" not in captured.out
+    assert "lambda" not in captured.out
+
+
 # --------------------------------------------------------------------------
 # sweep
 
@@ -303,3 +318,13 @@ def test_check_degraded_dt_names_failures(tmp_path, capsys):
     assert "translation_invariance" not in report["failures"]
     out = capsys.readouterr().out
     assert "FAIL modal_closed_form_agreement" in out
+
+
+@pytest.mark.parametrize("dt", ["0", "-0.01", "nan", "1000"])
+def test_check_bad_dt_is_config_error(tmp_path, capsys, dt):
+    rc = cli.main(["check", "--dt", dt, "--out", str(tmp_path)])
+    assert rc == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "config error: --dt" in captured.err
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "check_report.json").exists()

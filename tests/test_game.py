@@ -73,6 +73,11 @@ def test_game_validation():
         game.PseudoGradientSystem(matrix=np.eye(2), offset=np.array([1.0, np.nan]))
 
 
+def test_system_rejects_overflowing_norm():
+    with pytest.raises(ValueError, match="norm overflows"):
+        game.PseudoGradientSystem(matrix=[[1e200, 0.0], [0.0, 1.0]], offset=[0.0, 0.0])
+
+
 def test_solve_equilibrium_regular():
     sys = game.PseudoGradientSystem(
         matrix=np.array([[0.4, 0.2], [0.2, 0.8]]),

@@ -1,8 +1,8 @@
 """Eigensolver, eigenvalue classification, and stability verdicts.
 
-numpy.linalg serves as the reference oracle for spectra (the solver in
-nagdyn.spectral is an independent Hessenberg + shifted-QR route), and
-small matrices are checked against closed-form eigenvalues.
+numpy.linalg serves as the reference oracle for spectra, small matrices
+are checked against closed-form eigenvalues, and larger ones against the
+designed spectra of seeded P D P^-1 similarity transforms.
 """
 
 import math
@@ -15,6 +15,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.optimize import linear_sum_assignment
 
 from nagdyn import spectral
+from nagdyn.errors import EigensolverNoConvergence
 from nagdyn.spectral import (
     EigenvalueClass,
     FirstOrderVerdict,
@@ -178,6 +179,89 @@ def test_cubic_with_complex_pair():
     spec = eigendecompose(c)
     ref = np.sort_complex(np.array([2.0, 1j, -1j]))
     assert np.max(np.abs(np.sort_complex(np.asarray(spec.eigenvalues)) - ref)) <= 1e-10
+
+
+def _designed_matrix(n, seed):
+    """G = P D P^-1 with cond(P) = 3 and a known spectrum in all four regions.
+
+    D is real block-diagonal: 2x2 rotation-scaling blocks [[a, b], [-b, a]]
+    carry the complex pairs a -/+ ib, so the eigenvectors of D are unitary
+    and cond(P) bounds the eigenvector condition number of G.
+    """
+    rng = np.random.RandomState(seed)
+    n_pairs = n // 4
+    n_real = n - 2 * n_pairs
+    n_zero = max(1, n_real // 4)
+    n_neg = max(1, n_real // 4)
+    reals = np.concatenate([
+        rng.uniform(0.5, 3.0, n_real - n_zero - n_neg),
+        np.zeros(n_zero),
+        rng.uniform(-3.0, -0.5, n_neg),
+    ])
+    d = np.zeros((n, n))
+    d[np.arange(n_real), np.arange(n_real)] = reals
+    eigs = list(reals)
+    for k in range(n_pairs):
+        a, b = rng.uniform(-2.0, 3.0), rng.uniform(0.5, 2.5)
+        i = n_real + 2 * k
+        d[i : i + 2, i : i + 2] = [[a, b], [-b, a]]
+        eigs += [complex(a, -b), complex(a, b)]
+    q1, _ = np.linalg.qr(rng.randn(n, n))
+    q2, _ = np.linalg.qr(rng.randn(n, n))
+    sv = np.concatenate([[1.0], rng.uniform(1.0, 3.0, n - 2), [3.0]])
+    p = q1 @ np.diag(sv) @ q2.T
+    return p @ d @ np.linalg.inv(p), np.array(eigs, dtype=complex), p
+
+
+@pytest.mark.parametrize("n", [8, 32, 64])
+def test_designed_spectrum_recovered(n):
+    g, designed, p = _designed_matrix(n, seed=100 + n)
+    cond_p = float(np.linalg.cond(p))
+    assert cond_p <= 3.0 + 1e-12
+    spec = eigendecompose(g)
+    vals = np.asarray(spec.eigenvalues)
+    eps = float(np.finfo(float).eps)
+    assert _matched_distance(vals, designed) <= 1e3 * n * eps * cond_p * np.linalg.norm(g, 2)
+    # sorted by (real, imag) and closed under conjugation exactly
+    keys = [(z.real, z.imag) for z in vals]
+    assert keys == sorted(keys)
+    assert np.array_equal(vals, np.sort_complex(np.conj(vals)))
+    # left and right vectors are biorthonormal
+    assert np.max(np.abs(np.conj(spec.left_vectors) @ spec.right_vectors - np.eye(n))) <= 1e-10
+    assert spec.is_diagonalizable
+    # every region is present and the classes match the design
+    tags = sorted(classify_eigenvalue(l, spec.tol).tag.value for l in vals)
+    want = sorted(classify_eigenvalue(l, spec.tol).tag.value for l in designed)
+    assert tags == want
+    assert set(want) == {c.value for c in EigenvalueClass}
+
+
+@pytest.mark.parametrize("lam", [1e-3, 0.5, 1.0, 7.3])
+@pytest.mark.parametrize("transpose", [False, True])
+def test_exact_jordan_block_stays_defective(lam, transpose):
+    j = np.array([[lam, 1.0], [0.0, lam]])
+    spec = eigendecompose(j.T if transpose else j)
+    assert not spec.is_diagonalizable
+    assert classify_matrix(spec).nagd is NagdVerdict.INDETERMINATE_JORDAN
+
+
+def test_geev_failure_raises_no_convergence(monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", fail)
+    with pytest.raises(EigensolverNoConvergence, match="geev"):
+        eigendecompose([[1.0, 2.0], [3.0, 4.0]])
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [[[1e308, 1e308], [-1e308, 1e308]], [[1e308, 0.0], [0.0, 1.0]]],
+)
+def test_overflowing_norm_is_rejected(matrix):
+    # ||G||_F overflows, so no tolerance scaled to it is meaningful
+    with pytest.raises(ValueError, match="norm overflows"):
+        eigendecompose(matrix)
 
 
 # --------------------------------------------------------------------------
