@@ -47,6 +47,7 @@ from .errors import (
     NonFiniteField,
     NonPositiveSeries,
     NotApplicable,
+    OutputError,
     OverflowSaturation,
     SingularBasis,
     TrivialNullspace,

@@ -9,7 +9,13 @@ sweep       classify / measure modal rates over a grid in the lam-plane
 check       run the cross-cutting invariant self-checks
 
 Exit codes: 0 success, 2 configuration error, 3 trajectory saturated
-(overflow truncation), 4 invariant-check failure.
+(overflow truncation), 4 invariant-check failure, 5 output error (an
+artifact could not be written, e.g. ``--out`` names a path under a
+regular file).
+
+A ``--grid`` value that starts with a minus sign may follow ``--grid``
+as its own argument (``--grid -2:6:8,-3:3:8``) or be joined to it
+(``--grid=-2:6:8,-3:3:8``).
 """
 
 from __future__ import annotations
@@ -19,12 +25,11 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 
-import numpy as np
-
 from . import experiments, spectral
-from .errors import ConfigError, NagdynError
+from .errors import ConfigError, NagdynError, OutputError
 
 __all__ = [
     "main",
@@ -39,6 +44,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SATURATED = 3
 EXIT_INVARIANT = 4
+EXIT_OUTPUT = 5
 
 
 def _out_dir(explicit: str | None) -> str:
@@ -114,23 +120,11 @@ def cmd_reproduce(figure: str, out_dir: str, jobs: int = 1) -> int:
     return EXIT_SATURATED if summary["saturated"] else EXIT_OK
 
 
-def cmd_sweep(grid: str, out_dir: str, measure: bool = False, jobs: int = 1) -> int:
-    rows = experiments.run_sweep(grid, measure=measure, jobs=jobs)
+def cmd_sweep(grid: str, out_dir: str, measure: bool = False) -> int:
+    sweep = experiments.run_sweep(grid, measure=measure)
     path = os.path.join(out_dir, "sweep.csv")
-    cols = [
-        np.array([r["re"] for r in rows]),
-        np.array([r["im"] for r in rows]),
-        np.array([r["predicted_rate"] for r in rows]),
-        np.array([r["measured_rate"] for r in rows]),
-    ]
-    header = ["re", "im", "predicted_rate", "measured_rate"]
-    lines = [",".join(header + ["class"])]
-    for i, r in enumerate(rows):
-        lines.append(
-            ",".join(experiments._fmt(c[i]) for c in cols) + "," + r["class"]
-        )
-    experiments._atomic_write(path, "\n".join(lines) + "\n")
-    print(f"wrote {path} ({len(rows)} points)")
+    experiments.write_csv(path, experiments.SWEEP_HEADER, sweep.columns, labels=sweep.classes)
+    print(f"wrote {path} ({len(sweep)} points)")
     return EXIT_OK
 
 
@@ -197,7 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True, help="a0:a1:na,b0:b1:nb")
     p.add_argument("--out", default=None, help="output directory (default: $NAGD_OUT_DIR or cwd)")
     p.add_argument("--measure", action="store_true", help="also measure rates by simulation")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored: the sweep runs batched")
 
     p = sub.add_parser("check", help="run the invariant self-checks")
     p.add_argument("--out", default=None, help="directory for the JSON report (default: print only)")
@@ -206,9 +200,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: A value that argparse would take for an option because of its leading minus.
+_NEGATIVE_VALUE = re.compile(r"-[0-9.]")
+
+
+def _join_grid_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--grid -a:b:n,...`` as ``--grid=-a:b:n,...``.
+
+    argparse reads an argument that starts with ``-`` and is not a plain
+    number as an option, so a grid with a negative lower bound would
+    otherwise be refused with "expected one argument".
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--grid" and _NEGATIVE_VALUE.match(arg):
+            out[-1] = f"--grid={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_grid_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         if args.command == "classify":
             return cmd_classify(args.config, args.out)
@@ -217,12 +231,15 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "reproduce":
             return cmd_reproduce(args.figure, _out_dir(args.out), args.jobs)
         if args.command == "sweep":
-            return cmd_sweep(args.grid, _out_dir(args.out), args.measure, args.jobs)
+            return cmd_sweep(args.grid, _out_dir(args.out), args.measure)
         if args.command == "check":
             return cmd_check(args.out, args.dt)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
     except NagdynError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

@@ -1,11 +1,13 @@
 """Fixed-step integrators for the accelerated and first-order flows.
 
-All simulators share one classical RK4 core on the uniform grid
-t_k = t0 + k dt, evaluating the time-varying damping coefficient r/t at
-the substage times t, t + dt/2, t + dt.  Trajectories whose position
-norm passes 1e150 (or turns non-finite) are truncated at the last good
-sample and flagged ``saturated`` rather than poisoning the record with
-infinities.
+All simulators use classical RK4 on the uniform grid t_k = t0 + k dt,
+evaluating the time-varying damping coefficient r/t at the substage
+times t, t + dt/2, t + dt.  The vector flows run the stage form in
+``_rk4``; the scalar modal equation runs ``_modal_rk4``, which folds
+each step into its exact 2x2 step map and integrates a whole batch of
+eigenvalues at once.  Trajectories whose position norm passes 1e150 (or
+turns non-finite) are truncated at the last good sample and flagged
+``saturated`` rather than poisoning the record with infinities.
 """
 
 from __future__ import annotations
@@ -188,21 +190,103 @@ def simulate_first_order(matrix, offset, x0, config: IntegratorConfig = Integrat
     )
 
 
+#: Steps x points per chunk of step maps in :func:`_modal_rk4`.  The maps,
+#: the state history and their temporaries are about a dozen complex
+#: arrays of this size, so the working set stays near 12 MiB.
+_MODAL_CHUNK_CELLS = 2**16
+#: Most steps per chunk, reached for batches of 16 points or fewer.
+_MODAL_STEP_CHUNK = 4096
+
+
+def _modal_step_maps(lam: np.ndarray, t: np.ndarray, h: float, r: float) -> np.ndarray:
+    """RK4 step maps [y, y']_{k+1} = M_k [y, y']_k of y'' + (r/t) y' + lam y = 0.
+
+    ``t`` holds the step start times (T,) and ``lam`` the points (P,).
+    The result has shape (T, 2, 2, P) and is stored by columns: entry
+    [k, j, i, p] is M_k[i, j] of point p.  Expanding the four stages, with
+    damping d_i = h r / t_i at t, t + h/2 and t + h, makes each entry a
+    quadratic in z = h^2 lam.  RK4 is linear in the state, so the map is
+    exact algebra, not an approximation of the stage form.
+    """
+    d1 = (h * (r / t))[:, None]
+    d2 = (h * (r / (t + 0.5 * h)))[:, None]
+    d3 = (h * (r / (t + h)))[:, None]
+    z = (h * h) * lam
+    z24 = z / 24.0
+    sq = d2 * d2
+    p4 = sq - 2.0 * d2 + 4.0
+    p12 = sq - 4.0 * d2 + 12.0
+    m = np.empty((t.shape[0], 2, 2, lam.shape[0]), dtype=complex)
+    m[:, 0, 0] = 1.0 + z * (z24 - p12 / 24.0)
+    m[:, 1, 0] = (h / 24.0) * ((d1 + d2 - 4.0) * z + 2.0 * p12 - d1 * p4)
+    m[:, 0, 1] = (z / (24.0 * h)) * (d3 * p4 - 2.0 * p12 - (d2 + d3 - 4.0) * z)
+    c11 = (d1 * d3 * sq - 2.0 * (d1 + d3) * (p4 - 2.0) + 4.0 * (p12 - 6.0)) / 24.0
+    b11 = (d1 * d3 + (d1 + d3) * (d2 - 2.0) - 4.0 * d2 + 12.0) / 24.0
+    m[:, 1, 1] = c11 + z * (z24 - b11)
+    return m
+
+
+def _modal_rk4(lams, y0, ydot0, config: IntegratorConfig):
+    """RK4 for the modal equation y'' + (r/t) y' + lam y = 0, one lane per lam.
+
+    Returns ``(times, q, v, rows, saturated)``: ``q`` and ``v`` have shape
+    (n_rec, B), and lane p's record is ``q[:rows[p], p]``.  As in
+    :func:`_rk4`, the guard |y| <= 1e150 is checked after every step; a
+    lane that fails it is flagged in ``saturated`` and keeps only the rows
+    recorded before that step.  A lane's values past its ``rows`` are
+    undefined.  Time is cut into chunks whose step maps are built with
+    whole-array operations, so each step costs one 2x2 complex
+    matrix-vector product over the batch.
+    """
+    lam = np.asarray(lams, dtype=complex).ravel()
+    b = lam.shape[0]
+    s = np.empty((2, b), dtype=complex)
+    s[0], s[1] = y0, ydot0
+    n_steps, stride = config.n_steps, config.record_stride
+    t0, h, r = config.t0, config.dt, config.damping_exponent
+    n_rec = n_steps // stride + 1
+    times = t0 + (np.arange(n_rec) * stride) * h
+    q = np.empty((n_rec, b), dtype=complex)
+    v = np.empty((n_rec, b), dtype=complex)
+    q[0], v[0] = s
+    rows = np.full(b, n_rec)
+    alive = np.ones(b, dtype=bool)
+    guard = OVERFLOW_NORM * OVERFLOW_NORM
+    chunk = max(1, min(_MODAL_STEP_CHUNK, _MODAL_CHUNK_CELLS // max(b, 1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n_steps, chunk):
+            if not alive.any():
+                break
+            m = _modal_step_maps(lam, t0 + np.arange(start, min(start + chunk, n_steps)) * h, h, r)
+            # states[k] is [y, y'] after step j = start + k + 1
+            states = np.empty((m.shape[0], 2, b), dtype=complex)
+            for col0, col1, out in zip(m[:, 0], m[:, 1], states):
+                np.add(col0 * s[0], col1 * s[1], out=out)
+                s = out
+            bad = ~(np.abs(states[:, 0]) ** 2 <= guard) & alive
+            failed = np.flatnonzero(bad.any(axis=0))
+            if failed.size:
+                j_fail = start + 1 + bad[:, failed].argmax(axis=0)
+                rows[failed] = (j_fail - 1) // stride + 1
+                alive[failed] = False
+            first = -(start + 1) % stride  # local index of the first recorded step
+            kept = states[first::stride]
+            row = (start + 1 + first) // stride
+            q[row : row + kept.shape[0]] = kept[:, 0]
+            v[row : row + kept.shape[0]] = kept[:, 1]
+    return times, q, v, rows, ~alive
+
+
 def simulate_modal(lam: complex, y0: complex, ydot0: complex, config: IntegratorConfig = IntegratorConfig()) -> TrajectoryRecord:
     """Integrate the scalar modal equation y'' + (r/t) y' + lam y = 0."""
     lam = complex(lam)
-    r = config.damping_exponent
-
-    def f(t, s):
-        return np.array([s[1], -lam * s[0] - (r / t) * s[1]])
-
-    s0 = np.array([complex(y0), complex(ydot0)])
-    times, states, saturated = _rk4(f, config, s0, lambda s: abs(s[0]) ** 2)
+    times, q, v, rows, saturated = _modal_rk4([lam], complex(y0), complex(ydot0), config)
+    n = int(rows[0])
     return TrajectoryRecord(
-        times=times,
-        q=states[:, 0],
-        v=states[:, 1],
-        saturated=saturated,
+        times=times[:n],
+        q=q[:n, 0],
+        v=v[:n, 0],
+        saturated=bool(saturated[0]),
         meta={"kind": "modal", "lam": lam, "config": config},
     )
 

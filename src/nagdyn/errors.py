@@ -51,3 +51,7 @@ class ConfigError(NagdynError):
 
 class GridTooLarge(ConfigError):
     """A parameter sweep requests more grid points than the safety cap."""
+
+
+class OutputError(NagdynError):
+    """An artifact could not be written, e.g. ``--out`` is not a writable directory."""

@@ -17,6 +17,7 @@ import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .errors import (
     InsufficientPoints,
     NonPositiveSeries,
     NotApplicable,
+    OutputError,
     TrivialNullspace,
 )
 
@@ -41,6 +43,7 @@ __all__ = [
     "FIGURES",
     "reproduce_figure",
     "parse_grid",
+    "SweepResult",
     "run_sweep",
     "CheckResult",
     "run_invariant_checks",
@@ -237,28 +240,55 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _atomic_write(path: str, data: str) -> None:
+def _atomic_write(path: str, chunks: Iterable[str]) -> None:
+    """Write the concatenated ``chunks`` to ``path`` through a temporary file.
+
+    Any ``OSError`` (a missing or read-only directory, a path under a
+    regular file, a full disk) becomes :class:`OutputError` naming the path.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(chunks)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
-    if len(header) != len(columns):
+#: Rows formatted and written at a time by :func:`write_csv`.
+_CSV_CHUNK_ROWS = 8192
+
+
+def write_csv(path: str, header: list[str], columns: list[np.ndarray], labels: Sequence[str] | None = None) -> None:
+    """Write float columns, then an optional text column, as CSV.
+
+    Floats are written with 17 significant digits; ``labels``, when given,
+    is the last column and the last name in ``header``.  Rows are formatted
+    and written in chunks, so memory does not grow with the row count.
+    """
+    if len(header) != len(columns) + (labels is not None):
         raise ValueError("header and column counts differ")
     rows = columns[0].shape[0]
-    lines = [",".join(header)]
-    for i in range(rows):
-        lines.append(",".join(_fmt(col[i]) for col in columns))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    # "%.17g" renders a float exactly as format(x, ".17g") does (see _fmt)
+    line = ",".join(["%.17g"] * len(columns) + ["%s"] * (labels is not None)) + "\n"
+
+    def chunks():
+        yield ",".join(header) + "\n"
+        for lo in range(0, rows, _CSV_CHUNK_ROWS):
+            hi = min(lo + _CSV_CHUNK_ROWS, rows)
+            cells = [np.asarray(col[lo:hi], dtype=float).tolist() for col in columns]
+            if labels is not None:
+                cells.append(labels[lo:hi])
+            yield "".join(line % row for row in zip(*cells))
+
+    _atomic_write(path, chunks())
 
 
 def _json_ready(obj):
@@ -280,7 +310,7 @@ def _json_ready(obj):
 
 
 def write_json(path: str, payload: dict) -> None:
-    _atomic_write(path, json.dumps(_json_ready(payload), indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, [json.dumps(_json_ready(payload), indent=2, sort_keys=True), "\n"])
 
 
 def _fingerprint(system: game.PseudoGradientSystem) -> str:
@@ -705,74 +735,103 @@ def parse_grid(spec: str) -> tuple[np.ndarray, np.ndarray]:
             raise ConfigError(f"grid.{axis_name}: count must be >= 1")
         if not (math.isfinite(start) and math.isfinite(stop)):
             raise ConfigError(f"grid.{axis_name}: bounds must be finite")
-        axes.append(np.linspace(start, stop, count))
+        with np.errstate(over="ignore", invalid="ignore"):
+            axis = np.linspace(start, stop, count)
+        if not np.all(np.isfinite(axis)):
+            raise ConfigError(f"grid.{axis_name}: the span {start!r}..{stop!r} overflows")
+        axes.append(axis)
     total = axes[0].shape[0] * axes[1].shape[0]
     if total > GRID_POINT_CAP:
         raise GridTooLarge(f"grid has {total} points; the cap is {GRID_POINT_CAP}")
     return axes[0], axes[1]
 
 
-def _sweep_point(lam: complex, measure: bool, t_end: float) -> dict:
-    cls = spectral.classify_eigenvalue(lam)
-    if cls.rate > 0.0:
-        predicted = cls.rate  # exponential growth rate
-    elif cls.tag is spectral.EigenvalueClass.ZERO:
-        predicted = 0.0  # finite limit, flat envelope
-    else:
-        predicted = spectral.ALGEBRAIC_DECAY_EXPONENT  # log-log slope
-    row = {
-        "re": lam.real,
-        "im": lam.imag,
-        "class": cls.tag.value,
-        "predicted_rate": predicted,
-        "measured_rate": math.nan,
-    }
-    if measure:
-        cfg = dynamics.IntegratorConfig(t0=1.0, t_end=t_end, dt=0.01)
-        rec = dynamics.simulate_modal(lam, 1.0, 0.0, cfg)
-        try:
-            if cls.tag is spectral.EigenvalueClass.POSITIVE_REAL:
-                fit = analysis.fit_rate(
-                    rec.times,
-                    np.abs(rec.q),
-                    kind="algebraic",
-                    window=(max(20.0, rec.times[0]), rec.times[-1]),
-                    envelope=True,
-                )
-            elif cls.tag is spectral.EigenvalueClass.ZERO:
-                fit = analysis.fit_rate(
-                    rec.times,
-                    np.abs(rec.q),
-                    kind="algebraic",
-                    window=(max(20.0, rec.times[0]), rec.times[-1]),
-                )
-            else:
-                # Both unstable branches grow like e^{rate t} t^{-3/2}
-                # (I_1 and Hankel asymptotics share the algebraic factor),
-                # so the fit detrends the t^{-3/2} envelope in either case.
-                fit = analysis.fit_rate(
-                    rec.times,
-                    np.abs(rec.q),
-                    kind="exponential",
-                    window=(max(20.0, rec.times[0]), rec.times[-1]),
-                    detrend_log_power=analysis.OSCILLATORY_ENVELOPE_POWER,
-                )
-            row["measured_rate"] = fit.slope
-        except (InsufficientPoints, NonPositiveSeries):
-            pass
-    return row
+#: CSV header of a sweep; the last column is the class name.
+SWEEP_HEADER = ["re", "im", "predicted_rate", "measured_rate", "class"]
+
+#: Measured points integrated together by :func:`run_sweep`; bounds the
+#: batch record (two complex columns of 5 901 rows per point at t_end = 60)
+#: to about 23 MiB.
+_SWEEP_BATCH = 128
+
+#: Rate fit of a measured sweep point, by class.  Both unstable branches
+#: grow like e^{rate t} t^{-3/2} (I_1 and Hankel asymptotics share the
+#: algebraic factor), so their fit detrends the t^{-3/2} envelope.
+_SWEEP_FITS = {
+    spectral.EigenvalueClass.POSITIVE_REAL.value: {"kind": "algebraic", "envelope": True},
+    spectral.EigenvalueClass.ZERO.value: {"kind": "algebraic"},
+    spectral.EigenvalueClass.NEGATIVE_REAL.value: {
+        "kind": "exponential",
+        "detrend_log_power": analysis.OSCILLATORY_ENVELOPE_POWER,
+    },
+    spectral.EigenvalueClass.STRICTLY_COMPLEX.value: {
+        "kind": "exponential",
+        "detrend_log_power": analysis.OSCILLATORY_ENVELOPE_POWER,
+    },
+}
 
 
-def run_sweep(grid_spec: str, measure: bool = False, jobs: int = 1, t_end: float = 60.0) -> list[dict]:
-    """Classify (and optionally measure) modal rates over a complex grid."""
+@dataclass(frozen=True)
+class SweepResult:
+    """One entry per grid point in each column, real axis outermost."""
+
+    re: np.ndarray
+    im: np.ndarray
+    predicted_rate: np.ndarray
+    measured_rate: np.ndarray
+    classes: np.ndarray
+
+    def __len__(self) -> int:
+        return self.re.shape[0]
+
+    @property
+    def columns(self) -> list[np.ndarray]:
+        """The numeric CSV columns, in ``SWEEP_HEADER`` order."""
+        return [self.re, self.im, self.predicted_rate, self.measured_rate]
+
+
+def _measure_rates(lam: np.ndarray, classes: np.ndarray, t_end: float) -> np.ndarray:
+    """Fitted envelope rate of y'' + (3/t) y' + lam y = 0 from y(1) = 1, y'(1) = 0.
+
+    NaN where the fit has too few usable samples, e.g. after saturation.
+    """
+    cfg = dynamics.IntegratorConfig(t0=1.0, t_end=t_end, dt=0.01)
+    measured = np.full(lam.shape, math.nan)
+    for lo in range(0, lam.shape[0], _SWEEP_BATCH):
+        times, q, _, rows, _ = dynamics._modal_rk4(lam[lo : lo + _SWEEP_BATCH], 1.0, 0.0, cfg)
+        for p, n in enumerate(rows.tolist()):
+            t = times[:n]
+            try:
+                fit = analysis.fit_rate(
+                    t, np.abs(q[:n, p]), window=(max(20.0, t[0]), t[-1]), **_SWEEP_FITS[classes[lo + p]]
+                )
+            except (InsufficientPoints, NonPositiveSeries):
+                continue
+            measured[lo + p] = fit.slope
+    return measured
+
+
+def run_sweep(grid_spec: str, measure: bool = False, t_end: float = 60.0) -> SweepResult:
+    """Classify (and optionally measure) modal rates over a complex grid.
+
+    The predicted rate is the exponential growth rate for growing classes,
+    0 for Zero and the algebraic slope -1.5 for PositiveReal.  With
+    ``measure`` the measured points are integrated in batches by the
+    batched modal RK4, so memory stays bounded for any grid size.
+    """
     re_vals, im_vals = parse_grid(grid_spec)
-    points = [complex(a, b) for a in re_vals for b in im_vals]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda lam: _sweep_point(lam, measure, t_end), points))
+    re = np.repeat(re_vals, im_vals.shape[0])
+    im = np.tile(im_vals, re_vals.shape[0])
+    classes, rates = spectral.classify_eigenvalues(re, im)
+    zero = classes == spectral.EigenvalueClass.ZERO.value
+    predicted = np.where(rates > 0.0, rates, np.where(zero, 0.0, spectral.ALGEBRAIC_DECAY_EXPONENT))
+    if measure:
+        lam = re.astype(complex)
+        lam.imag = im
+        measured = _measure_rates(lam, classes, t_end)
     else:
-        rows = [_sweep_point(lam, measure, t_end) for lam in points]
-    return rows
+        measured = np.full(re.shape, math.nan)
+    return SweepResult(re=re, im=im, predicted_rate=predicted, measured_rate=measured, classes=classes)
 
 
 # --------------------------------------------------------------------------
@@ -793,6 +852,24 @@ def _check(name, measured, threshold, detail="", larger_is_fail=True):
     return CheckResult(name=name, passed=bool(passed), measured=float(measured), threshold=float(threshold), detail=detail)
 
 
+def _check_grids(dt: float) -> dict[str, dynamics.IntegratorConfig]:
+    """Every integration grid of :func:`run_invariant_checks` at step ``dt``.
+
+    Raises ``ValueError`` when ``dt`` leaves any of them without steps.
+    """
+    return {
+        "t30": dynamics.IntegratorConfig(t0=1.0, t_end=30.0, dt=dt),
+        "order": dynamics.IntegratorConfig(t0=1.0, t_end=1.0 + 200.0 * dt, dt=dt),
+        "order_half": dynamics.IntegratorConfig(t0=1.0, t_end=1.0 + 200.0 * dt, dt=dt / 2.0),
+        **{
+            f"damping_{r:g}": dynamics.IntegratorConfig(t0=1.0, t_end=10.0, dt=dt, damping_exponent=r)
+            for r in (2.0, 3.0, 4.0)
+        },
+        "t20": dynamics.IntegratorConfig(t0=1.0, t_end=20.0, dt=dt),
+        "t60": dynamics.IntegratorConfig(t0=1.0, t_end=60.0, dt=dt),
+    }
+
+
 def run_invariant_checks(dt: float = 0.01) -> list[CheckResult]:
     """Cross-cutting consistency checks; ``dt`` scales the integration grids.
 
@@ -801,6 +878,7 @@ def run_invariant_checks(dt: float = 0.01) -> list[CheckResult]:
     step-free identities keep passing, which is exactly the degradation
     the report is meant to expose.
     """
+    grids = _check_grids(dt)  # a step that fits no grid fails before any check runs
     checks: list[CheckResult] = []
 
     # Wronskian of the oscillatory pair: J1 Y1' - J1' Y1 = 2/(pi z).
@@ -850,7 +928,7 @@ def run_invariant_checks(dt: float = 0.01) -> list[CheckResult]:
     checks.append(_check("bessel_series_asymptotic_band", worst, 1e-8))
 
     # closed-form modal solution vs RK4
-    cfgm = dynamics.IntegratorConfig(t0=1.0, t_end=30.0, dt=dt)
+    cfgm = grids["t30"]
     worst = 0.0
     for lam in (0.317, 0.883, 1.0, -0.5, complex(6.0, 1.5)):
         sol = special.make_modal_solution(lam, 1.0, 1.0, 0.0)
@@ -864,8 +942,7 @@ def run_invariant_checks(dt: float = 0.01) -> list[CheckResult]:
     lam = 0.7
     sol = special.make_modal_solution(lam, 1.0, 1.0, 0.0)
     errs = []
-    for d in (dt, dt / 2.0):
-        cfg_o = dynamics.IntegratorConfig(t0=1.0, t_end=1.0 + 200.0 * dt, dt=d)
+    for cfg_o in (grids["order"], grids["order_half"]):
         rec = dynamics.simulate_modal(lam, 1.0, 0.0, cfg_o)
         ref = special.eval_modal_series(sol, rec.times)
         errs.append(float(np.max(np.abs(ref.y - rec.q))))
@@ -876,7 +953,7 @@ def run_invariant_checks(dt: float = 0.01) -> list[CheckResult]:
     # free-particle damping law: v(t) = (t0/t)^r v0
     worst = 0.0
     for r in (2.0, 3.0, 4.0):
-        cfg_r = dynamics.IntegratorConfig(t0=1.0, t_end=10.0, dt=dt, damping_exponent=r)
+        cfg_r = grids[f"damping_{r:g}"]
         rec = dynamics.simulate_nagd([[0.0]], [0.0], [0.0], [1.0], cfg_r)
         expect = (cfg_r.t0 / rec.times) ** r
         worst = max(worst, float(np.max(np.abs(rec.v[:, 0] - expect) / expect)))
@@ -884,7 +961,7 @@ def run_invariant_checks(dt: float = 0.01) -> list[CheckResult]:
     checks.append(_check("damping_power_law", worst, 1e-7))
 
     # Lyapunov monotonicity on a symmetric PSD sample
-    cfg_l = dynamics.IntegratorConfig(t0=1.0, t_end=30.0, dt=dt)
+    cfg_l = grids["t30"]
     rec = dynamics.simulate_nagd([[0.4, 0.2], [0.2, 0.8]], [0.0, 0.0], [0.5, 0.3], [0.0, 0.0], cfg_l)
     lyap = analysis.lyapunov_series(rec, [[0.4, 0.2], [0.2, 0.8]])
     increase = float(np.max(np.diff(lyap.V) / np.maximum(lyap.V[:-1], 1e-300)))
@@ -904,7 +981,7 @@ def run_invariant_checks(dt: float = 0.01) -> list[CheckResult]:
     )
 
     # flux identity for a purely imaginary eigenvalue
-    rec = dynamics.simulate_modal(1j, 1.0, 0.0, dynamics.IntegratorConfig(t0=1.0, t_end=30.0, dt=dt))
+    rec = dynamics.simulate_modal(1j, 1.0, 0.0, grids["t30"])
     resid = analysis.energy_identity_residual(rec.times, rec.q, rec.v, 1j)
     checks.append(_check("flux_identity_residual", resid, 1e-5))
 
@@ -914,7 +991,7 @@ def run_invariant_checks(dt: float = 0.01) -> list[CheckResult]:
     gmat = basis @ np.diag([0.4, 0.9, 1.7]) @ basis.T
     b = rng.randn(3) * 0.3
     x_star = np.linalg.solve(gmat, -b)
-    cfg_t = dynamics.IntegratorConfig(t0=1.0, t_end=20.0, dt=dt)
+    cfg_t = grids["t20"]
     q0 = rng.randn(3)
     v0 = rng.randn(3) * 0.2
     rec_inhom = dynamics.simulate_nagd(gmat, b, q0, v0, cfg_t)
@@ -923,7 +1000,7 @@ def run_invariant_checks(dt: float = 0.01) -> list[CheckResult]:
     checks.append(_check("translation_invariance", worst, 1e-10))
 
     # zero-mode limit: y(t) -> y0 + (t0/2) ydot0
-    rec = dynamics.simulate_nagd([[0.0]], [0.0], [0.2], [0.8], dynamics.IntegratorConfig(t0=1.0, t_end=60.0, dt=dt))
+    rec = dynamics.simulate_nagd([[0.0]], [0.0], [0.2], [0.8], grids["t60"])
     lim = analysis.nullspace_limit(1.0, 0.2, 0.8)
     err = abs(float(rec.q[-1, 0]) - lim)
     checks.append(_check("nullspace_limit", err, 1e-3))

@@ -51,6 +51,7 @@ __all__ = [
     "matrix_tolerance",
     "eigendecompose",
     "classify_eigenvalue",
+    "classify_eigenvalues",
     "predicted_rate",
     "classify_matrix",
     "boundedness_bound",
@@ -82,6 +83,15 @@ class EigenvalueClass(Enum):
     ZERO = "Zero"
     NEGATIVE_REAL = "NegativeReal"
     STRICTLY_COMPLEX = "StrictlyComplex"
+
+
+#: Class names in ``EigenvalueClass`` order, so that :func:`classify_eigenvalues`
+#: can index them with codes 0 (PositiveReal) to 3 (StrictlyComplex).
+_CLASS_NAMES = np.array([c.value for c in EigenvalueClass], dtype=object)
+
+#: ``math.hypot`` over arrays, as the scalar classifier computes |lam|;
+#: ``np.hypot`` can differ from it in the last bit.
+_math_hypot = np.frompyfunc(math.hypot, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -194,6 +204,36 @@ def classify_eigenvalue(lam: complex, tol: float = DEFAULT_SCALAR_TOL) -> Classi
     else:
         beta = math.sqrt(0.5 * (h - a))
     return ClassifiedEigenvalue(EigenvalueClass.STRICTLY_COMPLEX, lam, beta)
+
+
+def classify_eigenvalues(re, im, tol: float = DEFAULT_SCALAR_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of :func:`classify_eigenvalue` for the points re + i im.
+
+    Returns ``(tags, rates)``: the class names (``EigenvalueClass``
+    values) as an object array of str, and the rates.  Both equal, bit for
+    bit, what :func:`classify_eigenvalue` gives point by point.
+    """
+    a = np.asarray(re, dtype=float)
+    b = np.asarray(im, dtype=float)
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("eigenvalue must be finite")
+    if tol < 0.0:
+        raise ValueError("tol must be nonnegative")
+    real = np.abs(b) <= tol
+    zero = real & (np.abs(a) <= tol)
+    negative = real & ~zero & (a < 0.0)
+    cplx = ~real
+    codes = np.select([zero, negative, cplx], [1, 2, 3], 0)
+    rates = np.zeros(a.shape)
+    rates[negative] = np.sqrt(-a[negative])
+    ac, bc = a[cplx], b[cplx]
+    right = ac >= 0.0
+    with np.errstate(over="ignore"):  # |lam| and h + a may overflow to inf, as in floats
+        h = _math_hypot(ac, bc).astype(float)
+        beta = np.sqrt(0.5 * (h - ac))
+        beta[right] = np.abs(bc[right]) / (2.0 * np.sqrt(0.5 * (h[right] + ac[right])))
+    rates[cplx] = beta
+    return _CLASS_NAMES[codes], rates
 
 
 def predicted_rate(lam: complex, tol: float = DEFAULT_SCALAR_TOL) -> float:

@@ -8,7 +8,8 @@ import os
 import numpy as np
 import pytest
 
-from nagdyn import cli, experiments
+from nagdyn import cli, experiments, special, spectral
+from nagdyn.errors import OutputError
 
 FIG1 = {
     "label": "potential",
@@ -247,6 +248,45 @@ def test_sweep_measured_rates(tmp_path):
         assert measured == pytest.approx(predicted, abs=max(0.1 * abs(predicted), 0.01))
 
 
+def test_sweep_negative_grid_as_separate_argument(tmp_path):
+    rc = cli.main(["sweep", "--grid", "-2:6:8,-3:3:8", "--out", str(tmp_path)])
+    assert rc == cli.EXIT_OK
+    _, rows = _read_csv(tmp_path / "sweep.csv")
+    assert len(rows) == 64
+    assert (float(rows[0][0]), float(rows[0][1])) == (-2.0, -3.0)
+    joined = tmp_path / "joined"
+    assert cli.main(["sweep", "--grid=-2:6:8,-3:3:8", "--out", str(joined)]) == cli.EXIT_OK
+    assert filecmp.cmp(tmp_path / "sweep.csv", joined / "sweep.csv", shallow=False)
+
+
+def test_sweep_csv_matches_per_cell_format(tmp_path):
+    # every cell is format(x, ".17g") of the classifier's own value
+    rc = cli.main(["sweep", "--grid=-3:5:17,-2:2:9", "--out", str(tmp_path)])
+    assert rc == cli.EXIT_OK
+    re_vals, im_vals = experiments.parse_grid("-3:5:17,-2:2:9")
+    lines = (tmp_path / "sweep.csv").read_text().split("\n")
+    assert lines[0] == "re,im,predicted_rate,measured_rate,class" and lines[-1] == ""
+    want = []
+    for a in re_vals:
+        for b in im_vals:
+            cls = spectral.classify_eigenvalue(complex(a, b))
+            if cls.rate > 0.0:
+                predicted = cls.rate
+            elif cls.tag is spectral.EigenvalueClass.ZERO:
+                predicted = 0.0
+            else:
+                predicted = -1.5
+            cells = [format(float(x), ".17g") for x in (a, b, predicted, math.nan)]
+            want.append(",".join(cells + [cls.tag.value]))
+    assert lines[1:-1] == want
+
+
+def test_sweep_overflowing_grid_is_config_error(tmp_path, capsys):
+    rc = cli.main(["sweep", "--grid=-1e308:1e308:3,0:1:2", "--out", str(tmp_path)])
+    assert rc == cli.EXIT_CONFIG
+    assert "grid.real" in capsys.readouterr().err
+
+
 def test_sweep_grid_too_large(tmp_path, capsys):
     rc = cli.main(["sweep", "--grid", "0:1:2000,0:1:2000", "--out", str(tmp_path)])
     assert rc == cli.EXIT_CONFIG
@@ -328,3 +368,75 @@ def test_check_bad_dt_is_config_error(tmp_path, capsys, dt):
     assert "config error: --dt" in captured.err
     assert "Traceback" not in captured.err
     assert not (tmp_path / "check_report.json").exists()
+
+
+def test_check_rejects_bad_dt_before_any_check(tmp_path, capsys, monkeypatch):
+    # the Bessel checks run first; a bad step must be refused before them
+    def boom(z):
+        raise AssertionError("a check ran before the step was validated")
+
+    monkeypatch.setattr(special, "bessel_j0", boom)
+    rc = cli.main(["check", "--dt", "1000", "--out", str(tmp_path)])
+    assert rc == cli.EXIT_CONFIG
+    assert "config error: --dt" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------------
+# unwritable output
+
+
+def _blocked_out(tmp_path):
+    # a directory path under a regular file cannot be created
+    (tmp_path / "file").write_text("x")
+    return str(tmp_path / "file" / "out")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--config", "{cfg}", "--out", "{out}"],
+        ["simulate", "--config", "{cfg}", "--out", "{out}"],
+        ["sweep", "--grid", "0:1:2,0:1:2", "--out", "{out}"],
+        ["check", "--out", "{out}"],
+    ],
+    ids=["classify", "simulate", "sweep", "check"],
+)
+def test_unwritable_out_is_output_error(tmp_path, capsys, argv):
+    payload = json.loads(json.dumps(FIG1))
+    payload["integrator"]["t_end"] = 5.0
+    subs = {"cfg": _write_config(tmp_path, payload), "out": _blocked_out(tmp_path)}
+    rc = cli.main([a.format(**subs) for a in argv])
+    assert rc == cli.EXIT_OUTPUT
+    err = capsys.readouterr().err
+    assert err.startswith("output error: cannot write ") and subs["out"] in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("**/.tmp-*"))
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    def fail(src, dst):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(experiments.os, "replace", fail)
+    with pytest.raises(OutputError, match="Permission denied"):
+        experiments.write_json(str(tmp_path / "a.json"), {"x": 1})
+    assert list(tmp_path.iterdir()) == []
+
+
+# --------------------------------------------------------------------------
+# CSV writer
+
+
+def test_write_csv_rows_and_labels_across_chunks(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "_CSV_CHUNK_ROWS", 4)
+    a = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 1 / 3, 5e-324, 1e300, -2.5, 7.0])
+    b = np.arange(10)
+    labels = [f"L{i}" for i in range(10)]
+    path = tmp_path / "t.csv"
+    experiments.write_csv(str(path), ["a", "b", "tag"], [a, b], labels=labels)
+    want = ["a,b,tag"] + [
+        f"{format(float(x), '.17g')},{format(float(y), '.17g')},{t}" for x, y, t in zip(a, b, labels)
+    ]
+    assert path.read_text() == "\n".join(want) + "\n"
+    with pytest.raises(ValueError):
+        experiments.write_csv(str(path), ["a", "b"], [a, b], labels=labels)

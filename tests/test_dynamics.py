@@ -169,3 +169,146 @@ def test_system_validation():
         simulate_nagd(np.array([[np.nan, 0.0], [0.0, 1.0]]), None, np.zeros(2))
     with pytest.raises(ValueError):
         simulate_smooth_nagd(lambda x: x[:1], np.zeros(2))
+
+
+# --------------------------------------------------------------------------
+# batched modal integrator
+
+
+def _reference_modal_rk4(lam, y0, ydot0, cfg):
+    """Stage-form RK4 of y'' + (r/t) y' + lam y = 0 in complex scalars.
+
+    The 1e150 guard is checked after every step, and a run that fails it
+    keeps the rows recorded before that step.  Returns (times, q, v, saturated).
+    """
+    r, h = cfg.damping_exponent, cfg.dt
+
+    def f(t, y, v):
+        return v, -lam * y - (r / t) * v
+
+    y, v = complex(y0), complex(ydot0)
+    times, ys, vs = [cfg.t0], [y], [v]
+    saturated = False
+    for k in range(cfg.n_steps):
+        t = cfg.t0 + k * h
+        a = f(t, y, v)
+        b = f(t + h / 2, y + h / 2 * a[0], v + h / 2 * a[1])
+        c = f(t + h / 2, y + h / 2 * b[0], v + h / 2 * b[1])
+        d = f(t + h, y + h * c[0], v + h * c[1])
+        y = y + h / 6 * (a[0] + 2 * (b[0] + c[0]) + d[0])
+        v = v + h / 6 * (a[1] + 2 * (b[1] + c[1]) + d[1])
+        if not abs(y) ** 2 <= dynamics.OVERFLOW_NORM**2:
+            saturated = True
+            break
+        if (k + 1) % cfg.record_stride == 0:
+            times.append(cfg.t0 + (k + 1) * h)
+            ys.append(y)
+            vs.append(v)
+    return np.array(times), np.array(ys), np.array(vs), saturated
+
+
+def _sup_rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+# one point per region: PositiveReal, Zero, NegativeReal, StrictlyComplex
+REGION_POINTS = [0.883, 0.0, -0.5, 6 + 1.5j]
+
+
+def test_batched_modal_matches_stage_form_in_every_region():
+    cfg = IntegratorConfig(t0=1.0, t_end=30.0, dt=0.01)
+    times, q, v, rows, saturated = dynamics._modal_rk4(REGION_POINTS, 1.0, 0.5, cfg)
+    assert q.shape == v.shape == (cfg.n_steps + 1, len(REGION_POINTS))
+    assert not saturated.any()
+    for p, lam in enumerate(REGION_POINTS):
+        ref_t, ref_q, ref_v, _ = _reference_modal_rk4(lam, 1.0, 0.5, cfg)
+        assert rows[p] == ref_t.shape[0]
+        assert np.array_equal(times, ref_t)
+        assert _sup_rel(q[:, p], ref_q) <= 1e-12
+        assert _sup_rel(v[:, p], ref_v) <= 1e-12
+
+
+def test_batched_modal_saturating_lane_is_truncated_alone():
+    # lam = -400 grows like e^{20 t} and passes 1e150 near t = 18
+    lams = [0.883, -400.0, 6 + 1.5j]
+    cfg = IntegratorConfig(t0=1.0, t_end=30.0, dt=0.01)
+    times, q, v, rows, saturated = dynamics._modal_rk4(lams, 1.0, 0.0, cfg)
+    assert saturated.tolist() == [False, True, False]
+    ref_t, ref_q, _, ref_sat = _reference_modal_rk4(-400.0, 1.0, 0.0, cfg)
+    assert ref_sat and 1 < ref_t.shape[0] < cfg.n_steps
+    assert rows[1] == ref_t.shape[0]
+    assert np.array_equal(times[: rows[1]], ref_t)
+    assert _sup_rel(q[: rows[1], 1], ref_q) <= 1e-12
+    assert np.all(np.abs(q[: rows[1], 1]) <= dynamics.OVERFLOW_NORM)
+    # the same truncation as the stage-form core of the vector flows
+    lone = simulate_modal(-400.0, 1.0, 0.0, cfg)
+    assert lone.saturated and lone.n_samples == rows[1]
+    for p in (0, 2):
+        assert rows[p] == cfg.n_steps + 1
+        _, ref_q, _, _ = _reference_modal_rk4(lams[p], 1.0, 0.0, cfg)
+        assert _sup_rel(q[:, p], ref_q) <= 1e-12
+
+
+@pytest.mark.parametrize("stride", [1, 3, 7, 100])
+def test_batched_modal_chunk_edges_and_strides(monkeypatch, stride):
+    # 10 steps per chunk against 293 steps, so the last chunk is partial;
+    # lam = -160^2 passes 1e150 near t = 3.2, inside a chunk and, at
+    # stride 100, after the last recorded row: only a guard checked at
+    # every step flags it
+    monkeypatch.setattr(dynamics, "_MODAL_STEP_CHUNK", 10)
+    lams = [1.0, -25600.0, 2j]
+    cfg = IntegratorConfig(t0=1.0, t_end=3.93, dt=0.01, record_stride=stride)
+    assert cfg.n_steps == 293
+    times, q, v, rows, saturated = dynamics._modal_rk4(lams, 1.0, 0.0, cfg)
+    assert times.shape[0] == cfg.n_steps // stride + 1
+    for p, lam in enumerate(lams):
+        ref_t, ref_q, ref_v, ref_sat = _reference_modal_rk4(lam, 1.0, 0.0, cfg)
+        assert bool(saturated[p]) == ref_sat
+        assert rows[p] == ref_t.shape[0]
+        assert np.array_equal(times[: rows[p]], ref_t)
+        assert _sup_rel(q[: rows[p], p], ref_q) <= 1e-12
+        assert _sup_rel(v[: rows[p], p], ref_v) <= 1e-12
+    assert saturated.tolist() == [False, True, False]
+
+
+def test_simulate_modal_is_one_lane_of_the_batch():
+    cfg = IntegratorConfig(t0=1.0, t_end=10.0, dt=0.01, record_stride=4)
+    rec = simulate_modal(6 + 1.5j, 0.25, -1.0, cfg)
+    times, q, v, rows, _ = dynamics._modal_rk4([0.5, 6 + 1.5j], 0.25, -1.0, cfg)
+    assert rec.meta == {"kind": "modal", "lam": 6 + 1.5j, "config": cfg}
+    assert np.array_equal(rec.times, times[: rows[1]])
+    assert _sup_rel(rec.q, q[: rows[1], 1]) <= 1e-15
+    assert _sup_rel(rec.v, v[: rows[1], 1]) <= 1e-15
+
+
+def _reference_sweep_rate(lam, cls):
+    """Rate of one measured sweep point, fitted on a stage-form trajectory."""
+    from nagdyn import analysis
+
+    times, q, _, _ = _reference_modal_rk4(lam, 1.0, 0.0, IntegratorConfig(t0=1.0, t_end=60.0, dt=0.01))
+    window = (max(20.0, times[0]), times[-1])
+    if cls == "PositiveReal":
+        fit = analysis.fit_rate(times, np.abs(q), kind="algebraic", window=window, envelope=True)
+    elif cls == "Zero":
+        fit = analysis.fit_rate(times, np.abs(q), kind="algebraic", window=window)
+    else:
+        fit = analysis.fit_rate(
+            times, np.abs(q), kind="exponential", window=window,
+            detrend_log_power=analysis.OSCILLATORY_ENVELOPE_POWER,
+        )
+    return fit.slope
+
+
+def test_measured_sweep_matches_per_point_rates(tmp_path):
+    from nagdyn import cli
+
+    assert cli.main(["sweep", "--grid=-1:1:3,-0.5:0.5:3", "--measure", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    assert len(lines) == 9
+    classes = set()
+    for line in lines:
+        re_s, im_s, _, measured_s, cls = line.split(",")
+        classes.add(cls)
+        want = _reference_sweep_rate(complex(float(re_s), float(im_s)), cls)
+        assert float(measured_s) == pytest.approx(want, rel=1e-10, abs=1e-13)
+    assert classes == {"PositiveReal", "Zero", "NegativeReal", "StrictlyComplex"}

@@ -327,6 +327,23 @@ def test_classification_partitions_the_plane(a, b):
         assert cls.rate > 0.0
 
 
+def test_array_classification_equals_pointwise_bit_for_bit():
+    # tolerance edges on both axes, both half-planes, extreme magnitudes,
+    # and a seeded cloud where np.hypot and math.hypot disagree
+    edges = [0.0, -0.0, 1e-12, -1e-12, 1.0000000000000002e-12, -1.0000000000000002e-12, 5e-13, 1e-8]
+    big = [1e300, -1e300, 1.7e308, -1.7e308, 3.0, -3.0]
+    rng = np.random.default_rng(11)
+    re = np.concatenate([np.repeat(edges + big, len(edges + big)), rng.normal(size=4000) * 7.0])
+    im = np.concatenate([np.tile(edges + big, len(edges + big)), rng.normal(size=4000) * 7.0])
+    tags, rates = spectral.classify_eigenvalues(re, im)
+    assert tags.shape == rates.shape == re.shape
+    for a, b, tag, rate in zip(re.tolist(), im.tolist(), tags.tolist(), rates.tolist()):
+        cls = classify_eigenvalue(complex(a, b))
+        assert (tag, rate) == (cls.tag.value, cls.rate), (a, b)
+    with pytest.raises(ValueError):
+        spectral.classify_eigenvalues([1.0, math.nan], [0.0, 0.0])
+
+
 # --------------------------------------------------------------------------
 # matrix-level verdicts
 
