@@ -187,9 +187,11 @@ class LyapunovSeries:
     """V(t) = (t^2/2) q^T G q + (1/2) ||t v + 2 q||^2 along a trajectory.
 
     For symmetric G the analytic derivative is -t q^T G q <= 0 whenever
-    G is positive semidefinite.  For non-symmetric G the certificate does
-    not apply; ``applicable`` is False and ``skew_residual`` carries the
-    obstruction t^2 v^T (G - G^T) q that would pollute the derivative.
+    G is positive semidefinite.  Without both hypotheses the certificate
+    does not apply: ``applicable`` is False and ``obstruction`` names the
+    one that fails, "not symmetric" (checked first) or "not positive
+    semidefinite".  ``skew_residual`` carries t^2 v^T (G - G^T) q, the term
+    a non-symmetric G would add to the derivative.
     ``vdot_numeric`` is a five-point finite difference of V (edges at
     reduced order, see the interior slice [2:-2]).
     """
@@ -200,6 +202,7 @@ class LyapunovSeries:
     vdot_numeric: np.ndarray
     applicable: bool
     skew_residual: np.ndarray
+    obstruction: str = ""
 
 
 def lyapunov_series(record: TrajectoryRecord, matrix) -> LyapunovSeries:
@@ -213,15 +216,21 @@ def lyapunov_series(record: TrajectoryRecord, matrix) -> LyapunovSeries:
     vv = 0.5 * t**2 * qgq + 0.5 * np.einsum("ij,ij->i", shifted, shifted)
     vdot = -t * qgq
     skew = np.einsum("ij,ij->i", v @ (g - g.T), q) * t**2
-    scale = max(1.0, float(np.abs(g).max()))
-    applicable = float(np.abs(g - g.T).max()) <= 1e-12 * scale
+    tol = 1e-12 * max(1.0, float(np.abs(g).max()))
+    if float(np.abs(g - g.T).max()) > tol:
+        obstruction = "not symmetric"
+    elif float(np.linalg.eigvalsh(g)[0]) < -tol:
+        obstruction = "not positive semidefinite"
+    else:
+        obstruction = ""
     return LyapunovSeries(
         times=t,
         V=vv,
         vdot_analytic=vdot,
         vdot_numeric=_fd_derivative(t, vv),
-        applicable=applicable,
+        applicable=not obstruction,
         skew_residual=skew,
+        obstruction=obstruction,
     )
 
 

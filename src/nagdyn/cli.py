@@ -106,8 +106,8 @@ def cmd_simulate(config_path: str, out_dir: str, stride: int | None = None) -> i
     return EXIT_SATURATED if record.saturated else EXIT_OK
 
 
-def cmd_reproduce(figure: str, out_dir: str, jobs: int = 1) -> int:
-    summary = experiments.reproduce_figure(figure, out_dir, jobs=jobs)
+def cmd_reproduce(figure: str, out_dir: str) -> int:
+    summary = experiments.reproduce_figure(figure, out_dir)
     for run in summary["runs"]:
         line = f"{run['label']}: verdict={run['spectrum']['nagd_verdict']}"
         if "rate_fit" in run:
@@ -185,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="run a canned study")
     p.add_argument("--figure", required=True, choices=sorted(experiments.FIGURES), help="study name")
     p.add_argument("--out", default=None, help="output directory (default: $NAGD_OUT_DIR or cwd)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored: the runs are sequential")
 
     p = sub.add_parser("sweep", help="classify modal rates over a grid in the eigenvalue plane")
     p.add_argument("--grid", required=True, help="a0:a1:na,b0:b1:nb")
@@ -229,7 +229,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "simulate":
             return cmd_simulate(args.config, _out_dir(args.out), args.stride)
         if args.command == "reproduce":
-            return cmd_reproduce(args.figure, _out_dir(args.out), args.jobs)
+            return cmd_reproduce(args.figure, _out_dir(args.out))
         if args.command == "sweep":
             return cmd_sweep(args.grid, _out_dir(args.out), args.measure)
         if args.command == "check":

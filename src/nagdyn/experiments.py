@@ -15,7 +15,6 @@ import json
 import math
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -398,7 +397,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dynamics.TrajectoryRecord, di
             header += ["V", "Vdot"]
             cols += [lyap.V, lyap.vdot_analytic]
         else:
-            notes.append("lyapunov: matrix is not symmetric; certificate not applicable")
+            notes.append(f"lyapunov: matrix is {lyap.obstruction}; certificate not applicable")
     if "chetaev" in cfg.diagnostics:
         neg = [
             (c, i)
@@ -460,13 +459,20 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dynamics.TrajectoryRecord, di
             notes.append("energy: spectrum has no strictly complex eigenvalue")
     if "rates" in cfg.diagnostics:
         norm_q = np.linalg.norm(record.q, axis=1)
+        growing = verdict.dominant_growth_rate > 0.0
+        start, stop = (20.0, 60.0) if growing else (30.0, 100.0)
+        window = (max(start, record.times[0]), min(stop, record.times[-1]))
         try:
-            if verdict.dominant_growth_rate > 0.0:
+            if window[1] < window[0]:  # a saturated record can end before the window opens
+                raise InsufficientPoints(
+                    f"the record ends at t = {window[1]:g}, before the fit window starts at {window[0]:g}"
+                )
+            if growing:
                 fit = analysis.fit_rate(
                     record.times,
                     norm_q,
                     kind="exponential",
-                    window=(max(20.0, record.times[0]), min(60.0, record.times[-1])),
+                    window=window,
                     detrend_log_power=analysis.OSCILLATORY_ENVELOPE_POWER,
                 )
             else:
@@ -474,7 +480,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dynamics.TrajectoryRecord, di
                     record.times,
                     norm_q,
                     kind="algebraic",
-                    window=(max(30.0, record.times[0]), min(100.0, record.times[-1])),
+                    window=window,
                     envelope=True,
                 )
             summary["rate_fit"] = {
@@ -482,9 +488,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dynamics.TrajectoryRecord, di
                 "slope": fit.slope,
                 "r_squared": fit.r_squared,
                 "window": list(fit.window),
-                "predicted": verdict.dominant_growth_rate
-                if verdict.dominant_growth_rate > 0.0
-                else spectral.ALGEBRAIC_DECAY_EXPONENT,
+                "predicted": verdict.dominant_growth_rate if growing else spectral.ALGEBRAIC_DECAY_EXPONENT,
             }
         except (InsufficientPoints, NonPositiveSeries) as exc:
             notes.append(f"rates: fit unavailable ({exc})")
@@ -680,24 +684,18 @@ def _figure_checks(name: str, configs, results, out_dir: str) -> dict:
     return checks
 
 
-def reproduce_figure(name: str, out_dir: str, jobs: int = 1) -> dict:
+def reproduce_figure(name: str, out_dir: str) -> dict:
     """Run one canned study, write its artifacts, and summarize."""
     if name not in FIGURES:
         raise ConfigError(f"unknown figure {name!r}; choose from {sorted(FIGURES)}")
     entry = FIGURES[name]
     configs: list[ExperimentConfig] = entry["configs"]
-
-    def one(cfg: ExperimentConfig):
+    results = []
+    for cfg in configs:
         record, summary, header, cols = run_experiment(cfg)
         write_csv(os.path.join(out_dir, f"{cfg.label}.csv"), header, cols)
         write_json(os.path.join(out_dir, f"{cfg.label}.json"), summary)
-        return record, summary
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, configs))
-    else:
-        results = [one(cfg) for cfg in configs]
+        results.append((record, summary))
 
     checks = _figure_checks(name, configs, results, out_dir)
     summary = {

@@ -390,20 +390,6 @@ def _k01_quadrature(x: np.ndarray):
     return k0, k1
 
 
-def _ik_asymptotic_sums(xinv: np.ndarray):
-    si = np.ones_like(xinv)
-    sk = np.ones_like(xinv)
-    xp = np.ones_like(xinv)
-    sign = 1.0
-    for k in range(1, _ASYM_TERMS + 1):
-        sign = -sign
-        xp = xp * xinv
-        term = _A1[k] * xp
-        si = si + sign * term
-        sk = sk + term
-    return si, sk
-
-
 def _i01(x: np.ndarray):
     """I0, I1 for 0 < x <= EXPONENT_CAP."""
     x = np.asarray(x, dtype=float)

@@ -127,11 +127,24 @@ def test_lyapunov_random_psd_monotone():
         assert np.all(np.diff(lyap.V) <= 1e-8 * max(1.0, lyap.V[0]))
 
 
+def test_lyapunov_needs_positive_semidefinite():
+    # symmetric but negative definite: V is not a certificate here
+    g = -0.5 * np.eye(2)
+    rec = simulate_nagd(g, None, np.array([1.0, 0.0]), np.zeros(2),
+                        IntegratorConfig(t0=1.0, t_end=5.0, dt=0.01))
+    lyap = analysis.lyapunov_series(rec, g)
+    assert not lyap.applicable
+    assert lyap.obstruction == "not positive semidefinite"
+    psd = analysis.lyapunov_series(rec, np.array([[0.25, 0.25], [0.25, 0.25]]))
+    assert psd.applicable and psd.obstruction == ""
+
+
 def test_lyapunov_skew_obstruction():
     rec = simulate_nagd(ROT, None, np.array([1.0, 0.0]), np.zeros(2),
                         IntegratorConfig(t0=1.0, t_end=10.0, dt=0.01))
     lyap = analysis.lyapunov_series(rec, ROT)
     assert not lyap.applicable
+    assert lyap.obstruction == "not symmetric"
     k = 500
     t = rec.times[k]
     expected = t**2 * (rec.v[k] @ (ROT - ROT.T) @ rec.q[k])

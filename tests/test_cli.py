@@ -135,6 +135,45 @@ def test_simulate_saturation_exit_code(tmp_path):
     assert float(rows[-1][0]) < 100.0  # truncated before the horizon
 
 
+def test_lyapunov_note_names_the_failed_hypothesis(tmp_path):
+    for label, matrix, why in (
+        ("skew", [[0.0, 1.0], [-1.0, 0.0]], "not symmetric"),
+        ("negdef", [[-0.5, 0.0], [0.0, -0.5]], "not positive semidefinite"),
+    ):
+        payload = {
+            "label": label,
+            "source": {"matrix": matrix},
+            "initial": {"q0": [1.0, 0.0]},
+            "integrator": {"t0": 1.0, "t_end": 5.0, "dt": 0.01},
+            "diagnostics": ["lyapunov"],
+        }
+        cli.main(["simulate", "--config", _write_config(tmp_path, payload), "--out", str(tmp_path)])
+        header, _ = _read_csv(tmp_path / f"{label}.csv")
+        assert "V" not in header
+        notes = json.loads((tmp_path / f"{label}.json").read_text())["notes"]
+        assert notes == [f"lyapunov: matrix is {why}; certificate not applicable"]
+
+
+def test_rate_fit_note_on_a_record_that_ends_early(tmp_path):
+    # RK4 is unstable at this step on the stiff mode, so the record
+    # saturates at t = 1.57, long before the algebraic window opens at 30
+    payload = {
+        "label": "stiff",
+        "source": {"matrix": [[1e6, 0.0], [0.0, 0.5]]},
+        "initial": {"q0": [1.0, 1.0]},
+        "integrator": {"t0": 1.0, "t_end": 100.0, "dt": 0.01},
+        "diagnostics": ["rates"],
+    }
+    rc = cli.main(["simulate", "--config", _write_config(tmp_path, payload), "--out", str(tmp_path)])
+    assert rc == cli.EXIT_SATURATED
+    summary = json.loads((tmp_path / "stiff.json").read_text())
+    assert summary["rows"] == 58
+    assert "rate_fit" not in summary
+    assert summary["notes"] == [
+        "rates: fit unavailable (the record ends at t = 1.57, before the fit window starts at 30)"
+    ]
+
+
 def test_diagnostic_columns(tmp_path):
     payload = json.loads(json.dumps(FIG1))
     payload["integrator"]["t_end"] = 30.0

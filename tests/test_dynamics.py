@@ -312,3 +312,108 @@ def test_measured_sweep_matches_per_point_rates(tmp_path):
         want = _reference_sweep_rate(complex(float(re_s), float(im_s)), cls)
         assert float(measured_s) == pytest.approx(want, rel=1e-10, abs=1e-13)
     assert classes == {"PositiveReal", "Zero", "NegativeReal", "StrictlyComplex"}
+
+
+# --------------------------------------------------------------------------
+# step-map core of the vector flows
+
+
+def _reference_rk4(f, s0, n, cfg):
+    """Stage-form RK4 of s' = f(t, s), guard |s[:n]| <= 1e150 after every step.
+
+    A run that fails the guard keeps the rows recorded before that step.
+    Returns (times, states, saturated).
+    """
+    h, stride = cfg.dt, cfg.record_stride
+    s = np.asarray(s0, dtype=float)
+    times, states = [cfg.t0], [s]
+    for k in range(cfg.n_steps):
+        t = cfg.t0 + k * h
+        a = f(t, s)
+        b = f(t + h / 2, s + h / 2 * a)
+        c = f(t + h / 2, s + h / 2 * b)
+        d = f(t + h, s + h * c)
+        s = s + h / 6 * (a + 2 * (b + c) + d)
+        if not s[:n] @ s[:n] <= dynamics.OVERFLOW_NORM**2:
+            return np.array(times), np.array(states), True
+        if (k + 1) % stride == 0:
+            times.append(cfg.t0 + (k + 1) * h)
+            states.append(s)
+    return np.array(times), np.array(states), False
+
+
+def _reference_nagd(g, b, q0, v0, cfg):
+    n, r = len(q0), cfg.damping_exponent
+
+    def f(t, s):
+        return np.concatenate([s[n:], -(g @ s[:n]) - b - (r / t) * s[n:]])
+
+    times, states, saturated = _reference_rk4(f, np.concatenate([q0, v0]), n, cfg)
+    return times, states[:, :n], states[:, n:], saturated
+
+
+def _vector_system(n, kind):
+    rng = np.random.RandomState(n)
+    if kind == "jordan":
+        g = np.array([[1.0, 1.0], [0.0, 1.0]])
+    elif kind == "saturating":
+        g = np.diag([1.0, -25600.0])  # passes 1e150 near t = 3.2, inside a chunk
+    else:
+        a = rng.randn(n, n)
+        g = a @ a.T / n + 0.2 * np.eye(n)
+        if kind == "nonsymmetric":
+            g += np.triu(rng.randn(n, n), 1) - np.triu(rng.randn(n, n), 1).T
+    return g, rng.randn(g.shape[0]), rng.randn(g.shape[0]), rng.randn(g.shape[0])
+
+
+VECTOR_SYSTEMS = [(1, "symmetric"), (2, "nonsymmetric"), (2, "jordan"), (2, "saturating"),
+                  (4, "symmetric"), (10, "nonsymmetric"), (40, "symmetric")]
+
+
+@pytest.mark.parametrize("stride", [1, 3, 7, 50])
+@pytest.mark.parametrize("n, kind", VECTOR_SYSTEMS)
+def test_step_map_core_matches_stage_form(monkeypatch, n, kind, stride):
+    # 10 steps per chunk against 293 steps, so the last chunk is partial;
+    # the saturating system fails the guard inside a chunk and, at stride
+    # 50, after the last recorded row
+    monkeypatch.setattr(dynamics, "_LINEAR_STEP_CHUNK", 10)
+    g, b, q0, v0 = _vector_system(n, kind)
+    cfg = IntegratorConfig(t0=1.0, t_end=3.93, dt=0.01, record_stride=stride)
+    assert cfg.n_steps == 293
+    rec = simulate_nagd(g, b, q0, v0, cfg)
+    ref_t, ref_q, ref_v, ref_sat = _reference_nagd(g, b, q0, v0, cfg)
+    assert rec.saturated == ref_sat == (kind == "saturating")
+    assert np.array_equal(rec.times, ref_t)
+    assert rec.q.shape == rec.v.shape == ref_q.shape
+    assert _sup_rel(rec.q, ref_q) <= 1e-12
+    assert _sup_rel(rec.v, ref_v) <= 1e-12
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+def test_first_order_step_map_matches_stage_form(stride):
+    g, b, x0 = ROT, np.array([0.3, -0.2]), np.array([1.0, 0.5])
+    cfg = IntegratorConfig(t0=1.0, t_end=5.0, dt=0.002, record_stride=stride)
+    rec = simulate_first_order(g, b, x0, cfg)
+    ref_t, ref_x, ref_sat = _reference_rk4(lambda t, s: -(g @ s) - b, x0, 2, cfg)
+    assert not rec.saturated and not ref_sat
+    assert np.array_equal(rec.times, ref_t)
+    assert _sup_rel(rec.q, ref_x) <= 1e-12
+    assert np.allclose(rec.v, -(rec.q @ g.T) - b, rtol=0.0, atol=1e-15)
+    # the offset moves the rest point to -G^{-1} b
+    assert np.allclose(rec.q[-1], np.linalg.solve(g, -b), atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "matrix, q0, rows",
+    [
+        ([[-25.0]], [1.0], 7043),  # the runaway CLI config
+        ([[1e6, 0.0], [0.0, 0.5]], [1.0, 1.0], 58),  # RK4 unstable at dt = 0.01
+        ([[1e200]], [1.0], 1),  # overflows within the first step
+    ],
+)
+def test_saturation_row_counts(matrix, q0, rows):
+    cfg = IntegratorConfig(t0=1.0, t_end=100.0, dt=0.01)
+    rec = simulate_nagd(matrix, None, q0, config=cfg)
+    assert rec.saturated and rec.n_samples == rows
+    assert np.all(np.isfinite(rec.q)) and np.all(np.isfinite(rec.v))
+    assert np.all(np.linalg.norm(rec.q, axis=1) <= dynamics.OVERFLOW_NORM)
