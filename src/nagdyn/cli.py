@@ -21,6 +21,7 @@ as its own argument (``--grid -2:6:8,-3:3:8``) or be joined to it
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -81,21 +82,7 @@ def cmd_simulate(config_path: str, out_dir: str, stride: int | None = None) -> i
     if stride is not None:
         if stride < 1:
             raise ConfigError("--stride must be a positive integer")
-        integ = experiments.dynamics.IntegratorConfig(
-            t0=cfg.integrator.t0,
-            t_end=cfg.integrator.t_end,
-            dt=cfg.integrator.dt,
-            damping_exponent=cfg.integrator.damping_exponent,
-            record_stride=stride,
-        )
-        cfg = experiments.ExperimentConfig(
-            label=cfg.label,
-            system=cfg.system,
-            q0=cfg.q0,
-            v0=cfg.v0,
-            integrator=integ,
-            diagnostics=cfg.diagnostics,
-        )
+        cfg = dataclasses.replace(cfg, integrator=dataclasses.replace(cfg.integrator, record_stride=stride))
     record, summary, header, cols = experiments.run_experiment(cfg)
     csv_path = os.path.join(out_dir, f"{cfg.label}.csv")
     json_path = os.path.join(out_dir, f"{cfg.label}.json")

@@ -15,7 +15,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,7 +26,6 @@ from .errors import (
     GridTooLarge,
     InsufficientPoints,
     NonPositiveSeries,
-    NotApplicable,
     OutputError,
     TrivialNullspace,
 )
@@ -340,6 +339,12 @@ def _verdict_report(spectrum: spectral.Spectrum, verdict: spectral.StabilityVerd
     }
 
 
+def _strongest(verdict: spectral.StabilityVerdict, tag: spectral.EigenvalueClass):
+    """(class, index) of the eigenvalue of class ``tag`` with the largest rate, or None."""
+    found = [(c, i) for i, c in enumerate(verdict.per_eigenvalue) if c.tag is tag]
+    return max(found, key=lambda ci: ci[0].rate) if found else None
+
+
 def run_experiment(cfg: ExperimentConfig) -> tuple[dynamics.TrajectoryRecord, dict, list[str], list[np.ndarray]]:
     """Simulate one configuration and assemble its CSV columns and summary.
 
@@ -399,18 +404,10 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dynamics.TrajectoryRecord, di
         else:
             notes.append(f"lyapunov: matrix is {lyap.obstruction}; certificate not applicable")
     if "chetaev" in cfg.diagnostics:
-        neg = [
-            (c, i)
-            for i, c in enumerate(verdict.per_eigenvalue)
-            if c.tag is spectral.EigenvalueClass.NEGATIVE_REAL
-        ]
-        cplx = [
-            (c, i)
-            for i, c in enumerate(verdict.per_eigenvalue)
-            if c.tag is spectral.EigenvalueClass.STRICTLY_COMPLEX
-        ]
+        neg = _strongest(verdict, spectral.EigenvalueClass.NEGATIVE_REAL)
+        cplx = _strongest(verdict, spectral.EigenvalueClass.STRICTLY_COMPLEX)
         if neg:
-            cls, idx = max(neg, key=lambda ci: ci[0].rate)
+            cls, idx = neg
             che = analysis.chetaev_negative(record, spectrum.left_vectors[idx], cls.rate)
             header.append("W")
             cols.append(che.W)
@@ -421,7 +418,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dynamics.TrajectoryRecord, di
                 "fraction_in_omega": float(np.mean(che.in_omega)),
             }
         if cplx:
-            cls, idx = max(cplx, key=lambda ci: ci[0].rate)
+            cls, idx = cplx
             try:
                 che_c = analysis.chetaev_complex(record, spectrum.left_vectors[idx])
                 header.append("rho")
@@ -444,13 +441,9 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dynamics.TrajectoryRecord, di
         except TrivialNullspace:
             notes.append("nullspace: matrix has full rank")
     if "energy" in cfg.diagnostics:
-        cplx_pairs = [
-            (c, i)
-            for i, c in enumerate(verdict.per_eigenvalue)
-            if c.tag is spectral.EigenvalueClass.STRICTLY_COMPLEX
-        ]
-        if cplx_pairs:
-            cls, idx = max(cplx_pairs, key=lambda ci: ci[0].rate)
+        cplx = _strongest(verdict, spectral.EigenvalueClass.STRICTLY_COMPLEX)
+        if cplx:
+            cls, idx = cplx
             y, ydot = analysis.modal_project(record, spectrum.left_vectors[idx])
             summary["energy_identity_residual"] = analysis.energy_identity_residual(
                 record.times, y, ydot, cls.value
@@ -883,46 +876,32 @@ def run_invariant_checks(dt: float = 0.01) -> list[CheckResult]:
     # Off the real axis the two products grow like e^{2|Im z|} while their
     # difference stays 2/(pi z), so the defect is measured against the
     # product magnitude (the identity's own conditioning), not the target.
-    zs = [complex(z) for z in np.linspace(0.5, 40.0, 24)]
-    zs += [r * complex(math.cos(a), math.sin(a)) for r in (1.0, 8.0, 19.0, 23.0) for a in (0.7, -1.2)]
-    worst = 0.0
-    for z in zs:
-        j0, j1 = special.bessel_j0(z), special.bessel_j1(z)
-        y0, y1 = special.bessel_y0(z), special.bessel_y1(z)
-        j1p = j0 - j1 / z
-        y1p = y0 - y1 / z
-        target = 2.0 / (math.pi * z)
-        scale = max(abs(target), abs(j1 * y1p) + abs(j1p * y1))
-        worst = max(worst, abs(j1 * y1p - j1p * y1 - target) / scale)
-    checks.append(_check("bessel_wronskian_jy", worst, 1e-10))
+    polar = [r * complex(math.cos(a), math.sin(a)) for r in (1.0, 8.0, 19.0, 23.0) for a in (0.7, -1.2)]
+    z = np.concatenate([np.linspace(0.5, 40.0, 24), polar])
+    j0, j1, y0, y1 = special._jy01(z)
+    j1p, y1p = j0 - j1 / z, y0 - y1 / z
+    target = 2.0 / (math.pi * z)
+    scale = np.maximum(np.abs(target), np.abs(j1 * y1p) + np.abs(j1p * y1))
+    checks.append(_check("bessel_wronskian_jy", np.max(np.abs(j1 * y1p - j1p * y1 - target) / scale), 1e-10))
 
     # Wronskian of the modified pair: I1 K1' - I1' K1 = -1/x
-    worst = 0.0
-    for x in np.linspace(0.5, 25.0, 20):
-        i0, i1 = special.bessel_i0(x), special.bessel_i1(x)
-        k0, k1 = special.bessel_k0(x), special.bessel_k1(x)
-        i1p = i0 - i1 / x
-        k1p = -k0 - k1 / x
-        worst = max(worst, abs(i1 * k1p - i1p * k1 + 1.0 / x) * x)
-    checks.append(_check("bessel_wronskian_ik", worst, 1e-10))
+    x = np.linspace(0.5, 25.0, 20)
+    (i0, i1), (k0, k1) = special._i01(x), special._k01(x)
+    i1p, k1p = i0 - i1 / x, -k0 - k1 / x
+    checks.append(_check("bessel_wronskian_ik", np.max(np.abs(i1 * k1p - i1p * k1 + 1.0 / x) * x), 1e-10))
 
     # connection formula J1(ix) = i I1(x)
-    worst = 0.0
-    for x in np.linspace(0.5, 20.0, 12):
-        lhs = special.bessel_j1(complex(0.0, x))
-        rhs = 1j * special.bessel_i1(x)
-        worst = max(worst, abs(lhs - rhs) / abs(rhs))
+    x = np.linspace(0.5, 20.0, 12)
+    rhs = 1j * special._i01(x)[1]
+    worst = np.max(np.abs(special._jy01(1j * x)[1] - rhs) / np.abs(rhs))
     checks.append(_check("bessel_connection_formula", worst, 1e-9))
 
     # series/asymptotic agreement across the handover band
-    worst = 0.0
-    for r in np.linspace(15.0, 25.0, 9):
-        for a in (0.0, 0.9, -1.3):
-            z = np.array([r * complex(math.cos(a), math.sin(a))])
-            s = special._jy01_series(z)
-            h = special._jy01_asymptotic(z)
-            for u, v in zip(s, h):
-                worst = max(worst, abs(u[0] - v[0]) / max(1.0, abs(u[0])))
+    z = np.array([r * complex(math.cos(a), math.sin(a)) for r in np.linspace(15.0, 25.0, 9) for a in (0.0, 0.9, -1.3)])
+    worst = max(
+        np.max(np.abs(u - v) / np.maximum(1.0, np.abs(u)))
+        for u, v in zip(special._jy01_series(z), special._jy01_asymptotic(z))
+    )
     checks.append(_check("bessel_series_asymptotic_band", worst, 1e-8))
 
     # closed-form modal solution vs RK4

@@ -28,8 +28,10 @@ double-double (compensated) arithmetic built from the Dekker/Knuth
 error-free transforms.  Those transforms require strict IEEE-754 double
 evaluation, which CPython floats and numpy float64 both provide.
 
-Internal evaluators are vectorized over numpy arrays; the public
-function-per-value wrappers deal in Python scalars.
+One private dispatcher picks the regime for J/Y, I and K alike, so
+scalars and arrays take the same path: an array is split by regime mask,
+and a single argument (what the public ``bessel_*`` functions pass) runs
+its one regime directly on a numpy scalar.
 """
 
 from __future__ import annotations
@@ -227,23 +229,32 @@ _A0 = _asym_coeffs(0)
 _A1 = _asym_coeffs(1)
 
 
-def _hankel_pq(coeffs: np.ndarray, zinv: np.ndarray):
-    p = np.ones_like(zinv)
-    q = np.zeros_like(zinv)
-    zp = np.ones_like(zinv)
-    for k in range(1, _ASYM_TERMS + 1):
-        zp = zp * zinv
-        term = coeffs[k] * zp
-        m = k % 4
-        if m == 1:
-            q = q + term
-        elif m == 2:
-            p = p - term
-        elif m == 3:
-            q = q - term
-        else:
-            p = p + term
-    return p, q
+def _asym_sum(coeffs: np.ndarray, w):
+    """sum_k coeffs[k] w^k, accumulated from k = 0 upward."""
+    total, wk = coeffs[0], 1.0
+    for a in coeffs[1:]:
+        wk = wk * w
+        total = total + a * wk
+    return total
+
+
+def _by_regime(x: np.ndarray, bounds: tuple, evaluators: tuple, n_out: int):
+    """Evaluate a family piecewise in |x|; evaluators[k] serves bounds[k-1] < |x| <= bounds[k].
+
+    A 0-d ``x`` runs only its own regime, on a numpy scalar.  An array is
+    split by mask and each regime fills its entries; NaN falls in the last
+    regime.  Each evaluator returns ``n_out`` values of ``x``'s dtype.
+    """
+    regime = np.searchsorted(bounds, np.abs(x))
+    if x.ndim == 0:
+        return evaluators[regime](x[()])
+    out = [np.empty_like(x) for _ in range(n_out)]
+    for k, evaluate in enumerate(evaluators):
+        mask = regime == k
+        if np.any(mask):
+            for o, val in zip(out, evaluate(x[mask])):
+                o[mask] = val
+    return tuple(out)
 
 
 def _jy01_asymptotic(z: np.ndarray):
@@ -251,8 +262,10 @@ def _jy01_asymptotic(z: np.ndarray):
     if np.any(np.abs(z.imag) > EXPONENT_CAP):
         raise OverflowSaturation("Bessel argument beyond the exp(700) range")
     zinv = 1.0 / z
-    p0, q0 = _hankel_pq(_A0, zinv)
-    p1, q1 = _hankel_pq(_A1, zinv)
+    w = -zinv * zinv
+    # P + iQ = sum a_k (i/z)^k: P is its even part, Q its odd part over i
+    p0, q0 = _asym_sum(_A0[0::2], w), zinv * _asym_sum(_A0[1::2], w)
+    p1, q1 = _asym_sum(_A1[0::2], w), zinv * _asym_sum(_A1[1::2], w)
     amp = np.sqrt((2.0 / math.pi) * zinv)
     w0 = z - 0.25 * math.pi
     w1 = z - 0.75 * math.pi
@@ -265,19 +278,9 @@ def _jy01_asymptotic(z: np.ndarray):
     return j0, j1, y0_, y1_
 
 
-def _jy01(z: np.ndarray):
-    """All four J/Y values with elementwise regime dispatch."""
-    z = np.asarray(z, dtype=complex)
-    flat = z.ravel()
-    out = [np.empty_like(flat) for _ in range(4)]
-    small = np.abs(flat) <= SERIES_RADIUS
-    if np.any(small):
-        for o, val in zip(out, _jy01_series(flat[small])):
-            o[small] = val
-    if np.any(~small):
-        for o, val in zip(out, _jy01_asymptotic(flat[~small])):
-            o[~small] = val
-    return tuple(o.reshape(z.shape) for o in out)
+def _jy01(z):
+    """All four J/Y values, by series for |z| <= SERIES_RADIUS and Hankel beyond."""
+    return _by_regime(np.asarray(z, dtype=complex), (SERIES_RADIUS,), (_jy01_series, _jy01_asymptotic), 4)
 
 
 def _check_cut(z, allow_zero: bool) -> complex:
@@ -296,29 +299,23 @@ def _check_cut(z, allow_zero: bool) -> complex:
 def bessel_j0(z) -> complex:
     """J_0(z) on the principal branch (|arg z| < pi)."""
     z = _check_cut(z, allow_zero=True)
-    if z == 0:
-        return 1.0 + 0.0j
-    return complex(_jy01(np.array([z]))[0][0])
+    return complex(_jy01(z)[0]) if z else 1.0 + 0.0j
 
 
 def bessel_j1(z) -> complex:
     """J_1(z) on the principal branch (|arg z| < pi)."""
     z = _check_cut(z, allow_zero=True)
-    if z == 0:
-        return 0.0 + 0.0j
-    return complex(_jy01(np.array([z]))[1][0])
+    return complex(_jy01(z)[1]) if z else 0.0 + 0.0j
 
 
 def bessel_y0(z) -> complex:
     """Y_0(z) on the principal branch; z = 0 and the cut raise DomainError."""
-    z = _check_cut(z, allow_zero=False)
-    return complex(_jy01(np.array([z]))[2][0])
+    return complex(_jy01(_check_cut(z, allow_zero=False))[2])
 
 
 def bessel_y1(z) -> complex:
     """Y_1(z) on the principal branch; z = 0 and the cut raise DomainError."""
-    z = _check_cut(z, allow_zero=False)
-    return complex(_jy01(np.array([z]))[3][0])
+    return complex(_jy01(_check_cut(z, allow_zero=False))[3])
 
 
 # --------------------------------------------------------------------------
@@ -326,8 +323,8 @@ def bessel_y1(z) -> complex:
 
 
 def _i01_series(x: np.ndarray):
-    """I0, I1 ascending series, x <= 20.  All terms positive: a plain
-    compensated (Kahan) sum reaches full relative precision."""
+    """I0, I1 ascending series, x <= 20.  All terms positive: a sum
+    compensated by the error-free _two_sum reaches full relative precision."""
     w = 0.25 * x * x
     t0 = np.ones_like(x)
     t1 = np.ones_like(x)
@@ -338,14 +335,20 @@ def _i01_series(x: np.ndarray):
     for k in range(1, _SERIES_MAX_TERMS + 1):
         t0 = t0 * w / (k * k)
         t1 = t1 * w / (k * (k + 1))
-        for term, s, comp in ((t0, s0, c0), (t1, s1, c1)):
-            yk = term - comp
-            tk = s + yk
-            comp[...] = (tk - s) - yk
-            s[...] = tk
+        s0, e0 = _two_sum(s0, t0)
+        s1, e1 = _two_sum(s1, t1)
+        c0 = c0 + e0
+        c1 = c1 + e1
         if np.all(t0 + t1 <= 1e-18 * s0):
             break
-    return s0, 0.5 * x * s1
+    return s0 + c0, 0.5 * x * (s1 + c1)
+
+
+def _i01_asymptotic(x: np.ndarray):
+    """I0, I1 by DLMF 10.40.1: e^x / sqrt(2 pi x) * sum a_k(nu) (-1/x)^k."""
+    amp = np.exp(x) / np.sqrt(2.0 * math.pi * x)
+    w = -1.0 / x
+    return amp * _asym_sum(_A0, w), amp * _asym_sum(_A1, w)
 
 
 def _k01_series(x: np.ndarray):
@@ -379,71 +382,33 @@ def _k01_quadrature(x: np.ndarray):
     The integrand exp(-x cosh u) cosh(nu u) is even and decays like a
     double exponential, so a uniform grid with step 0.15 is accurate to
     machine precision once truncated where the exponent has fallen by 60."""
-    x = np.atleast_1d(x)
     tmax = np.arccosh(1.0 + 60.0 / x)
     nmax = int(np.max(np.ceil(tmax / _K_QUAD_STEP)))
     u = _K_QUAD_STEP * np.arange(nmax + 1)
-    f = np.exp(-np.outer(x, np.cosh(u)))
-    f[:, 0] *= 0.5
-    k0 = _K_QUAD_STEP * f.sum(axis=1)
-    k1 = _K_QUAD_STEP * (f * np.cosh(u)).sum(axis=1)
+    f = np.exp(-np.multiply.outer(x, np.cosh(u)))
+    f[..., 0] *= 0.5
+    k0 = _K_QUAD_STEP * f.sum(axis=-1)
+    k1 = _K_QUAD_STEP * (f * np.cosh(u)).sum(axis=-1)
     return k0, k1
 
 
-def _i01(x: np.ndarray):
+def _k01_asymptotic(x: np.ndarray):
+    """K0, K1 by DLMF 10.40.2: sqrt(pi/(2x)) e^{-x} sum a_k(nu) x^{-k}."""
+    w = 1.0 / x
+    amp = np.sqrt(0.5 * math.pi * w) * np.exp(-x)
+    return amp * _asym_sum(_A0, w), amp * _asym_sum(_A1, w)
+
+
+def _i01(x):
     """I0, I1 for 0 < x <= EXPONENT_CAP."""
-    x = np.asarray(x, dtype=float)
-    i0 = np.empty_like(x)
-    i1 = np.empty_like(x)
-    small = x <= SERIES_RADIUS
-    if np.any(small):
-        i0[small], i1[small] = _i01_series(x[small])
-    if np.any(~small):
-        xl = x[~small]
-        xinv = 1.0 / xl
-        # DLMF 10.40: I_nu ~ e^x / sqrt(2 pi x) * sum (-1)^k a_k(nu) x^{-k}
-        s1 = np.ones_like(xl)
-        s0 = np.ones_like(xl)
-        xp = np.ones_like(xl)
-        sign = 1.0
-        for k in range(1, _ASYM_TERMS + 1):
-            sign = -sign
-            xp = xp * xinv
-            s0 = s0 + sign * _A0[k] * xp
-            s1 = s1 + sign * _A1[k] * xp
-        amp = np.exp(xl) / np.sqrt(2.0 * math.pi * xl)
-        i0[~small] = amp * s0
-        i1[~small] = amp * s1
-    return i0, i1
+    return _by_regime(np.asarray(x, dtype=float), (SERIES_RADIUS,), (_i01_series, _i01_asymptotic), 2)
 
 
-def _k01(x: np.ndarray):
+def _k01(x):
     """K0, K1 for x > 0 (three regimes: series, quadrature, asymptotic)."""
-    x = np.asarray(x, dtype=float)
-    k0 = np.empty_like(x)
-    k1 = np.empty_like(x)
-    lo = x <= 2.0
-    mid = (x > 2.0) & (x <= SERIES_RADIUS)
-    hicut = x > SERIES_RADIUS
-    if np.any(lo):
-        k0[lo], k1[lo] = _k01_series(x[lo])
-    if np.any(mid):
-        k0[mid], k1[mid] = _k01_quadrature(x[mid])
-    if np.any(hicut):
-        xl = x[hicut]
-        xinv = 1.0 / xl
-        # DLMF 10.40: K_nu ~ sqrt(pi/(2x)) e^{-x} sum a_k(nu) x^{-k}
-        s0 = np.ones_like(xl)
-        s1 = np.ones_like(xl)
-        xp = np.ones_like(xl)
-        for k in range(1, _ASYM_TERMS + 1):
-            xp = xp * xinv
-            s0 = s0 + _A0[k] * xp
-            s1 = s1 + _A1[k] * xp
-        amp = np.sqrt(0.5 * math.pi * xinv) * np.exp(-xl)
-        k0[hicut] = amp * s0
-        k1[hicut] = amp * s1
-    return k0, k1
+    return _by_regime(
+        np.asarray(x, dtype=float), (2.0, SERIES_RADIUS), (_k01_series, _k01_quadrature, _k01_asymptotic), 2
+    )
 
 
 def _check_positive(x) -> float:
@@ -455,30 +420,31 @@ def _check_positive(x) -> float:
     return x
 
 
-def bessel_i0(x) -> float:
-    """I_0(x), x > 0; OverflowSaturation beyond the exp(700) range."""
+def _check_below_cap(x: float, name: str) -> float:
     x = _check_positive(x)
     if x > EXPONENT_CAP:
-        raise OverflowSaturation(f"I_0({x:g}) overflows double precision")
-    return float(_i01(np.array([x]))[0][0])
+        raise OverflowSaturation(f"{name}({x:g}) overflows double precision")
+    return x
+
+
+def bessel_i0(x) -> float:
+    """I_0(x), x > 0; OverflowSaturation beyond the exp(700) range."""
+    return float(_i01(_check_below_cap(x, "I_0"))[0])
 
 
 def bessel_i1(x) -> float:
     """I_1(x), x > 0; OverflowSaturation beyond the exp(700) range."""
-    x = _check_positive(x)
-    if x > EXPONENT_CAP:
-        raise OverflowSaturation(f"I_1({x:g}) overflows double precision")
-    return float(_i01(np.array([x]))[1][0])
+    return float(_i01(_check_below_cap(x, "I_1"))[1])
 
 
 def bessel_k0(x) -> float:
     """K_0(x), x > 0."""
-    return float(_k01(np.array([_check_positive(x)]))[0][0])
+    return float(_k01(_check_positive(x))[0])
 
 
 def bessel_k1(x) -> float:
     """K_1(x), x > 0."""
-    return float(_k01(np.array([_check_positive(x)]))[1][0])
+    return float(_k01(_check_positive(x))[1])
 
 
 # --------------------------------------------------------------------------
@@ -532,21 +498,7 @@ def _basis(branch: ModalBranch, lam: complex, ts: np.ndarray):
     which follows from C_1'(z) = C_0(z) - C_1(z)/z for C in {J, Y, I} and
     K_1'(z) = -K_0(z) - K_1(z)/z.
     """
-    if branch is ModalBranch.POSITIVE_REAL:
-        s: complex = math.sqrt(lam.real)
-        z = s * ts.astype(complex)
-        j0, j1, y0_, y1_ = _jy01(z)
-        b1, b2 = j1 / ts, y1_ / ts
-        d1 = s * j0 / ts - 2.0 * j1 / ts**2
-        d2 = s * y0_ / ts - 2.0 * y1_ / ts**2
-    elif branch is ModalBranch.COMPLEX:
-        s = complex(np.sqrt(complex(lam)))
-        z = s * ts
-        j0, j1, y0_, y1_ = _jy01(z)
-        b1, b2 = j1 / ts, y1_ / ts
-        d1 = s * j0 / ts - 2.0 * j1 / ts**2
-        d2 = s * y0_ / ts - 2.0 * y1_ / ts**2
-    elif branch is ModalBranch.NEGATIVE_REAL:
+    if branch is ModalBranch.NEGATIVE_REAL:
         mu = math.sqrt(-lam.real)
         x = mu * ts
         i0, i1 = _i01(x)
@@ -554,9 +506,24 @@ def _basis(branch: ModalBranch, lam: complex, ts: np.ndarray):
         b1, b2 = i1 / ts, k1 / ts
         d1 = mu * i0 / ts - 2.0 * i1 / ts**2
         d2 = -mu * k0 / ts - 2.0 * k1 / ts**2
-    else:
+    elif branch is ModalBranch.ZERO:
         raise ValueError("zero branch has no Bessel basis")
+    else:
+        s = math.sqrt(lam.real) if branch is ModalBranch.POSITIVE_REAL else complex(np.sqrt(complex(lam)))
+        j0, j1, y0_, y1_ = _jy01(s * ts.astype(complex))
+        b1, b2 = j1 / ts, y1_ / ts
+        d1 = s * j0 / ts - 2.0 * j1 / ts**2
+        d2 = s * y0_ / ts - 2.0 * y1_ / ts**2
     return b1, b2, d1, d2
+
+
+def _growth_rate(branch: ModalBranch, lam: complex) -> float:
+    """Exponential growth rate of the basis, which EXPONENT_CAP bounds."""
+    if branch is ModalBranch.NEGATIVE_REAL:
+        return math.sqrt(-lam.real)
+    if branch is ModalBranch.COMPLEX:
+        return abs(complex(np.sqrt(lam)).imag)
+    return 0.0
 
 
 def make_modal_solution(
@@ -586,13 +553,9 @@ def make_modal_solution(
         c2 = -0.5 * ydot0 * t0**3
         c1 = y0 - c2 / t0**2
     else:
-        if branch is ModalBranch.NEGATIVE_REAL and math.sqrt(-lam.real) * t0 > EXPONENT_CAP:
+        if _growth_rate(branch, lam) * t0 > EXPONENT_CAP:
             raise OverflowSaturation("basis already saturated at t0")
-        if branch is ModalBranch.COMPLEX and abs(complex(np.sqrt(lam)).imag) * t0 > EXPONENT_CAP:
-            raise OverflowSaturation("basis already saturated at t0")
-        ts = np.array([t0])
-        b1, b2, d1, d2 = _basis(branch, lam, ts)
-        b1, b2, d1, d2 = complex(b1[0]), complex(b2[0]), complex(d1[0]), complex(d2[0])
+        b1, b2, d1, d2 = map(complex, _basis(branch, lam, np.float64(t0)))
         det = b1 * d2 - b2 * d1
         if abs(det) < 1e-300:
             raise SingularBasis(f"basis Wronskian vanished at t0 = {t0:g}")
@@ -623,13 +586,7 @@ def eval_modal_series(sol: ModalSolution, times) -> ModalSeries:
         ydot[...] = -2.0 * sol.c2 / ts**3
         return ModalSeries(y, ydot, saturated)
 
-    if sol.branch is ModalBranch.NEGATIVE_REAL:
-        growth = math.sqrt(-sol.lam.real)
-    elif sol.branch is ModalBranch.COMPLEX:
-        growth = abs(complex(np.sqrt(sol.lam)).imag)
-    else:
-        growth = 0.0
-    saturated = growth * ts > EXPONENT_CAP
+    saturated = _growth_rate(sol.branch, sol.lam) * ts > EXPONENT_CAP
     ok = ~saturated
     if np.any(ok):
         b1, b2, d1, d2 = _basis(sol.branch, sol.lam, ts[ok])

@@ -390,8 +390,12 @@ def test_check_degraded_dt_names_failures(tmp_path, capsys):
     rc = cli.main(["check", "--dt", "0.5", "--out", str(tmp_path)])
     assert rc == cli.EXIT_INVARIANT
     report = json.loads((tmp_path / "check_report.json").read_text())
-    assert "rk4_order_factor" in report["failures"]
-    assert "modal_closed_form_agreement" in report["failures"]
+    assert set(report["failures"]) == {
+        "modal_closed_form_agreement",
+        "rk4_order_factor",
+        "damping_power_law",
+        "flux_identity_residual",
+    }
     # step-free identities survive the coarse grid
     assert "bessel_wronskian_jy" not in report["failures"]
     assert "translation_invariance" not in report["failures"]

@@ -162,6 +162,52 @@ def test_jy_wronskian_property(re, im):
     assert _jy_wronskian_defect(complex(re, im)) <= 1e-10
 
 
+def _either_side(x: float) -> list[float]:
+    return [np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]
+
+
+# Regime edges: the J/Y series/Hankel handover at |z| = 20 on and off the
+# real axis (|12 + 16i| = 20 exactly; the off-axis neighbours move Im z by
+# one ulp), the K series/quadrature/asymptotic edges at x = 2 and x = 20,
+# and the I series/asymptotic edge at x = 20 up to the cap x = 700.
+JY_EDGES = [complex(x) for x in _either_side(20.0)] + [
+    complex(re, im) for re in (12.0, -12.0) for im in _either_side(16.0)
+]
+K_EDGES = _either_side(2.0) + _either_side(20.0)
+I_EDGES = _either_side(20.0) + _either_side(700.0)[:2]
+
+REGIME_EDGE_CASES = [
+    (special.bessel_j0, special._jy01, 0, JY_EDGES),
+    (special.bessel_j1, special._jy01, 1, JY_EDGES),
+    (special.bessel_y0, special._jy01, 2, JY_EDGES),
+    (special.bessel_y1, special._jy01, 3, JY_EDGES),
+    (special.bessel_i0, special._i01, 0, I_EDGES),
+    (special.bessel_i1, special._i01, 1, I_EDGES),
+    (special.bessel_k0, special._k01, 0, K_EDGES),
+    (special.bessel_k1, special._k01, 1, K_EDGES),
+]
+
+
+@pytest.mark.parametrize(
+    "fn,evaluator,index,points", REGIME_EDGE_CASES, ids=[c[0].__name__ for c in REGIME_EDGE_CASES]
+)
+def test_scalar_matches_array_evaluator_at_regime_edges(fn, evaluator, index, points):
+    # The public scalar functions and the array evaluators share one regime
+    # dispatch; either side of every handover they must agree.
+    values = evaluator(np.array(points))[index]
+    for point, value in zip(points, values):
+        got = fn(point)
+        assert type(got) is (complex if evaluator is special._jy01 else float)
+        assert abs(got - value) <= 1e-15 * abs(value), f"{fn.__name__}({point!r})"
+
+
+def test_regime_edge_points_straddle_the_handover():
+    radii = np.abs(np.array(JY_EDGES)).reshape(-1, 3)
+    assert np.all(radii[:, 0] < special.SERIES_RADIUS)
+    assert np.all(radii[:, 1] == special.SERIES_RADIUS)
+    assert np.all(radii[:, 2] > special.SERIES_RADIUS)
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         special.bessel_y0(0.0)
