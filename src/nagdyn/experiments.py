@@ -890,10 +890,12 @@ def run_invariant_checks(dt: float = 0.01) -> list[CheckResult]:
     i1p, k1p = i0 - i1 / x, -k0 - k1 / x
     checks.append(_check("bessel_wronskian_ik", np.max(np.abs(i1 * k1p - i1p * k1 + 1.0 / x) * x), 1e-10))
 
-    # connection formula J1(ix) = i I1(x)
-    x = np.linspace(0.5, 20.0, 12)
-    rhs = 1j * special._i01(x)[1]
-    worst = np.max(np.abs(special._jy01(1j * x)[1] - rhs) / np.abs(rhs))
+    # connection formula J1(ix) = i I1(x), through the public scalar
+    # functions so their single-argument path is checked too
+    worst = 0.0
+    for x in np.linspace(0.5, 20.0, 12):
+        rhs = 1j * special.bessel_i1(x)
+        worst = max(worst, abs(special.bessel_j1(complex(0.0, x)) - rhs) / abs(rhs))
     checks.append(_check("bessel_connection_formula", worst, 1e-9))
 
     # series/asymptotic agreement across the handover band
