@@ -277,6 +277,8 @@ def chetaev_negative(record: TrajectoryRecord, eigvec, mu: float) -> ChetaevNega
         raise ValueError("mu must be positive")
     xi, zeta = _project_real(record, eigvec)
     t = record.times
+    if t.shape[0] < 2:
+        raise InsufficientPoints("the growth ratio of W needs at least 2 samples")
     w = xi * zeta + (mu / 3.0) * xi**2 - xi**2 / (2.0 * t)
     in_omega = (xi > 0.0) & (zeta > mu * xi / 3.0)
     ratio = np.full_like(w, np.nan)

@@ -2,25 +2,31 @@
 
 All simulators use classical RK4 on the uniform grid t_k = t0 + k dt,
 evaluating the time-varying damping coefficient r/t at the substage
-times t, t + dt/2, t + dt.  On a linear flow RK4 multiplies only by G and
-by scalars, so each step is an exact polynomial map, and every linear
-flow runs as one:
-
-- ``_step_coefficients`` gives, per step, the scalar coefficients of I,
-  Z and Z^2 (Z = dt^2 G) in each block of the map of
-  x'' + (r/t) x' + G x = 0;
-- ``simulate_nagd`` applies them to the state [x; 1], [x'; 0], whose
-  augmented matrix [[G, b], [0, 0]] makes the offset b exact, at a few
-  small matrix products per step (``_linear_rk4`` drives the chunks);
-- ``simulate_first_order`` applies the time-invariant map
-  R(-dt G~) = sum_{k<=4} (-dt G~)^k / k!, built once per run;
-- ``_modal_rk4`` evaluates the coefficients at z = dt^2 lam and integrates
-  a whole batch of eigenvalues at once.
-
-Only ``simulate_smooth_nagd`` runs the stage form in ``_rk4``.
+times t, t + dt/2, t + dt.  One chunked loop, ``_drive``, runs every one of
+them: it cuts the grid into chunks of steps, hands each chunk to the
+simulator's ``advance`` function, and applies the recording policy
+(stride, the 1e150 guard, truncation) to the states that come back.
 Trajectories whose position norm passes 1e150 (or turns non-finite) are
 truncated at the last good sample and flagged ``saturated`` rather than
 poisoning the record with infinities.
+
+On a linear flow RK4 multiplies only by G and by scalars, so each step is
+an exact polynomial map; ``_step_coefficients`` gives, per step, the
+scalar coefficients of I, Z and Z^2 (Z = dt^2 G) in each block of the map
+of x'' + (r/t) x' + G x = 0.  The four ``advance`` functions are:
+
+- ``simulate_nagd``: the step maps applied to the state [x; 1], [x'; 0],
+  whose augmented matrix [[G, b], [0, 0]] makes the offset b exact, at
+  three small matrix products per step;
+- ``simulate_first_order``: the time-invariant map
+  R(-dt G~) = sum_{k<=4} (-dt G~)^k / k!, built once per run and applied
+  as R - I;
+- ``_modal_rk4``: the maps evaluated at z = dt^2 lam, one 2x2 map per
+  eigenvalue, so a whole batch of eigenvalues runs as lanes of one run;
+- ``simulate_smooth_nagd``: the stage form, the only one that calls a
+  user field.  It runs in chunks of one step, so the guard is checked
+  before the field sees the next state, and a trajectory that saturates
+  is reported as saturated, not as a field that overflowed past it.
 """
 
 from __future__ import annotations
@@ -108,44 +114,6 @@ class TrajectoryRecord:
         return self.times.shape[0]
 
 
-def _rk4(
-    f: Callable,
-    config: IntegratorConfig,
-    s0: np.ndarray,
-    norm_sq: Callable[[np.ndarray], float],
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    n_steps = config.n_steps
-    stride = config.record_stride
-    n_rec = n_steps // stride + 1
-    times = np.empty(n_rec)
-    states = np.empty((n_rec,) + s0.shape, dtype=s0.dtype)
-    times[0] = config.t0
-    states[0] = s0
-    filled = 1
-    s = s0
-    t0, dt = config.t0, config.dt
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    guard = OVERFLOW_NORM * OVERFLOW_NORM
-    saturated = False
-    for k in range(n_steps):
-        t = t0 + k * dt
-        k1 = f(t, s)
-        k2 = f(t + half, s + half * k1)
-        k3 = f(t + half, s + half * k2)
-        k4 = f(t + dt, s + dt * k3)
-        s = s + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        qn = norm_sq(s)
-        if not (qn <= guard):  # catches NaN as well
-            saturated = True
-            break
-        if (k + 1) % stride == 0:
-            times[filled] = t0 + (k + 1) * dt
-            states[filled] = s
-            filled += 1
-    return times[:filled], states[:filled], saturated
-
-
 def _check_system(matrix, offset, q0, v0):
     g = np.asarray(matrix, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
@@ -162,10 +130,10 @@ def _check_system(matrix, offset, q0, v0):
     return g, b, q, v
 
 
-#: Steps per chunk in :func:`_linear_rk4`, which keeps the chunk's
-#: coefficients and state history at tens of KiB.  On a 2-vCPU VM,
-#: 4096-step chunks raised the simulate benchmark's peak RSS by about
-#: 0.45 MiB and ran no faster.
+#: Steps per chunk of :func:`simulate_nagd` and :func:`simulate_first_order`,
+#: which keeps the chunk's coefficients and state history at tens of KiB.
+#: On a 2-vCPU VM, 4096-step chunks raised the simulate benchmark's peak
+#: RSS by about 0.45 MiB and ran no faster.
 _LINEAR_STEP_CHUNK = 256
 
 
@@ -212,45 +180,62 @@ def _augmented(g: np.ndarray, b: np.ndarray) -> np.ndarray:
     return gt
 
 
-def _linear_rk4(advance: Callable, s0: np.ndarray, config: IntegratorConfig) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Chunked driver of an RK4 step-map recurrence on augmented states.
+def _position_sq(x: np.ndarray) -> np.ndarray:
+    """Squared norm of the position row of vector-flow states (T, m, n), one lane: (T, 1)."""
+    return np.einsum("ki,ki->k", x[:, 0], x[:, 0])[:, None]
 
-    ``s0`` has shape (m, n + 1): row 0 is the position [x; 1], a second row
-    the velocity [x'; 0].  ``advance(t, s, out)`` takes the state ``s``
-    through the steps that start at the times ``t`` and writes the state
-    after each of them into ``out``.  As in :func:`_rk4`, the guard
-    |x| <= 1e150 holds after every step: it is checked per chunk, after the
-    fact, and a run that fails it stops after that chunk and keeps only the
-    rows recorded before the failing step.  Returns (times, record,
-    saturated), with ``record`` of shape (rows, m, n).
+
+def _drive(advance: Callable, s0: np.ndarray, config: IntegratorConfig, chunk: int, lane_sq: Callable, keep=()):
+    """Run an RK4 step recurrence in chunks of ``chunk`` steps and record it.
+
+    ``advance(t, s, out)`` takes the state ``s`` through the steps that
+    start at the times ``t`` (T,) and writes the state after each of them
+    into ``out`` (T, *s0.shape).  The record keeps the part ``s[keep]`` of
+    the initial state and of every ``record_stride``-th state.  The state
+    holds one or more lanes, and ``lane_sq`` maps the kept parts of a
+    chunk's states to each lane's squared position norm, shape (T, L).
+    The guard |x| <= 1e150 holds after every step: it is checked per
+    chunk, after the fact, and a lane that fails it is flagged saturated
+    and keeps only the rows recorded before the failing step.  The run
+    stops after the chunk in which its last live lane fails.
+
+    Returns ``(times, record, rows, saturated)``: lane p's record is
+    ``record[:rows[p]]``, and its entries past ``rows[p]`` are undefined.
+    ``times`` and ``record`` end at the longest lane.
     """
-    m, n = s0.shape[0], s0.shape[1] - 1
     n_steps, stride = config.n_steps, config.record_stride
     t0, h = config.t0, config.dt
     n_rec = n_steps // stride + 1
     times = t0 + (np.arange(n_rec) * stride) * h
-    record = np.empty((n_rec, m, n))
-    record[0] = s0[:, :n]
-    chunk = min(_LINEAR_STEP_CHUNK, n_steps)
-    buf = np.empty((chunk,) + s0.shape)
+    record = np.empty((n_rec,) + s0[keep].shape, dtype=s0.dtype)
+    record[0] = s0[keep]
+    keep = (slice(None),) + keep
+    alive = np.ones(lane_sq(record[:1]).shape[1], dtype=bool)
+    rows = np.full(alive.shape, n_rec)
+    chunk = min(chunk, n_steps)
+    buf = np.empty((chunk,) + s0.shape, dtype=s0.dtype)
     s = s0
     guard = OVERFLOW_NORM * OVERFLOW_NORM
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n_steps, chunk):
             states = buf[: min(chunk, n_steps - start)]  # states[k]: after step start + k + 1
             advance(t0 + np.arange(start, start + states.shape[0]) * h, s, states)
-            x = states[:, 0, :n]
-            bad = np.flatnonzero(~(np.einsum("ki,ki->k", x, x) <= guard))  # catches NaN as well
-            good = bad[0] if bad.size else states.shape[0]
+            parts = states[keep]
+            ok = lane_sq(parts) <= guard  # False for NaN as well
             first = -(start + 1) % stride  # local index of the first recorded step
-            kept = states[first:good:stride, :, :n]
+            kept = parts[first::stride]
             row = (start + 1 + first) // stride
             record[row : row + kept.shape[0]] = kept
-            if bad.size:
-                rows = (start + good) // stride + 1
-                return times[:rows], record[:rows], True
+            if not ok.all():  # a lane failed here, or failed in an earlier chunk
+                bad = ~ok & alive
+                failed = np.flatnonzero(bad.any(axis=0))
+                rows[failed] = (start + bad[:, failed].argmax(axis=0)) // stride + 1
+                alive[failed] = False
+                if not alive.any():
+                    break
             s = states[-1].copy()
-    return times, record, False
+    top = rows.max(initial=1)
+    return times[:top], record[:top], rows, ~alive
 
 
 def simulate_nagd(matrix, offset, q0, v0=None, config: IntegratorConfig = IntegratorConfig()) -> TrajectoryRecord:
@@ -280,12 +265,12 @@ def simulate_nagd(matrix, offset, q0, v0=None, config: IntegratorConfig = Integr
 
     s0 = np.zeros((2, n + 1))
     s0[0, :n], s0[0, n], s0[1, :n] = q, 1.0, v
-    times, states, saturated = _linear_rk4(advance, s0, config)
+    times, states, _, saturated = _drive(advance, s0, config, _LINEAR_STEP_CHUNK, _position_sq, np.s_[:, :n])
     return TrajectoryRecord(
         times=times,
         q=states[:, 0],
         v=states[:, 1],
-        saturated=saturated,
+        saturated=bool(saturated[0]),
         meta={"kind": "nagd", "config": config},
     )
 
@@ -312,13 +297,13 @@ def simulate_first_order(matrix, offset, x0, config: IntegratorConfig = Integrat
             s = np.add(o, s, out=o)
 
     s0 = np.append(x, 1.0)[None, :]
-    times, states, saturated = _linear_rk4(advance, s0, config)
+    times, states, _, saturated = _drive(advance, s0, config, _LINEAR_STEP_CHUNK, _position_sq, np.s_[:, :n])
     q = states[:, 0]
     return TrajectoryRecord(
         times=times,
         q=q,
         v=-(q @ g.T) - b,
-        saturated=saturated,
+        saturated=bool(saturated[0]),
         meta={"kind": "first-order", "config": config},
     )
 
@@ -348,62 +333,37 @@ def _modal_rk4(lams, y0, ydot0, config: IntegratorConfig):
     """RK4 for the modal equation y'' + (r/t) y' + lam y = 0, one lane per lam.
 
     Returns ``(times, q, v, rows, saturated)``: ``q`` and ``v`` have shape
-    (n_rec, B), and lane p's record is ``q[:rows[p], p]``.  As in
-    :func:`_rk4`, the guard |y| <= 1e150 is checked after every step; a
-    lane that fails it is flagged in ``saturated`` and keeps only the rows
-    recorded before that step.  A lane's values past its ``rows`` are
-    undefined.  Time is cut into chunks whose step maps are built with
-    whole-array operations, so each step costs one 2x2 complex
-    matrix-vector product over the batch.
+    (rows.max(), B), and lane p's record is ``q[:rows[p], p]``.  A lane
+    whose |y| passes 1e150 is flagged in ``saturated`` and keeps only the
+    rows recorded before that step; its values past its ``rows`` are
+    undefined.  Each chunk's step maps are built with whole-array
+    operations, so each step costs one 2x2 complex matrix-vector product
+    over the batch.
     """
     lam = np.asarray(lams, dtype=complex).ravel()
-    b = lam.shape[0]
-    s = np.empty((2, b), dtype=complex)
-    s[0], s[1] = y0, ydot0
-    n_steps, stride = config.n_steps, config.record_stride
-    t0, h, r = config.t0, config.dt, config.damping_exponent
-    n_rec = n_steps // stride + 1
-    times = t0 + (np.arange(n_rec) * stride) * h
-    q = np.empty((n_rec, b), dtype=complex)
-    v = np.empty((n_rec, b), dtype=complex)
-    q[0], v[0] = s
-    rows = np.full(b, n_rec)
-    alive = np.ones(b, dtype=bool)
-    guard = OVERFLOW_NORM * OVERFLOW_NORM
-    chunk = max(1, min(_MODAL_STEP_CHUNK, _MODAL_CHUNK_CELLS // max(b, 1)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n_steps, chunk):
-            if not alive.any():
-                break
-            m = _modal_step_maps(lam, t0 + np.arange(start, min(start + chunk, n_steps)) * h, h, r)
-            # states[k] is [y, y'] after step j = start + k + 1
-            states = np.empty((m.shape[0], 2, b), dtype=complex)
-            for col0, col1, out in zip(m[:, 0], m[:, 1], states):
-                np.add(col0 * s[0], col1 * s[1], out=out)
-                s = out
-            bad = ~(np.abs(states[:, 0]) ** 2 <= guard) & alive
-            failed = np.flatnonzero(bad.any(axis=0))
-            if failed.size:
-                j_fail = start + 1 + bad[:, failed].argmax(axis=0)
-                rows[failed] = (j_fail - 1) // stride + 1
-                alive[failed] = False
-            first = -(start + 1) % stride  # local index of the first recorded step
-            kept = states[first::stride]
-            row = (start + 1 + first) // stride
-            q[row : row + kept.shape[0]] = kept[:, 0]
-            v[row : row + kept.shape[0]] = kept[:, 1]
-    return times, q, v, rows, ~alive
+    h, r = config.dt, config.damping_exponent
+
+    def advance(t, s, out):
+        m = _modal_step_maps(lam, t, h, r)
+        for col0, col1, o in zip(m[:, 0], m[:, 1], out):
+            np.add(col0 * s[0], col1 * s[1], out=o)
+            s = o
+
+    s0 = np.empty((2, lam.shape[0]), dtype=complex)
+    s0[0], s0[1] = y0, ydot0
+    chunk = max(1, min(_MODAL_STEP_CHUNK, _MODAL_CHUNK_CELLS // max(lam.shape[0], 1)))
+    times, states, rows, saturated = _drive(advance, s0, config, chunk, lambda y: np.abs(y[:, 0]) ** 2)
+    return times, states[:, 0], states[:, 1], rows, saturated
 
 
 def simulate_modal(lam: complex, y0: complex, ydot0: complex, config: IntegratorConfig = IntegratorConfig()) -> TrajectoryRecord:
     """Integrate the scalar modal equation y'' + (r/t) y' + lam y = 0."""
     lam = complex(lam)
-    times, q, v, rows, saturated = _modal_rk4([lam], complex(y0), complex(ydot0), config)
-    n = int(rows[0])
+    times, q, v, _, saturated = _modal_rk4([lam], complex(y0), complex(ydot0), config)
     return TrajectoryRecord(
-        times=times[:n],
-        q=q[:n, 0],
-        v=v[:n, 0],
+        times=times,
+        q=q[:, 0],
+        v=v[:, 0],
         saturated=bool(saturated[0]),
         meta={"kind": "modal", "lam": lam, "config": config},
     )
@@ -426,24 +386,34 @@ def simulate_smooth_nagd(field: Callable, x0, v0=None, config: IntegratorConfig 
     probe = np.asarray(field(x), dtype=float)
     if probe.shape != (n,):
         raise ValueError("field(x0) must return a vector matching x0")
-    r = config.damping_exponent
+    h, r = config.dt, config.damping_exponent
+    half, sixth = 0.5 * h, h / 6.0
 
     def f(t, s):
-        fx = np.asarray(field(s[:n]), dtype=float)
+        fx = np.asarray(field(s[0]), dtype=float)
         if not np.all(np.isfinite(fx)):
             raise NonFiniteField(f"field returned a non-finite value near t = {t:.6g}")
-        out = np.empty(2 * n)
-        out[:n] = s[n:]
-        out[n:] = -fx - (r / t) * s[n:]
+        out = np.empty((2, n))
+        out[0] = s[1]
+        out[1] = -fx - (r / t) * s[1]
         return out
 
-    s0 = np.concatenate([x, v])
-    times, states, saturated = _rk4(f, config, s0, lambda s: float(s[:n] @ s[:n]))
+    def advance(t, s, out):
+        for tk, o in zip(t.tolist(), out):
+            k1 = f(tk, s)
+            k2 = f(tk + half, s + half * k1)
+            k3 = f(tk + half, s + half * k2)
+            k4 = f(tk + h, s + h * k3)
+            o[...] = s + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+            s = o
+
+    # one step per chunk: the guard runs before the field sees the next state
+    times, states, _, saturated = _drive(advance, np.stack([x, v]), config, 1, _position_sq)
     return TrajectoryRecord(
         times=times,
-        q=states[:, :n],
-        v=states[:, n:],
-        saturated=saturated,
+        q=states[:, 0],
+        v=states[:, 1],
+        saturated=bool(saturated[0]),
         meta={"kind": "smooth-nagd", "config": config},
     )
 

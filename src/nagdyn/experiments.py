@@ -350,7 +350,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dynamics.TrajectoryRecord, di
 
     Returns (record, summary, header, columns).  Diagnostic columns follow
     the fixed order V, Vdot, W, rho, dist_null; diagnostics that do not
-    apply to the system are skipped with a note in the summary.
+    apply to the system, or that the record has too few rows for, are
+    skipped with a note in the summary.
     """
     system = cfg.system
     spectrum = spectral.eigendecompose(system.matrix)
@@ -397,26 +398,34 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dynamics.TrajectoryRecord, di
             )
         summary["modal"] = modes
     if "lyapunov" in cfg.diagnostics:
-        lyap = analysis.lyapunov_series(record, system.matrix)
-        if lyap.applicable:
-            header += ["V", "Vdot"]
-            cols += [lyap.V, lyap.vdot_analytic]
+        try:
+            lyap = analysis.lyapunov_series(record, system.matrix)
+        except InsufficientPoints as exc:
+            notes.append(f"lyapunov: certificate not evaluated ({exc})")
         else:
-            notes.append(f"lyapunov: matrix is {lyap.obstruction}; certificate not applicable")
+            if lyap.applicable:
+                header += ["V", "Vdot"]
+                cols += [lyap.V, lyap.vdot_analytic]
+            else:
+                notes.append(f"lyapunov: matrix is {lyap.obstruction}; certificate not applicable")
     if "chetaev" in cfg.diagnostics:
         neg = _strongest(verdict, spectral.EigenvalueClass.NEGATIVE_REAL)
         cplx = _strongest(verdict, spectral.EigenvalueClass.STRICTLY_COMPLEX)
         if neg:
             cls, idx = neg
-            che = analysis.chetaev_negative(record, spectrum.left_vectors[idx], cls.rate)
-            header.append("W")
-            cols.append(che.W)
-            summary["chetaev_negative"] = {
-                "mu": cls.rate,
-                "t0_required": che.t0_required,
-                "meets_entry_condition": che.meets_entry_condition,
-                "fraction_in_omega": float(np.mean(che.in_omega)),
-            }
+            try:
+                che = analysis.chetaev_negative(record, spectrum.left_vectors[idx], cls.rate)
+            except InsufficientPoints as exc:
+                notes.append(f"chetaev: negative certificate not evaluated ({exc})")
+            else:
+                header.append("W")
+                cols.append(che.W)
+                summary["chetaev_negative"] = {
+                    "mu": cls.rate,
+                    "t0_required": che.t0_required,
+                    "meets_entry_condition": che.meets_entry_condition,
+                    "fraction_in_omega": float(np.mean(che.in_omega)),
+                }
         if cplx:
             cls, idx = cplx
             try:
@@ -445,9 +454,12 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dynamics.TrajectoryRecord, di
         if cplx:
             cls, idx = cplx
             y, ydot = analysis.modal_project(record, spectrum.left_vectors[idx])
-            summary["energy_identity_residual"] = analysis.energy_identity_residual(
-                record.times, y, ydot, cls.value
-            )
+            try:
+                summary["energy_identity_residual"] = analysis.energy_identity_residual(
+                    record.times, y, ydot, cls.value
+                )
+            except InsufficientPoints as exc:
+                notes.append(f"energy: identity not evaluated ({exc})")
         else:
             notes.append("energy: spectrum has no strictly complex eigenvalue")
     if "rates" in cfg.diagnostics:

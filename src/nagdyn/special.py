@@ -16,7 +16,8 @@ Evaluation regimes
 ------------------
 Ascending series (DLMF 10.2.2, 10.8.1, 10.25.2, 10.31.1) are used for
 |z| <= 20 and Hankel-type asymptotic expansions (DLMF 10.17.3, 10.40.1,
-10.40.2) beyond.  The modified K additionally uses the integral
+10.40.2) beyond; J/Y with Re z < 0 come from -z by the reflection
+formulas DLMF 10.11.1-2.  The modified K additionally uses the integral
 representation K_nu(x) = int_0^inf exp(-x cosh u) cosh(nu u) du on
 2 < x <= 20, where neither the logarithmic series nor the asymptotic
 expansion reaches full precision; the even, super-exponentially decaying
@@ -258,9 +259,18 @@ def _by_regime(x: np.ndarray, bounds: tuple, evaluators: tuple, n_out: int):
 
 
 def _jy01_asymptotic(z: np.ndarray):
-    """J0, J1, Y0, Y1 by the Hankel expansion, |z| > SERIES_RADIUS."""
+    """J0, J1, Y0, Y1 by the Hankel expansion, |z| > SERIES_RADIUS.
+
+    Near the cut the expansion misses the subdominant exponential, so
+    Re z < 0 is evaluated at -z and mapped back by DLMF 10.11.1-2:
+    J0(z) = J0(-z), J1(z) = -J1(-z), Y0(z) = Y0(-z) + 2i s J0(-z) and
+    Y1(z) = -(Y1(-z) + 2i s J1(-z)), with s the sign of Im z.
+    """
     if np.any(np.abs(z.imag) > EXPONENT_CAP):
         raise OverflowSaturation("Bessel argument beyond the exp(700) range")
+    left = z.real < 0.0
+    c = np.where(z.imag > 0.0, 2j, -2j)
+    z = np.where(left, -z, z)[()]
     zinv = 1.0 / z
     w = -zinv * zinv
     # P + iQ = sum a_k (i/z)^k: P is its even part, Q its odd part over i
@@ -275,6 +285,10 @@ def _jy01_asymptotic(z: np.ndarray):
     y0_ = amp * (s0 * p0 + c0 * q0)
     j1 = amp * (c1 * p1 - s1 * q1)
     y1_ = amp * (s1 * p1 + c1 * q1)
+    if np.any(left):
+        y0_ = np.where(left, y0_ + c * j0, y0_)
+        y1_ = np.where(left, -(y1_ + c * j1), y1_)
+        j1 = np.where(left, -j1, j1)
     return j0, j1, y0_, y1_
 
 
@@ -323,25 +337,22 @@ def bessel_y1(z) -> complex:
 
 
 def _i01_series(x: np.ndarray):
-    """I0, I1 ascending series, x <= 20.  All terms positive: a sum
-    compensated by the error-free _two_sum reaches full relative precision."""
+    """I0, I1 ascending series, x <= 20.  All terms are positive, so plain
+    summation loses nothing to cancellation; the rounding of the term
+    recurrence, a few ulps, sets the error."""
     w = 0.25 * x * x
     t0 = np.ones_like(x)
     t1 = np.ones_like(x)
     s0 = np.ones_like(x)
     s1 = np.ones_like(x)
-    c0 = np.zeros_like(x)
-    c1 = np.zeros_like(x)
     for k in range(1, _SERIES_MAX_TERMS + 1):
         t0 = t0 * w / (k * k)
         t1 = t1 * w / (k * (k + 1))
-        s0, e0 = _two_sum(s0, t0)
-        s1, e1 = _two_sum(s1, t1)
-        c0 = c0 + e0
-        c1 = c1 + e1
+        s0 = s0 + t0
+        s1 = s1 + t1
         if np.all(t0 + t1 <= 1e-18 * s0):
             break
-    return s0 + c0, 0.5 * x * (s1 + c1)
+    return s0, 0.5 * x * s1
 
 
 def _i01_asymptotic(x: np.ndarray):

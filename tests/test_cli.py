@@ -174,6 +174,36 @@ def test_rate_fit_note_on_a_record_that_ends_early(tmp_path):
     ]
 
 
+@pytest.mark.parametrize(
+    "matrix, diagnostic, note",
+    [
+        ([[-0.5, 0.0], [0.0, 1.0]], "chetaev",
+         "chetaev: negative certificate not evaluated (the growth ratio of W needs at least 2 samples)"),
+        ([[-0.5, 0.0], [0.0, 1.0]], "lyapunov",
+         "lyapunov: certificate not evaluated (five-point differentiation needs at least 5 samples)"),
+        ([[6.0, 1.5], [-1.5, 6.0]], "energy",
+         "energy: identity not evaluated (five-point differentiation needs at least 5 samples)"),
+    ],
+    ids=["chetaev", "lyapunov", "energy"],
+)
+def test_diagnostic_note_on_a_one_row_record(tmp_path, matrix, diagnostic, note):
+    # 50 steps at stride 1000 record only the initial sample
+    payload = {
+        "label": "short",
+        "source": {"matrix": matrix},
+        "initial": {"q0": [1.0, 1.0]},
+        "integrator": {"t_end": 1.5, "record_stride": 1000},
+        "diagnostics": [diagnostic],
+    }
+    rc = cli.main(["simulate", "--config", _write_config(tmp_path, payload), "--out", str(tmp_path)])
+    assert rc == cli.EXIT_OK
+    summary = json.loads((tmp_path / "short.json").read_text())
+    assert summary["rows"] == 1
+    assert summary["notes"] == [note]
+    header, rows = _read_csv(tmp_path / "short.csv")
+    assert header == ["t", "q_1", "q_2", "v_1", "v_2", "norm_q"] and len(rows) == 1
+
+
 def test_diagnostic_columns(tmp_path):
     payload = json.loads(json.dumps(FIG1))
     payload["integrator"]["t_end"] = 30.0

@@ -417,3 +417,27 @@ def test_saturation_row_counts(matrix, q0, rows):
     assert rec.saturated and rec.n_samples == rows
     assert np.all(np.isfinite(rec.q)) and np.all(np.isfinite(rec.v))
     assert np.all(np.linalg.norm(rec.q, axis=1) <= dynamics.OVERFLOW_NORM)
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[1.0, 0.0], [0.0, -25600.0]],  # passes 1e150 near t = 3.2
+        [[1e6, 0.0], [0.0, 0.5]],  # RK4 unstable: overflows to inf a dozen steps past 1e150
+    ],
+    ids=["saturating", "stiff"],
+)
+def test_smooth_flow_saturates_like_stage_form(matrix, stride):
+    # the field never sees a state past a failed guard, so a field that
+    # would overflow a few steps later still ends in saturated=True
+    g = np.array(matrix)
+    q0, v0 = np.array([1.0, 1.0]), np.zeros(2)
+    cfg = IntegratorConfig(t0=1.0, t_end=3.93, dt=0.01, record_stride=stride)
+    rec = simulate_smooth_nagd(lambda x: g @ x, q0, v0, cfg)
+    ref_t, ref_q, ref_v, ref_sat = _reference_nagd(g, np.zeros(2), q0, v0, cfg)
+    assert rec.saturated and ref_sat
+    assert rec.n_samples == ref_t.shape[0] < cfg.n_steps // stride + 1
+    assert np.array_equal(rec.times, ref_t)
+    assert _sup_rel(rec.q, ref_q) <= 1e-12
+    assert _sup_rel(rec.v, ref_v) <= 1e-12

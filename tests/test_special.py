@@ -1,7 +1,8 @@
 """Bessel kernels and closed-form modal solutions.
 
 Reference values were computed once with mpmath at 40 significant
-digits and are frozen here; the remaining checks are structural
+digits and are frozen here; only the rays near the branch cut are
+compared with mpmath at run time.  The remaining checks are structural
 (Wronskians, connection formulas, quadrature cross-checks, ODE
 residuals) so they do not share code paths with the implementation.
 """
@@ -141,6 +142,28 @@ def test_connection_formula_j_to_i():
         lhs = special.bessel_j1(complex(0.0, x))
         rhs = 1j * special.bessel_i1(x)
         assert abs(lhs - rhs) <= 1e-9 * abs(rhs)
+
+
+def test_jy_near_the_cut_matches_mpmath():
+    # rays at |arg z| = 2.5..3.1 beyond the handover radius, where the
+    # Hankel form alone misses the subdominant exponential (up to 0.36
+    # relative error at arg 3.1) and the reflection from -z is needed
+    import mpmath
+
+    pairs = [
+        (special.bessel_j0, mpmath.besselj, 0),
+        (special.bessel_j1, mpmath.besselj, 1),
+        (special.bessel_y0, mpmath.bessely, 0),
+        (special.bessel_y1, mpmath.bessely, 1),
+    ]
+    for ang in np.linspace(2.5, 3.1, 7):
+        for sign in (1.0, -1.0):
+            for r in np.linspace(20.5, 40.0, 14):
+                z = r * complex(math.cos(ang), sign * math.sin(ang))
+                for fn, ref, order in pairs:
+                    with mpmath.workdps(20):
+                        want = complex(ref(order, mpmath.mpc(z.real, z.imag)))
+                    assert abs(fn(z) - want) <= 1e-13 * abs(want), f"{fn.__name__}({z})"
 
 
 def test_series_asymptotic_handover_band():
