@@ -193,13 +193,15 @@ class LyapunovSeries:
     semidefinite".  ``skew_residual`` carries t^2 v^T (G - G^T) q, the term
     a non-symmetric G would add to the derivative.
     ``vdot_numeric`` is a five-point finite difference of V (edges at
-    reduced order, see the interior slice [2:-2]).
+    reduced order, see the interior slice [2:-2]).  It is taken only when
+    the certificate applies, and is None otherwise, so a failed hypothesis
+    is reported on a record of any length.
     """
 
     times: np.ndarray
     V: np.ndarray
     vdot_analytic: np.ndarray
-    vdot_numeric: np.ndarray
+    vdot_numeric: np.ndarray | None
     applicable: bool
     skew_residual: np.ndarray
     obstruction: str = ""
@@ -227,7 +229,7 @@ def lyapunov_series(record: TrajectoryRecord, matrix) -> LyapunovSeries:
         times=t,
         V=vv,
         vdot_analytic=vdot,
-        vdot_numeric=_fd_derivative(t, vv),
+        vdot_numeric=None if obstruction else _fd_derivative(t, vv),
         applicable=not obstruction,
         skew_residual=skew,
         obstruction=obstruction,

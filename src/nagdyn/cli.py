@@ -131,16 +131,7 @@ def cmd_check(out_dir: str | None = None, dt: float = 0.01) -> int:
         payload = {
             "dt": dt,
             "failures": [r.name for r in failures],
-            "checks": [
-                {
-                    "name": r.name,
-                    "passed": r.passed,
-                    "measured": r.measured,
-                    "threshold": r.threshold,
-                    "detail": r.detail,
-                }
-                for r in results
-            ],
+            "checks": [dataclasses.asdict(r) for r in results],
         }
         path = os.path.join(out_dir, "check_report.json")
         experiments.write_json(path, payload)
@@ -172,13 +163,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="run a canned study")
     p.add_argument("--figure", required=True, choices=sorted(experiments.FIGURES), help="study name")
     p.add_argument("--out", default=None, help="output directory (default: $NAGD_OUT_DIR or cwd)")
-    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored: the runs are sequential")
 
     p = sub.add_parser("sweep", help="classify modal rates over a grid in the eigenvalue plane")
     p.add_argument("--grid", required=True, help="a0:a1:na,b0:b1:nb")
     p.add_argument("--out", default=None, help="output directory (default: $NAGD_OUT_DIR or cwd)")
     p.add_argument("--measure", action="store_true", help="also measure rates by simulation")
-    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored: the sweep runs batched")
 
     p = sub.add_parser("check", help="run the invariant self-checks")
     p.add_argument("--out", default=None, help="directory for the JSON report (default: print only)")
@@ -207,20 +196,22 @@ def _join_grid_values(argv: list[str]) -> list[str]:
     return out
 
 
+#: Each subcommand's handler, by name.  The lambdas look the ``cmd_*``
+#: functions up when called, so a wrapper installed on them is honoured.
+_COMMANDS = {
+    "classify": lambda a: cmd_classify(a.config, a.out),
+    "simulate": lambda a: cmd_simulate(a.config, _out_dir(a.out), a.stride),
+    "reproduce": lambda a: cmd_reproduce(a.figure, _out_dir(a.out)),
+    "sweep": lambda a: cmd_sweep(a.grid, _out_dir(a.out), a.measure),
+    "check": lambda a: cmd_check(a.out, a.dt),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_join_grid_values(sys.argv[1:] if argv is None else list(argv)))
     try:
-        if args.command == "classify":
-            return cmd_classify(args.config, args.out)
-        if args.command == "simulate":
-            return cmd_simulate(args.config, _out_dir(args.out), args.stride)
-        if args.command == "reproduce":
-            return cmd_reproduce(args.figure, _out_dir(args.out))
-        if args.command == "sweep":
-            return cmd_sweep(args.grid, _out_dir(args.out), args.measure)
-        if args.command == "check":
-            return cmd_check(args.out, args.dt)
+        return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -230,7 +221,6 @@ def main(argv: list[str] | None = None) -> int:
     except NagdynError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

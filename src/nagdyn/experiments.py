@@ -26,6 +26,7 @@ from .errors import (
     GridTooLarge,
     InsufficientPoints,
     NonPositiveSeries,
+    NotApplicable,
     OutputError,
     TrivialNullspace,
 )
@@ -50,8 +51,6 @@ __all__ = [
 
 #: Safety cap on the number of sweep grid points.
 GRID_POINT_CAP = 1_000_000
-
-_KNOWN_DIAGNOSTICS = ("modal", "lyapunov", "chetaev", "nullspace", "energy", "rates")
 
 
 # --------------------------------------------------------------------------
@@ -184,9 +183,10 @@ def parse_config(raw: dict, label: str = "experiment") -> ExperimentConfig:
     diags_raw = raw.get("diagnostics", [])
     if not isinstance(diags_raw, list):
         raise ConfigError("diagnostics: expected a list of names")
+    names = tuple(dict.fromkeys(name for name, _, _ in _DIAGNOSTICS))
     for d in diags_raw:
-        if d not in _KNOWN_DIAGNOSTICS:
-            raise ConfigError(f"diagnostics: unknown entry {d!r}; choose from {_KNOWN_DIAGNOSTICS}")
+        if d not in names:
+            raise ConfigError(f"diagnostics: unknown entry {d!r}; choose from {names}")
 
     return ExperimentConfig(
         label=label,
@@ -339,10 +339,128 @@ def _verdict_report(spectrum: spectral.Spectrum, verdict: spectral.StabilityVerd
     }
 
 
-def _strongest(verdict: spectral.StabilityVerdict, tag: spectral.EigenvalueClass):
-    """(class, index) of the eigenvalue of class ``tag`` with the largest rate, or None."""
-    found = [(c, i) for i, c in enumerate(verdict.per_eigenvalue) if c.tag is tag]
-    return max(found, key=lambda ci: ci[0].rate) if found else None
+def _strongest(spectrum: spectral.Spectrum, verdict: spectral.StabilityVerdict, tag: spectral.EigenvalueClass):
+    """(class, left eigenvector) of the eigenvalue of class ``tag`` with the largest rate, or None."""
+    found = [(c, w) for c, w in zip(verdict.per_eigenvalue, spectrum.left_vectors) if c.tag is tag]
+    return max(found, key=lambda cw: cw[0].rate) if found else None
+
+
+#: Rate fit of an algebraically decaying norm: log-log on its envelope maxima.
+_ALGEBRAIC_FIT = {"kind": "algebraic", "envelope": True}
+
+#: Rate fit of an exponentially growing norm.  Both unstable branches grow
+#: like e^{rate t} t^{-3/2} (I_1 and Hankel asymptotics share the algebraic
+#: factor), so the fit detrends the t^{-3/2} envelope.
+_EXPONENTIAL_FIT = {"kind": "exponential", "detrend_log_power": analysis.OSCILLATORY_ENVELOPE_POWER}
+
+
+def _modal(cfg, spectrum, verdict, record):
+    modes = []
+    for cls, w in zip(verdict.per_eigenvalue, spectrum.left_vectors):
+        y0 = complex(np.conj(w) @ cfg.q0)
+        ydot0 = complex(np.conj(w) @ cfg.v0)
+        modes.append(
+            {
+                "eigenvalue": {"re": cls.value.real, "im": cls.value.imag},
+                "class": cls.tag.value,
+                "rate": cls.rate,
+                "y0": {"re": y0.real, "im": y0.imag},
+                "ydot0": {"re": ydot0.real, "im": ydot0.imag},
+            }
+        )
+    return {}, {"modal": modes}
+
+
+def _lyapunov(cfg, spectrum, verdict, record):
+    lyap = analysis.lyapunov_series(record, cfg.system.matrix)
+    if not lyap.applicable:
+        raise NotApplicable(f"matrix is {lyap.obstruction}; certificate not applicable")
+    return {"V": lyap.V, "Vdot": lyap.vdot_analytic}, {}
+
+
+def _chetaev_negative(cfg, spectrum, verdict, record):
+    if not (found := _strongest(spectrum, verdict, spectral.EigenvalueClass.NEGATIVE_REAL)):
+        return {}, {}
+    cls, w = found
+    che = analysis.chetaev_negative(record, w, cls.rate)
+    return {"W": che.W}, {
+        "chetaev_negative": {
+            "mu": cls.rate,
+            "t0_required": che.t0_required,
+            "meets_entry_condition": che.meets_entry_condition,
+            "fraction_in_omega": float(np.mean(che.in_omega)),
+        }
+    }
+
+
+def _chetaev_complex(cfg, spectrum, verdict, record):
+    if not (found := _strongest(spectrum, verdict, spectral.EigenvalueClass.STRICTLY_COMPLEX)):
+        if not _strongest(spectrum, verdict, spectral.EigenvalueClass.NEGATIVE_REAL):
+            raise NotApplicable("spectrum has no unstable eigenvalue")
+        return {}, {}
+    cls, w = found
+    che = analysis.chetaev_complex(record, w)
+    entry = {"beta_predicted": cls.rate, "beta_measured": che.fit.slope, "r_squared": che.fit.r_squared}
+    return {"rho": che.rho}, {"chetaev_complex": entry}
+
+
+def _nullspace(cfg, spectrum, verdict, record):
+    try:
+        dist = analysis.distance_to_nullspace(record, cfg.system.matrix)
+    except TrivialNullspace:
+        raise NotApplicable("matrix has full rank") from None
+    return {"dist_null": dist.distance}, {"nullspace_dim": dist.nullspace_dim}
+
+
+def _energy(cfg, spectrum, verdict, record):
+    if not (found := _strongest(spectrum, verdict, spectral.EigenvalueClass.STRICTLY_COMPLEX)):
+        raise NotApplicable("spectrum has no strictly complex eigenvalue")
+    cls, w = found
+    y, ydot = analysis.modal_project(record, w)
+    return {}, {"energy_identity_residual": analysis.energy_identity_residual(record.times, y, ydot, cls.value)}
+
+
+def _rates(cfg, spectrum, verdict, record):
+    growing = verdict.dominant_growth_rate > 0.0
+    start, stop = analysis.EXPONENTIAL_WINDOW if growing else analysis.ALGEBRAIC_WINDOW
+    window = (max(start, record.times[0]), min(stop, record.times[-1]))
+    if window[1] < window[0]:  # a saturated record can end before the window opens
+        raise InsufficientPoints(
+            f"the record ends at t = {window[1]:g}, before the fit window starts at {window[0]:g}"
+        )
+    norm_q = np.linalg.norm(record.q, axis=1)
+    fit = analysis.fit_rate(record.times, norm_q, window=window, **(_EXPONENTIAL_FIT if growing else _ALGEBRAIC_FIT))
+    if growing:
+        predicted = verdict.dominant_growth_rate
+    elif verdict.nagd is spectral.NagdVerdict.STABLE_TO_NULLSPACE:  # as in run_sweep: the norm tends to a limit
+        predicted = 0.0
+    else:
+        predicted = spectral.ALGEBRAIC_DECAY_EXPONENT
+    return {}, {
+        "rate_fit": {
+            "kind": fit.kind,
+            "slope": fit.slope,
+            "r_squared": fit.r_squared,
+            "window": list(fit.window),
+            "predicted": predicted,
+        }
+    }
+
+
+#: The diagnostics in CSV column order, as (config name, function, what a
+#: record too short for the function leaves undone).  Each function maps
+#: (cfg, spectrum, verdict, record) to (CSV columns by name, summary
+#: entries), or raises NotApplicable when its hypotheses fail.  ``chetaev``
+#: has two rows, one per unstable class.
+_DIAGNOSTICS = (
+    ("modal", _modal, ""),
+    ("lyapunov", _lyapunov, "certificate not evaluated"),
+    ("chetaev", _chetaev_negative, "negative certificate not evaluated"),
+    ("chetaev", _chetaev_complex, "complex projection not fitted"),
+    ("nullspace", _nullspace, ""),
+    ("energy", _energy, "identity not evaluated"),
+    ("rates", _rates, "fit unavailable"),
+)
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[dynamics.TrajectoryRecord, dict, list[str], list[np.ndarray]]:
@@ -381,123 +499,19 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dynamics.TrajectoryRecord, di
         "notes": notes,
     }
 
-    if "modal" in cfg.diagnostics:
-        modes = []
-        for i, cls in enumerate(verdict.per_eigenvalue):
-            w = spectrum.left_vectors[i]
-            y0 = complex(np.conj(w) @ cfg.q0)
-            ydot0 = complex(np.conj(w) @ cfg.v0)
-            modes.append(
-                {
-                    "eigenvalue": {"re": cls.value.real, "im": cls.value.imag},
-                    "class": cls.tag.value,
-                    "rate": cls.rate,
-                    "y0": {"re": y0.real, "im": y0.imag},
-                    "ydot0": {"re": ydot0.real, "im": ydot0.imag},
-                }
-            )
-        summary["modal"] = modes
-    if "lyapunov" in cfg.diagnostics:
+    for name, diagnostic, undone in _DIAGNOSTICS:
+        if name not in cfg.diagnostics:
+            continue
         try:
-            lyap = analysis.lyapunov_series(record, system.matrix)
-        except InsufficientPoints as exc:
-            notes.append(f"lyapunov: certificate not evaluated ({exc})")
-        else:
-            if lyap.applicable:
-                header += ["V", "Vdot"]
-                cols += [lyap.V, lyap.vdot_analytic]
-            else:
-                notes.append(f"lyapunov: matrix is {lyap.obstruction}; certificate not applicable")
-    if "chetaev" in cfg.diagnostics:
-        neg = _strongest(verdict, spectral.EigenvalueClass.NEGATIVE_REAL)
-        cplx = _strongest(verdict, spectral.EigenvalueClass.STRICTLY_COMPLEX)
-        if neg:
-            cls, idx = neg
-            try:
-                che = analysis.chetaev_negative(record, spectrum.left_vectors[idx], cls.rate)
-            except InsufficientPoints as exc:
-                notes.append(f"chetaev: negative certificate not evaluated ({exc})")
-            else:
-                header.append("W")
-                cols.append(che.W)
-                summary["chetaev_negative"] = {
-                    "mu": cls.rate,
-                    "t0_required": che.t0_required,
-                    "meets_entry_condition": che.meets_entry_condition,
-                    "fraction_in_omega": float(np.mean(che.in_omega)),
-                }
-        if cplx:
-            cls, idx = cplx
-            try:
-                che_c = analysis.chetaev_complex(record, spectrum.left_vectors[idx])
-                header.append("rho")
-                cols.append(che_c.rho)
-                summary["chetaev_complex"] = {
-                    "beta_predicted": cls.rate,
-                    "beta_measured": che_c.fit.slope,
-                    "r_squared": che_c.fit.r_squared,
-                }
-            except (InsufficientPoints, NonPositiveSeries) as exc:
-                notes.append(f"chetaev: complex projection not fitted ({exc})")
-        if not neg and not cplx:
-            notes.append("chetaev: spectrum has no unstable eigenvalue")
-    if "nullspace" in cfg.diagnostics:
-        try:
-            dist = analysis.distance_to_nullspace(record, system.matrix)
-            header.append("dist_null")
-            cols.append(dist.distance)
-            summary["nullspace_dim"] = dist.nullspace_dim
-        except TrivialNullspace:
-            notes.append("nullspace: matrix has full rank")
-    if "energy" in cfg.diagnostics:
-        cplx = _strongest(verdict, spectral.EigenvalueClass.STRICTLY_COMPLEX)
-        if cplx:
-            cls, idx = cplx
-            y, ydot = analysis.modal_project(record, spectrum.left_vectors[idx])
-            try:
-                summary["energy_identity_residual"] = analysis.energy_identity_residual(
-                    record.times, y, ydot, cls.value
-                )
-            except InsufficientPoints as exc:
-                notes.append(f"energy: identity not evaluated ({exc})")
-        else:
-            notes.append("energy: spectrum has no strictly complex eigenvalue")
-    if "rates" in cfg.diagnostics:
-        norm_q = np.linalg.norm(record.q, axis=1)
-        growing = verdict.dominant_growth_rate > 0.0
-        start, stop = (20.0, 60.0) if growing else (30.0, 100.0)
-        window = (max(start, record.times[0]), min(stop, record.times[-1]))
-        try:
-            if window[1] < window[0]:  # a saturated record can end before the window opens
-                raise InsufficientPoints(
-                    f"the record ends at t = {window[1]:g}, before the fit window starts at {window[0]:g}"
-                )
-            if growing:
-                fit = analysis.fit_rate(
-                    record.times,
-                    norm_q,
-                    kind="exponential",
-                    window=window,
-                    detrend_log_power=analysis.OSCILLATORY_ENVELOPE_POWER,
-                )
-            else:
-                fit = analysis.fit_rate(
-                    record.times,
-                    norm_q,
-                    kind="algebraic",
-                    window=window,
-                    envelope=True,
-                )
-            summary["rate_fit"] = {
-                "kind": fit.kind,
-                "slope": fit.slope,
-                "r_squared": fit.r_squared,
-                "window": list(fit.window),
-                "predicted": verdict.dominant_growth_rate if growing else spectral.ALGEBRAIC_DECAY_EXPONENT,
-            }
+            columns, entries = diagnostic(cfg, spectrum, verdict, record)
+        except NotApplicable as exc:
+            notes.append(f"{name}: {exc}")
         except (InsufficientPoints, NonPositiveSeries) as exc:
-            notes.append(f"rates: fit unavailable ({exc})")
-
+            notes.append(f"{name}: {undone} ({exc})")
+        else:
+            header += columns
+            cols += columns.values()
+            summary.update(entries)
     return record, summary, header, cols
 
 
@@ -505,23 +519,94 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dynamics.TrajectoryRecord, di
 # canned studies
 
 
-def _experiment(label, matrix, q0, v0, t_end, diagnostics, offset=None, stride=1):
-    n = len(q0)
-    return ExperimentConfig(
-        label=label,
-        system=game.PseudoGradientSystem(
-            matrix=np.asarray(matrix, dtype=float),
-            offset=np.zeros(n) if offset is None else np.asarray(offset, dtype=float),
-        ),
-        q0=np.asarray(q0, dtype=float),
-        v0=np.asarray(v0, dtype=float),
-        integrator=dynamics.IntegratorConfig(t0=1.0, t_end=t_end, dt=0.01, record_stride=stride),
-        diagnostics=tuple(diagnostics),
+def _experiment(label, matrix, q0, v0, t_end, diagnostics):
+    return parse_config(
+        {
+            "label": label,
+            "source": {"matrix": matrix},
+            "initial": {"q0": q0, "v0": v0},
+            "integrator": {"t0": 1.0, "t_end": t_end, "dt": 0.01},
+            "diagnostics": list(diagnostics),
+        }
     )
 
 
-#: Canned experiment sets, keyed by CLI name.  Each entry is a list of
-#: configurations plus the acceptance-style checks evaluated on them.
+def _eigenvalues_near(key: str, run: dict, quoted) -> dict:
+    """The run's sorted eigenvalues (real parts), each within 0.005 of ``quoted``."""
+    eigs = sorted(e["re"] for e in run["spectrum"]["eigenvalues"])
+    return {key: eigs, f"{key}_ok": all(abs(e - q) <= 0.005 for e, q in zip(eigs, quoted))}
+
+
+def _envelope_slope(key: str, value) -> dict:
+    """An algebraic envelope slope, or a list of them, each within [-1.7, -1.3]."""
+    slopes = value if isinstance(value, list) else [value]
+    return {key: value, f"{key}_ok": all(-1.7 <= s <= -1.3 for s in slopes)}
+
+
+def _fig1_checks(runs, out_dir):
+    [(_, _, run)] = runs
+    return {
+        **_eigenvalues_near("eigenvalues", run, (0.317, 0.883)),
+        **_envelope_slope("envelope_slope", run["rate_fit"]["slope"]),
+    }
+
+
+def _fig2_checks(runs, out_dir):
+    [(cfg, _, run)] = runs
+    nagd_rate = run["rate_fit"]["slope"]
+    fo_cfg = dynamics.IntegratorConfig(t0=1.0, t_end=6.0, dt=0.002)
+    fo = dynamics.simulate_first_order(cfg.system.matrix, cfg.system.offset, cfg.q0, fo_cfg)
+    norms = np.linalg.norm(fo.q, axis=1)
+    write_csv(os.path.join(out_dir, f"{cfg.label}_first_order.csv"), ["t", "norm_x"], [fo.times, norms])
+    fo_fit = analysis.fit_rate(fo.times, norms, kind="exponential", window=(1.0, 6.0))
+    ratio = float(norms[int(round((5.0 - fo_cfg.t0) / fo_cfg.dt))] / norms[0])
+    return {
+        "nagd_rate": nagd_rate,
+        "nagd_rate_ok": abs(nagd_rate - 0.3041) <= 0.1 * 0.3041,
+        "first_order_rate": fo_fit.slope,
+        "first_order_norm_ratio_at_t5": ratio,
+        "first_order_ok": ratio <= math.exp(-24.0) * (1.0 + 1e-3),
+    }
+
+
+def _fig3_checks(runs, out_dir):
+    [(_, rec, _)] = runs
+    x1_fit = analysis.fit_rate(rec.times, rec.q[:, 0], window=(20.0, 60.0), **_ALGEBRAIC_FIT)
+    x2_fit = analysis.fit_rate(rec.times, np.abs(rec.q[:, 1]), window=(20.0, 60.0), **_EXPONENTIAL_FIT)
+    return {
+        **_envelope_slope("x1_envelope_slope", x1_fit.slope),
+        "x2_rate": x2_fit.slope,
+        "x2_rate_ok": abs(x2_fit.slope - 0.7071) <= 0.05 * 0.7071,
+    }
+
+
+def _fig4_checks(runs, out_dir):
+    [(cfg, rec, _)] = runs
+    dist = analysis.distance_to_nullspace(rec, cfg.system.matrix)
+    d_fit = analysis.fit_rate(rec.times, dist.distance, window=(20.0, 100.0), **_ALGEBRAIC_FIT)
+    w = dist.basis[:, 0]
+    limit = analysis.nullspace_limit(rec.times[0], float(cfg.q0 @ w), float(cfg.v0 @ w))
+    error = abs(float(rec.q[-1] @ w) - limit)
+    return {
+        **_envelope_slope("dist_null_slope", d_fit.slope),
+        "final_position_error": error,
+        "final_position_ok": error <= 1e-3,
+    }
+
+
+def _fig5_checks(runs, out_dir):
+    (_, _, three), (_, _, four) = runs
+    return {
+        **_eigenvalues_near("three_player_eigenvalues", three, (0.43, 0.62, 1.35)),
+        **_eigenvalues_near("four_player_eigenvalues", four, (0.44, 0.58, 0.87, 1.41)),
+        **_envelope_slope("norm_decay_slopes", [three["rate_fit"]["slope"], four["rate_fit"]["slope"]]),
+    }
+
+
+#: Canned experiment sets, keyed by CLI name.  Each entry holds its
+#: configurations and the function that maps (runs, out_dir) to its checks
+#: against the published tolerances; ``runs`` holds one (config, record,
+#: summary) per configuration.
 FIGURES = {
     "fig1": {
         "title": "two-player potential game: algebraic decay to equilibrium",
@@ -535,6 +620,7 @@ FIGURES = {
                 ("lyapunov", "rates"),
             )
         ],
+        "checks": _fig1_checks,
     },
     "fig2": {
         "title": "rotationally coupled game: second-order instability, first-order stability",
@@ -548,6 +634,7 @@ FIGURES = {
                 ("chetaev", "energy", "rates"),
             )
         ],
+        "checks": _fig2_checks,
     },
     "fig3": {
         "title": "indefinite diagonal game: saddle escape along the negative mode",
@@ -561,6 +648,7 @@ FIGURES = {
                 ("chetaev", "rates"),
             )
         ],
+        "checks": _fig3_checks,
     },
     "fig4": {
         "title": "singular coupling: convergence to a null-space point",
@@ -574,6 +662,7 @@ FIGURES = {
                 ("nullspace", "rates"),
             )
         ],
+        "checks": _fig4_checks,
     },
     "fig5": {
         "title": "three- and four-player games: per-mode envelope decay",
@@ -600,93 +689,9 @@ FIGURES = {
                 ("lyapunov", "rates"),
             ),
         ],
+        "checks": _fig5_checks,
     },
 }
-
-
-def _within(value: float, lo: float, hi: float) -> bool:
-    return bool(lo <= value <= hi)
-
-
-def _figure_checks(name: str, configs, results, out_dir: str) -> dict:
-    """Evaluate each canned study against its published tolerances."""
-    checks: dict = {}
-    if name == "fig1":
-        run = results[0][1]
-        eigs = sorted(e["re"] for e in run["spectrum"]["eigenvalues"])
-        checks["eigenvalues"] = eigs
-        checks["eigenvalues_ok"] = all(
-            abs(e - q) <= 0.005 for e, q in zip(eigs, (0.317, 0.883))
-        )
-        slope = run["rate_fit"]["slope"]
-        checks["envelope_slope"] = slope
-        checks["envelope_slope_ok"] = _within(slope, -1.7, -1.3)
-    elif name == "fig2":
-        cfg = configs[0]
-        run = results[0][1]
-        checks["nagd_rate"] = run["rate_fit"]["slope"]
-        checks["nagd_rate_ok"] = abs(checks["nagd_rate"] - 0.3041) <= 0.1 * 0.3041
-        fo_cfg = dynamics.IntegratorConfig(t0=1.0, t_end=6.0, dt=0.002)
-        fo = dynamics.simulate_first_order(cfg.system.matrix, cfg.system.offset, cfg.q0, fo_cfg)
-        norms = np.linalg.norm(fo.q, axis=1)
-        write_csv(
-            os.path.join(out_dir, f"{cfg.label}_first_order.csv"),
-            ["t", "norm_x"],
-            [fo.times, norms],
-        )
-        fo_fit = analysis.fit_rate(fo.times, norms, kind="exponential", window=(1.0, 6.0))
-        checks["first_order_rate"] = fo_fit.slope
-        idx = int(round((5.0 - fo_cfg.t0) / fo_cfg.dt))
-        ratio = float(norms[idx] / norms[0])
-        checks["first_order_norm_ratio_at_t5"] = ratio
-        checks["first_order_ok"] = ratio <= math.exp(-24.0) * (1.0 + 1e-3)
-    elif name == "fig3":
-        rec = results[0][0]
-        x1_fit = analysis.fit_rate(
-            rec.times, rec.q[:, 0], kind="algebraic", window=(20.0, 60.0), envelope=True
-        )
-        x2_fit = analysis.fit_rate(
-            rec.times,
-            np.abs(rec.q[:, 1]),
-            kind="exponential",
-            window=(20.0, 60.0),
-            detrend_log_power=analysis.OSCILLATORY_ENVELOPE_POWER,
-        )
-        checks["x1_envelope_slope"] = x1_fit.slope
-        checks["x1_envelope_slope_ok"] = _within(x1_fit.slope, -1.7, -1.3)
-        checks["x2_rate"] = x2_fit.slope
-        checks["x2_rate_ok"] = abs(x2_fit.slope - 0.7071) <= 0.05 * 0.7071
-    elif name == "fig4":
-        rec = results[0][0]
-        cfg = configs[0]
-        dist = analysis.distance_to_nullspace(rec, cfg.system.matrix)
-        d_fit = analysis.fit_rate(
-            rec.times, dist.distance, kind="algebraic", window=(20.0, 100.0), envelope=True
-        )
-        checks["dist_null_slope"] = d_fit.slope
-        checks["dist_null_slope_ok"] = _within(d_fit.slope, -1.7, -1.3)
-        w = dist.basis[:, 0]
-        limit = analysis.nullspace_limit(
-            rec.times[0], float(cfg.q0 @ w), float(cfg.v0 @ w)
-        )
-        checks["final_position_error"] = abs(float(rec.q[-1] @ w) - limit)
-        checks["final_position_ok"] = checks["final_position_error"] <= 1e-3
-    elif name == "fig5":
-        quoted = {
-            "three_player": (0.43, 0.62, 1.35),
-            "four_player": (0.44, 0.58, 0.87, 1.41),
-        }
-        slopes = []
-        for (rec, run), (tag, ref) in zip(results, quoted.items()):
-            eigs = sorted(e["re"] for e in run["spectrum"]["eigenvalues"])
-            checks[f"{tag}_eigenvalues"] = eigs
-            checks[f"{tag}_eigenvalues_ok"] = all(
-                abs(e - q) <= 0.005 for e, q in zip(eigs, ref)
-            )
-            slopes.append(run["rate_fit"]["slope"])
-        checks["norm_decay_slopes"] = slopes
-        checks["norm_decay_slopes_ok"] = all(_within(s, -1.7, -1.3) for s in slopes)
-    return checks
 
 
 def reproduce_figure(name: str, out_dir: str) -> dict:
@@ -694,26 +699,24 @@ def reproduce_figure(name: str, out_dir: str) -> dict:
     if name not in FIGURES:
         raise ConfigError(f"unknown figure {name!r}; choose from {sorted(FIGURES)}")
     entry = FIGURES[name]
-    configs: list[ExperimentConfig] = entry["configs"]
-    results = []
-    for cfg in configs:
+    runs = []
+    for cfg in entry["configs"]:
         record, summary, header, cols = run_experiment(cfg)
         write_csv(os.path.join(out_dir, f"{cfg.label}.csv"), header, cols)
         write_json(os.path.join(out_dir, f"{cfg.label}.json"), summary)
-        results.append((record, summary))
+        runs.append((cfg, record, summary))
 
-    checks = _figure_checks(name, configs, results, out_dir)
+    checks = entry["checks"](runs, out_dir)
     summary = {
         "figure": name,
         "title": entry["title"],
-        "runs": [s for _, s in results],
-        "saturated": any(r.saturated for r, _ in results),
+        "runs": [s for _, _, s in runs],
+        "saturated": any(r.saturated for _, r, _ in runs),
         "checks": checks,
         "pass": all(v for k, v in checks.items() if k.endswith("_ok")),
     }
     write_json(os.path.join(out_dir, f"{name}_summary.json"), summary)
     return summary
-
 
 # --------------------------------------------------------------------------
 # parameter sweeps over the eigenvalue plane
@@ -757,20 +760,12 @@ SWEEP_HEADER = ["re", "im", "predicted_rate", "measured_rate", "class"]
 #: to about 23 MiB.
 _SWEEP_BATCH = 128
 
-#: Rate fit of a measured sweep point, by class.  Both unstable branches
-#: grow like e^{rate t} t^{-3/2} (I_1 and Hankel asymptotics share the
-#: algebraic factor), so their fit detrends the t^{-3/2} envelope.
+#: Rate fit of a measured sweep point, by class.
 _SWEEP_FITS = {
-    spectral.EigenvalueClass.POSITIVE_REAL.value: {"kind": "algebraic", "envelope": True},
+    spectral.EigenvalueClass.POSITIVE_REAL.value: _ALGEBRAIC_FIT,
     spectral.EigenvalueClass.ZERO.value: {"kind": "algebraic"},
-    spectral.EigenvalueClass.NEGATIVE_REAL.value: {
-        "kind": "exponential",
-        "detrend_log_power": analysis.OSCILLATORY_ENVELOPE_POWER,
-    },
-    spectral.EigenvalueClass.STRICTLY_COMPLEX.value: {
-        "kind": "exponential",
-        "detrend_log_power": analysis.OSCILLATORY_ENVELOPE_POWER,
-    },
+    spectral.EigenvalueClass.NEGATIVE_REAL.value: _EXPONENTIAL_FIT,
+    spectral.EigenvalueClass.STRICTLY_COMPLEX.value: _EXPONENTIAL_FIT,
 }
 
 

@@ -179,12 +179,15 @@ def test_rate_fit_note_on_a_record_that_ends_early(tmp_path):
     [
         ([[-0.5, 0.0], [0.0, 1.0]], "chetaev",
          "chetaev: negative certificate not evaluated (the growth ratio of W needs at least 2 samples)"),
+        # the failed hypothesis is named whatever the record length
         ([[-0.5, 0.0], [0.0, 1.0]], "lyapunov",
+         "lyapunov: matrix is not positive semidefinite; certificate not applicable"),
+        ([[0.5, 0.0], [0.0, 1.0]], "lyapunov",
          "lyapunov: certificate not evaluated (five-point differentiation needs at least 5 samples)"),
         ([[6.0, 1.5], [-1.5, 6.0]], "energy",
          "energy: identity not evaluated (five-point differentiation needs at least 5 samples)"),
     ],
-    ids=["chetaev", "lyapunov", "energy"],
+    ids=["chetaev", "lyapunov", "lyapunov-psd", "energy"],
 )
 def test_diagnostic_note_on_a_one_row_record(tmp_path, matrix, diagnostic, note):
     # 50 steps at stride 1000 record only the initial sample
@@ -309,7 +312,7 @@ def test_sweep_rows_and_predictions(tmp_path):
 
 
 def test_sweep_measured_rates(tmp_path):
-    rc = cli.main(["sweep", "--grid", "0:1:2,0:1:2", "--out", str(tmp_path), "--measure", "--jobs", "2"])
+    rc = cli.main(["sweep", "--grid", "0:1:2,0:1:2", "--out", str(tmp_path), "--measure"])
     assert rc == cli.EXIT_OK
     _, rows = _read_csv(tmp_path / "sweep.csv")
     for r in rows:
@@ -370,6 +373,28 @@ def test_sweep_bad_grid(tmp_path):
 # reproduce
 
 
+#: Every check each canned study reports, sorted.
+FIGURE_CHECKS = {
+    "fig1": ["eigenvalues", "eigenvalues_ok", "envelope_slope", "envelope_slope_ok"],
+    "fig2": ["first_order_norm_ratio_at_t5", "first_order_ok", "first_order_rate", "nagd_rate", "nagd_rate_ok"],
+    "fig3": ["x1_envelope_slope", "x1_envelope_slope_ok", "x2_rate", "x2_rate_ok"],
+    "fig4": ["dist_null_slope", "dist_null_slope_ok", "final_position_error", "final_position_ok"],
+    "fig5": ["four_player_eigenvalues", "four_player_eigenvalues_ok", "norm_decay_slopes",
+             "norm_decay_slopes_ok", "three_player_eigenvalues", "three_player_eigenvalues_ok"],
+}
+
+
+@pytest.mark.parametrize("figure", sorted(FIGURE_CHECKS))
+def test_reproduce_every_figure(tmp_path, figure):
+    assert cli.main(["reproduce", "--figure", figure, "--out", str(tmp_path)]) == cli.EXIT_OK
+    summary = json.loads((tmp_path / f"{figure}_summary.json").read_text())
+    assert summary["pass"] is True
+    assert sorted(summary["checks"]) == FIGURE_CHECKS[figure]
+    if figure == "fig4":
+        # the norm tends to the null-space limit, so its predicted log-log slope is 0
+        assert summary["runs"][0]["rate_fit"]["predicted"] == 0.0
+
+
 def test_reproduce_fig2(tmp_path, capsys):
     rc = cli.main(["reproduce", "--figure", "fig2", "--out", str(tmp_path)])
     assert rc == cli.EXIT_OK
@@ -392,7 +417,7 @@ def test_reproduce_fig3(tmp_path):
 
 
 def test_reproduce_fig5_spectra(tmp_path):
-    assert cli.main(["reproduce", "--figure", "fig5", "--out", str(tmp_path), "--jobs", "2"]) == cli.EXIT_OK
+    assert cli.main(["reproduce", "--figure", "fig5", "--out", str(tmp_path)]) == cli.EXIT_OK
     summary = json.loads((tmp_path / "fig5_summary.json").read_text())
     assert summary["pass"] is True
     three = summary["checks"]["three_player_eigenvalues"]
