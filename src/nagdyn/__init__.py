@@ -64,7 +64,6 @@ from .game import (
 from .special import (
     EXPONENT_CAP,
     SERIES_RADIUS,
-    ModalBranch,
     ModalSeries,
     ModalSolution,
     ModalValue,

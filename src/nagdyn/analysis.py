@@ -116,6 +116,18 @@ class RateFit:
     detrend_log_power: float
 
 
+def _fit_window(times: np.ndarray, window: tuple[float, float]) -> tuple[float, float]:
+    """``window`` clamped to the span of ``times``.
+
+    Raises :class:`~nagdyn.errors.InsufficientPoints` when the record ends
+    before the window opens, as a saturated record can.
+    """
+    lo, hi = max(window[0], float(times[0])), min(window[1], float(times[-1]))
+    if hi < lo:
+        raise InsufficientPoints(f"the record ends at t = {hi:g}, before the fit window starts at {lo:g}")
+    return lo, hi
+
+
 def fit_rate(
     times,
     values,
@@ -312,8 +324,8 @@ class ChetaevComplex:
     xi and eta are the projections onto the real and imaginary parts of
     the left eigenvector w = u + i v; rho = |w^* q| = hypot(xi, eta)
     grows like exp(beta t) t^{-3/2} with beta = Im sqrt(lam), and ``fit``
-    measures beta on the default exponential window with the envelope
-    power detrended.
+    measures beta on the default exponential window, clamped to the
+    record, with the envelope power detrended.
     """
 
     times: np.ndarray
@@ -323,7 +335,7 @@ class ChetaevComplex:
     fit: RateFit
 
 
-def chetaev_complex(record: TrajectoryRecord, left_vector, window: tuple[float, float] | None = None) -> ChetaevComplex:
+def chetaev_complex(record: TrajectoryRecord, left_vector) -> ChetaevComplex:
     w = np.asarray(left_vector, dtype=complex)
     if record.q.ndim != 2 or w.shape != (record.q.shape[1],):
         raise ValueError("left eigenvector length must match the state dimension")
@@ -331,15 +343,11 @@ def chetaev_complex(record: TrajectoryRecord, left_vector, window: tuple[float, 
     xi = record.q @ w.real
     eta = record.q @ w.imag
     rho = np.hypot(xi, eta)
-    if window is None:
-        lo = max(EXPONENTIAL_WINDOW[0], float(t[0]))
-        hi = min(EXPONENTIAL_WINDOW[1], float(t[-1]))
-        window = (lo, hi)
     fit = fit_rate(
         t,
         rho,
         kind="exponential",
-        window=window,
+        window=_fit_window(t, EXPONENTIAL_WINDOW),
         detrend_log_power=OSCILLATORY_ENVELOPE_POWER,
     )
     return ChetaevComplex(times=t, xi=xi, eta=eta, rho=rho, fit=fit)

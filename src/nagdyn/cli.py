@@ -11,7 +11,8 @@ check       run the cross-cutting invariant self-checks
 Exit codes: 0 success, 2 configuration error, 3 trajectory saturated
 (overflow truncation), 4 invariant-check failure, 5 output error (an
 artifact could not be written, e.g. ``--out`` names a path under a
-regular file).
+regular file), 6 numerical error (an exponential factor overflowed, or
+the eigensolver did not converge).
 
 A ``--grid`` value that starts with a minus sign may follow ``--grid``
 as its own argument (``--grid -2:6:8,-3:3:8``) or be joined to it
@@ -30,7 +31,7 @@ import re
 import sys
 
 from . import experiments, spectral
-from .errors import ConfigError, NagdynError, OutputError
+from .errors import ConfigError, EigensolverNoConvergence, NagdynError, OutputError, OverflowSaturation
 
 __all__ = [
     "main",
@@ -46,6 +47,7 @@ EXIT_CONFIG = 2
 EXIT_SATURATED = 3
 EXIT_INVARIANT = 4
 EXIT_OUTPUT = 5
+EXIT_NUMERICAL = 6
 
 
 def _out_dir(explicit: str | None) -> str:
@@ -218,6 +220,9 @@ def main(argv: list[str] | None = None) -> int:
     except OutputError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_OUTPUT
+    except (OverflowSaturation, EigensolverNoConvergence) as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except NagdynError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

@@ -422,12 +422,7 @@ def _energy(cfg, spectrum, verdict, record):
 
 def _rates(cfg, spectrum, verdict, record):
     growing = verdict.dominant_growth_rate > 0.0
-    start, stop = analysis.EXPONENTIAL_WINDOW if growing else analysis.ALGEBRAIC_WINDOW
-    window = (max(start, record.times[0]), min(stop, record.times[-1]))
-    if window[1] < window[0]:  # a saturated record can end before the window opens
-        raise InsufficientPoints(
-            f"the record ends at t = {window[1]:g}, before the fit window starts at {window[0]:g}"
-        )
+    window = analysis._fit_window(record.times, analysis.EXPONENTIAL_WINDOW if growing else analysis.ALGEBRAIC_WINDOW)
     norm_q = np.linalg.norm(record.q, axis=1)
     fit = analysis.fit_rate(record.times, norm_q, window=window, **(_EXPONENTIAL_FIT if growing else _ALGEBRAIC_FIT))
     if growing:
@@ -755,9 +750,12 @@ def parse_grid(spec: str) -> tuple[np.ndarray, np.ndarray]:
 #: CSV header of a sweep; the last column is the class name.
 SWEEP_HEADER = ["re", "im", "predicted_rate", "measured_rate", "class"]
 
+#: End of the integration of each measured sweep point.
+_SWEEP_T_END = 60.0
+
 #: Measured points integrated together by :func:`run_sweep`; bounds the
-#: batch record (two complex columns of 5 901 rows per point at t_end = 60)
-#: to about 23 MiB.
+#: batch record (two complex columns of 5 901 rows per point) to about
+#: 23 MiB.
 _SWEEP_BATCH = 128
 
 #: Rate fit of a measured sweep point, by class.
@@ -788,12 +786,12 @@ class SweepResult:
         return [self.re, self.im, self.predicted_rate, self.measured_rate]
 
 
-def _measure_rates(lam: np.ndarray, classes: np.ndarray, t_end: float) -> np.ndarray:
+def _measure_rates(lam: np.ndarray, classes: np.ndarray) -> np.ndarray:
     """Fitted envelope rate of y'' + (3/t) y' + lam y = 0 from y(1) = 1, y'(1) = 0.
 
     NaN where the fit has too few usable samples, e.g. after saturation.
     """
-    cfg = dynamics.IntegratorConfig(t0=1.0, t_end=t_end, dt=0.01)
+    cfg = dynamics.IntegratorConfig(t0=1.0, t_end=_SWEEP_T_END, dt=0.01)
     measured = np.full(lam.shape, math.nan)
     for lo in range(0, lam.shape[0], _SWEEP_BATCH):
         times, q, _, rows, _ = dynamics._modal_rk4(lam[lo : lo + _SWEEP_BATCH], 1.0, 0.0, cfg)
@@ -809,7 +807,7 @@ def _measure_rates(lam: np.ndarray, classes: np.ndarray, t_end: float) -> np.nda
     return measured
 
 
-def run_sweep(grid_spec: str, measure: bool = False, t_end: float = 60.0) -> SweepResult:
+def run_sweep(grid_spec: str, measure: bool = False) -> SweepResult:
     """Classify (and optionally measure) modal rates over a complex grid.
 
     The predicted rate is the exponential growth rate for growing classes,
@@ -826,7 +824,7 @@ def run_sweep(grid_spec: str, measure: bool = False, t_end: float = 60.0) -> Swe
     if measure:
         lam = re.astype(complex)
         lam.imag = im
-        measured = _measure_rates(lam, classes, t_end)
+        measured = _measure_rates(lam, classes)
     else:
         measured = np.full(re.shape, math.nan)
     return SweepResult(re=re, im=im, predicted_rate=predicted, measured_rate=measured, classes=classes)

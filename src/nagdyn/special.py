@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -58,7 +57,6 @@ __all__ = [
     "bessel_i1",
     "bessel_k0",
     "bessel_k1",
-    "ModalBranch",
     "ModalSolution",
     "ModalValue",
     "ModalSeries",
@@ -462,21 +460,6 @@ def bessel_k1(x) -> float:
 # closed-form modal solutions
 
 
-class ModalBranch(Enum):
-    POSITIVE_REAL = "positive-real"
-    ZERO = "zero"
-    NEGATIVE_REAL = "negative-real"
-    COMPLEX = "complex"
-
-
-_BRANCH_OF_CLASS = {
-    EigenvalueClass.POSITIVE_REAL: ModalBranch.POSITIVE_REAL,
-    EigenvalueClass.ZERO: ModalBranch.ZERO,
-    EigenvalueClass.NEGATIVE_REAL: ModalBranch.NEGATIVE_REAL,
-    EigenvalueClass.STRICTLY_COMPLEX: ModalBranch.COMPLEX,
-}
-
-
 class ModalValue(NamedTuple):
     y: complex
     ydot: complex
@@ -491,25 +474,31 @@ class ModalSeries(NamedTuple):
 
 @dataclass(frozen=True)
 class ModalSolution:
-    """Closed-form solution y = c1 b1(t) + c2 b2(t) of one modal equation."""
+    """Closed-form solution y = c1 b1(t) + c2 b2(t) of one modal equation.
+
+    ``branch`` and ``rate`` are the class and envelope growth rate of
+    ``lam`` from :func:`nagdyn.spectral.classify_eigenvalue`; EXPONENT_CAP
+    bounds ``rate * t``.
+    """
 
     lam: complex
     t0: float
-    branch: ModalBranch
+    branch: EigenvalueClass
+    rate: float
     c1: complex
     c2: complex
     y0: complex
     ydot0: complex
 
 
-def _basis(branch: ModalBranch, lam: complex, ts: np.ndarray):
+def _basis(branch: EigenvalueClass, lam: complex, ts: np.ndarray):
     """Basis values and derivatives (b1, b2, b1', b2') at the given times.
 
     Derivatives use d/dt [t^{-1} C_1(s t)] = s C_0(s t)/t - 2 C_1(s t)/t^2,
     which follows from C_1'(z) = C_0(z) - C_1(z)/z for C in {J, Y, I} and
     K_1'(z) = -K_0(z) - K_1(z)/z.
     """
-    if branch is ModalBranch.NEGATIVE_REAL:
+    if branch is EigenvalueClass.NEGATIVE_REAL:
         mu = math.sqrt(-lam.real)
         x = mu * ts
         i0, i1 = _i01(x)
@@ -517,24 +506,15 @@ def _basis(branch: ModalBranch, lam: complex, ts: np.ndarray):
         b1, b2 = i1 / ts, k1 / ts
         d1 = mu * i0 / ts - 2.0 * i1 / ts**2
         d2 = -mu * k0 / ts - 2.0 * k1 / ts**2
-    elif branch is ModalBranch.ZERO:
+    elif branch is EigenvalueClass.ZERO:
         raise ValueError("zero branch has no Bessel basis")
     else:
-        s = math.sqrt(lam.real) if branch is ModalBranch.POSITIVE_REAL else complex(np.sqrt(complex(lam)))
+        s = math.sqrt(lam.real) if branch is EigenvalueClass.POSITIVE_REAL else complex(np.sqrt(complex(lam)))
         j0, j1, y0_, y1_ = _jy01(s * ts.astype(complex))
         b1, b2 = j1 / ts, y1_ / ts
         d1 = s * j0 / ts - 2.0 * j1 / ts**2
         d2 = s * y0_ / ts - 2.0 * y1_ / ts**2
     return b1, b2, d1, d2
-
-
-def _growth_rate(branch: ModalBranch, lam: complex) -> float:
-    """Exponential growth rate of the basis, which EXPONENT_CAP bounds."""
-    if branch is ModalBranch.NEGATIVE_REAL:
-        return math.sqrt(-lam.real)
-    if branch is ModalBranch.COMPLEX:
-        return abs(complex(np.sqrt(lam)).imag)
-    return 0.0
 
 
 def make_modal_solution(
@@ -558,21 +538,21 @@ def make_modal_solution(
     lam = complex(lam)
     y0 = complex(y0)
     ydot0 = complex(ydot0)
-    branch = _BRANCH_OF_CLASS[classify_eigenvalue(lam, tol).tag]
-    if branch is ModalBranch.ZERO:
+    cls = classify_eigenvalue(lam, tol)
+    if cls.tag is EigenvalueClass.ZERO:
         # y = c1 + c2 t^{-2}: the finite limit is c1 = y0 + (t0/2) ydot0.
         c2 = -0.5 * ydot0 * t0**3
         c1 = y0 - c2 / t0**2
     else:
-        if _growth_rate(branch, lam) * t0 > EXPONENT_CAP:
+        if cls.rate * t0 > EXPONENT_CAP:
             raise OverflowSaturation("basis already saturated at t0")
-        b1, b2, d1, d2 = map(complex, _basis(branch, lam, np.float64(t0)))
+        b1, b2, d1, d2 = map(complex, _basis(cls.tag, lam, np.float64(t0)))
         det = b1 * d2 - b2 * d1
         if abs(det) < 1e-300:
             raise SingularBasis(f"basis Wronskian vanished at t0 = {t0:g}")
         c1 = (y0 * d2 - ydot0 * b2) / det
         c2 = (ydot0 * b1 - y0 * d1) / det
-    return ModalSolution(lam=lam, t0=t0, branch=branch, c1=c1, c2=c2, y0=y0, ydot0=ydot0)
+    return ModalSolution(lam=lam, t0=t0, branch=cls.tag, rate=cls.rate, c1=c1, c2=c2, y0=y0, ydot0=ydot0)
 
 
 def eval_modal_series(sol: ModalSolution, times) -> ModalSeries:
@@ -592,12 +572,12 @@ def eval_modal_series(sol: ModalSolution, times) -> ModalSeries:
     ydot = np.empty(ts.shape, dtype=complex)
     saturated = np.zeros(ts.shape, dtype=bool)
 
-    if sol.branch is ModalBranch.ZERO:
+    if sol.branch is EigenvalueClass.ZERO:
         y[...] = sol.c1 + sol.c2 / ts**2
         ydot[...] = -2.0 * sol.c2 / ts**3
         return ModalSeries(y, ydot, saturated)
 
-    saturated = _growth_rate(sol.branch, sol.lam) * ts > EXPONENT_CAP
+    saturated = sol.rate * ts > EXPONENT_CAP
     ok = ~saturated
     if np.any(ok):
         b1, b2, d1, d2 = _basis(sol.branch, sol.lam, ts[ok])

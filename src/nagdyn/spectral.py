@@ -89,8 +89,11 @@ class EigenvalueClass(Enum):
 #: can index them with codes 0 (PositiveReal) to 3 (StrictlyComplex).
 _CLASS_NAMES = np.array([c.value for c in EigenvalueClass], dtype=object)
 
-#: ``math.hypot`` over arrays, as the scalar classifier computes |lam|;
-#: ``np.hypot`` can differ from it in the last bit.
+#: The class of each name in ``_CLASS_NAMES``; faster than ``EigenvalueClass(name)``.
+_CLASS_OF_NAME = {c.value: c for c in EigenvalueClass}
+
+#: ``math.hypot`` over arrays; ``np.hypot`` can differ from it in the last
+#: bit, which would change written rates.
 _math_hypot = np.frompyfunc(math.hypot, 2, 1)
 
 
@@ -172,67 +175,47 @@ class StabilityVerdict:
 
 
 # --------------------------------------------------------------------------
-# scalar classification
+# eigenvalue classification
 
 
 def classify_eigenvalue(lam: complex, tol: float = DEFAULT_SCALAR_TOL) -> ClassifiedEigenvalue:
     """Classify one eigenvalue and attach its predicted envelope rate.
 
-    Snapping order: values with |Im| <= tol are treated as real, then
-    reals with |Re| <= tol as zero.  This makes the corner case with both
-    parts just inside tolerance deterministically Zero.
+    A one-point view of :func:`classify_eigenvalues`, which holds the rule.
     """
     lam = complex(lam)
-    if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
-        raise ValueError("eigenvalue must be finite")
-    if tol < 0.0:
-        raise ValueError("tol must be nonnegative")
-    if abs(lam.imag) <= tol:
-        re = lam.real
-        if abs(re) <= tol:
-            return ClassifiedEigenvalue(EigenvalueClass.ZERO, lam, 0.0)
-        if re > 0.0:
-            return ClassifiedEigenvalue(EigenvalueClass.POSITIVE_REAL, lam, 0.0)
-        return ClassifiedEigenvalue(EigenvalueClass.NEGATIVE_REAL, lam, math.sqrt(-re))
-    a, b = lam.real, lam.imag
-    # beta = |Im sqrt(lam)|.  For a >= 0 the half-angle form
-    # sqrt((hypot - a)/2) cancels, so use |b| / (2 Re sqrt(lam)) there;
-    # for a < 0 hypot - a adds magnitudes and is safe directly.
-    h = math.hypot(a, b)
-    if a >= 0.0:
-        beta = abs(b) / (2.0 * math.sqrt(0.5 * (h + a)))
-    else:
-        beta = math.sqrt(0.5 * (h - a))
-    return ClassifiedEigenvalue(EigenvalueClass.STRICTLY_COMPLEX, lam, beta)
+    tags, rates = classify_eigenvalues([lam.real], [lam.imag], tol)
+    return ClassifiedEigenvalue(_CLASS_OF_NAME[tags[0]], lam, float(rates[0]))
 
 
 def classify_eigenvalues(re, im, tol: float = DEFAULT_SCALAR_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of :func:`classify_eigenvalue` for the points re + i im.
+    """Classify the points re + i im and compute their envelope rates.
 
     Returns ``(tags, rates)``: the class names (``EigenvalueClass``
-    values) as an object array of str, and the rates.  Both equal, bit for
-    bit, what :func:`classify_eigenvalue` gives point by point.
+    values) as an object array of str, and the rates.  Snapping order:
+    values with |Im| <= tol are treated as real, then reals with
+    |Re| <= tol as zero, so the corner case with both parts just inside
+    tolerance is deterministically Zero.
     """
     a = np.asarray(re, dtype=float)
     b = np.asarray(im, dtype=float)
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("eigenvalue must be finite")
     if tol < 0.0:
         raise ValueError("tol must be nonnegative")
     real = np.abs(b) <= tol
-    zero = real & (np.abs(a) <= tol)
-    negative = real & ~zero & (a < 0.0)
+    negative = real & (a < -tol)
+    codes = np.where(real, np.where(negative, 2, np.where(np.abs(a) <= tol, 1, 0)), 3)
+    rates = np.sqrt(-a, out=np.zeros(a.shape), where=negative)
+    # beta = |Im sqrt(lam)| with h = |lam|: |b| / (2 sqrt((h + a)/2)) for
+    # a >= 0, where sqrt((h - a)/2) would cancel, and sqrt((h - a)/2) for
+    # a < 0.  They are evaluated on lam/8, an exact scaling, so that h + |a|
+    # cannot overflow: with root = sqrt(|lam/8| + |a/8|) they are
+    # |b| / (4 root) and 2 root.
     cplx = ~real
-    codes = np.select([zero, negative, cplx], [1, 2, 3], 0)
-    rates = np.zeros(a.shape)
-    rates[negative] = np.sqrt(-a[negative])
-    ac, bc = a[cplx], b[cplx]
-    right = ac >= 0.0
-    with np.errstate(over="ignore"):  # |lam| and h + a may overflow to inf, as in floats
-        h = _math_hypot(ac, bc).astype(float)
-        beta = np.sqrt(0.5 * (h - ac))
-        beta[right] = np.abs(bc[right]) / (2.0 * np.sqrt(0.5 * (h[right] + ac[right])))
-    rates[cplx] = beta
+    a8, bc = a[cplx] / 8.0, b[cplx]
+    root = np.sqrt(_math_hypot(a8, bc / 8.0).astype(float) + np.abs(a8))
+    rates[cplx] = np.where(a8 >= 0.0, np.abs(bc) / (4.0 * root), 2.0 * root)
     return _CLASS_NAMES[codes], rates
 
 
@@ -329,7 +312,9 @@ def classify_matrix(spectrum: Spectrum, t0: float = 1.0) -> StabilityVerdict:
     """
     if t0 <= 0.0:
         raise ValueError("t0 must be positive")
-    classes = tuple(classify_eigenvalue(l, spectrum.tol) for l in spectrum.eigenvalues)
+    vals = spectrum.eigenvalues
+    tags, rates = classify_eigenvalues(vals.real, vals.imag, spectrum.tol)
+    classes = tuple(map(ClassifiedEigenvalue, map(_CLASS_OF_NAME.get, tags.tolist()), vals.tolist(), rates.tolist()))
     unstable = [c for c in classes if c.tag in (EigenvalueClass.NEGATIVE_REAL, EigenvalueClass.STRICTLY_COMPLEX)]
     bound_c: float | None = None
     dominant: complex | None = None

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from nagdyn import cli, experiments, special, spectral
-from nagdyn.errors import OutputError
+from nagdyn.errors import OutputError, OverflowSaturation
 
 FIG1 = {
     "label": "potential",
@@ -171,6 +171,24 @@ def test_rate_fit_note_on_a_record_that_ends_early(tmp_path):
     assert "rate_fit" not in summary
     assert summary["notes"] == [
         "rates: fit unavailable (the record ends at t = 1.57, before the fit window starts at 30)"
+    ]
+
+
+def test_fit_notes_on_a_record_that_ends_before_the_exponential_window(tmp_path):
+    # both exponential fits clamp the window [20, 60] to a 10 s record the same way
+    payload = {
+        "label": "rotational",
+        "source": {"matrix": [[6.0, 1.5], [-1.5, 6.0]]},
+        "initial": {"q0": [1.0, 0.0]},
+        "integrator": {"t0": 1.0, "t_end": 10.0, "dt": 0.01},
+        "diagnostics": ["chetaev", "rates"],
+    }
+    rc = cli.main(["simulate", "--config", _write_config(tmp_path, payload), "--out", str(tmp_path)])
+    assert rc == cli.EXIT_OK
+    summary = json.loads((tmp_path / "rotational.json").read_text())
+    assert summary["notes"] == [
+        "chetaev: complex projection not fitted (the record ends at t = 10, before the fit window starts at 20)",
+        "rates: fit unavailable (the record ends at t = 10, before the fit window starts at 20)",
     ]
 
 
@@ -477,6 +495,34 @@ def test_check_rejects_bad_dt_before_any_check(tmp_path, capsys, monkeypatch):
     rc = cli.main(["check", "--dt", "1000", "--out", str(tmp_path)])
     assert rc == cli.EXIT_CONFIG
     assert "config error: --dt" in capsys.readouterr().err
+
+
+def _no_convergence(matrix):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _overflow(dt):
+    raise OverflowSaturation("I_0(800) overflows double precision")
+
+
+@pytest.mark.parametrize(
+    "argv, target, replacement, message",
+    [
+        (["classify", "--config", "{cfg}"], (np.linalg, "eig"), _no_convergence,
+         "numerical error: LAPACK geev did not converge: Eigenvalues did not converge"),
+        (["check"], (experiments, "run_invariant_checks"), _overflow,
+         "numerical error: I_0(800) overflows double precision"),
+    ],
+    ids=["eigensolver", "overflow"],
+)
+def test_numerical_error_exit_code(tmp_path, capsys, monkeypatch, argv, target, replacement, message):
+    cfg = _write_config(tmp_path, FIG1)
+    monkeypatch.setattr(*target, replacement)
+    rc = cli.main([a.format(cfg=cfg) for a in argv])
+    assert rc == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err == message + "\n"
+    assert "Traceback" not in err
 
 
 # --------------------------------------------------------------------------

@@ -306,7 +306,7 @@ def test_modal_zero_branch_closed_form():
     # lam = 0: y = c1 + c2 t^{-2}; with y0 = 0, ydot0 = -2 at t0 = 1 the
     # coefficients are c1 = -1, c2 = 1.
     sol = special.make_modal_solution(0.0, 1.0, 0.0, -2.0)
-    assert sol.branch is special.ModalBranch.ZERO
+    assert sol.branch is spectral.EigenvalueClass.ZERO
     assert abs(sol.c1 - (-1.0)) <= 1e-15
     assert abs(sol.c2 - 1.0) <= 1e-15
     val = special.eval_modal(sol, 10.0)
@@ -323,12 +323,12 @@ def test_modal_zero_branch_limit():
 
 def test_modal_branch_selection():
     cases = [
-        (1.0, special.ModalBranch.POSITIVE_REAL),
-        (0.0, special.ModalBranch.ZERO),
-        (5e-13, special.ModalBranch.ZERO),  # below default tolerance
-        (-0.5, special.ModalBranch.NEGATIVE_REAL),
-        (6 + 1.5j, special.ModalBranch.COMPLEX),
-        (-1 + 2j, special.ModalBranch.COMPLEX),
+        (1.0, spectral.EigenvalueClass.POSITIVE_REAL),
+        (0.0, spectral.EigenvalueClass.ZERO),
+        (5e-13, spectral.EigenvalueClass.ZERO),  # below default tolerance
+        (-0.5, spectral.EigenvalueClass.NEGATIVE_REAL),
+        (6 + 1.5j, spectral.EigenvalueClass.STRICTLY_COMPLEX),
+        (-1 + 2j, spectral.EigenvalueClass.STRICTLY_COMPLEX),
     ]
     for lam, branch in cases:
         assert special.make_modal_solution(lam, 1.0, 1.0, 0.0).branch is branch

@@ -5,6 +5,7 @@ are checked against closed-form eigenvalues, and larger ones against the
 designed spectra of seeded P D P^-1 similarity transforms.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -293,8 +294,6 @@ def test_classify_eigenvalue(lam, tag, rate):
 def test_growth_rate_formula_against_direct_sqrt():
     # rate = |Im sqrt(lam)| on the principal branch; the implementation
     # uses the half-angle form, so cross-check against cmath.
-    import cmath
-
     for lam in (6 + 1.5j, -1 + 0.25j, 0.3 - 2j, -4 - 3j, 9 + 0.01j):
         direct = abs(cmath.sqrt(lam).imag)
         assert math.isclose(predicted_rate(lam), direct, rel_tol=1e-14)
@@ -307,6 +306,15 @@ def test_rate_continuity_near_positive_axis():
     assert classify_eigenvalue(complex(1.0, 1e-8)).tag is EigenvalueClass.STRICTLY_COMPLEX
 
 
+def _partition(a, b, tol=1e-12):
+    """The four regions, written out: snap to the real axis, then to zero."""
+    if abs(b) > tol:
+        return EigenvalueClass.STRICTLY_COMPLEX
+    if abs(a) <= tol:
+        return EigenvalueClass.ZERO
+    return EigenvalueClass.POSITIVE_REAL if a > 0 else EigenvalueClass.NEGATIVE_REAL
+
+
 @given(
     st.floats(min_value=-5.0, max_value=5.0),
     st.floats(min_value=-5.0, max_value=5.0),
@@ -314,22 +322,16 @@ def test_rate_continuity_near_positive_axis():
 @settings(max_examples=200, deadline=None)
 def test_classification_partitions_the_plane(a, b):
     cls = classify_eigenvalue(complex(a, b))
-    if abs(b) <= 1e-12:
-        if abs(a) <= 1e-12:
-            assert cls.tag is EigenvalueClass.ZERO
-        elif a > 0:
-            assert cls.tag is EigenvalueClass.POSITIVE_REAL
-        else:
-            assert cls.tag is EigenvalueClass.NEGATIVE_REAL
-            assert math.isclose(cls.rate, math.sqrt(-a), rel_tol=1e-12)
-    else:
-        assert cls.tag is EigenvalueClass.STRICTLY_COMPLEX
+    assert cls.tag is _partition(a, b)
+    if cls.tag is EigenvalueClass.NEGATIVE_REAL:
+        assert math.isclose(cls.rate, math.sqrt(-a), rel_tol=1e-12)
+    elif cls.tag is EigenvalueClass.STRICTLY_COMPLEX:
         assert cls.rate > 0.0
 
 
-def test_array_classification_equals_pointwise_bit_for_bit():
-    # tolerance edges on both axes, both half-planes, extreme magnitudes,
-    # and a seeded cloud where np.hypot and math.hypot disagree
+def test_array_classification_matches_the_partition_rule_and_cmath():
+    # tolerance edges on both axes, both half-planes, extreme magnitudes
+    # (where |lam| + |Re lam| overflows), and a seeded cloud
     edges = [0.0, -0.0, 1e-12, -1e-12, 1.0000000000000002e-12, -1.0000000000000002e-12, 5e-13, 1e-8]
     big = [1e300, -1e300, 1.7e308, -1.7e308, 3.0, -3.0]
     rng = np.random.default_rng(11)
@@ -338,8 +340,15 @@ def test_array_classification_equals_pointwise_bit_for_bit():
     tags, rates = spectral.classify_eigenvalues(re, im)
     assert tags.shape == rates.shape == re.shape
     for a, b, tag, rate in zip(re.tolist(), im.tolist(), tags.tolist(), rates.tolist()):
-        cls = classify_eigenvalue(complex(a, b))
-        assert (tag, rate) == (cls.tag.value, cls.rate), (a, b)
+        want = _partition(a, b)
+        assert tag == want.value, (a, b)
+        if want is EigenvalueClass.STRICTLY_COMPLEX:
+            beta = abs(cmath.sqrt(complex(a, b)).imag)
+            assert abs(rate - beta) <= 1e-15 * beta, (a, b)
+        elif want is EigenvalueClass.NEGATIVE_REAL:
+            assert rate == math.sqrt(-a), (a, b)
+        else:
+            assert rate == 0.0, (a, b)
     with pytest.raises(ValueError):
         spectral.classify_eigenvalues([1.0, math.nan], [0.0, 0.0])
 
