@@ -106,7 +106,7 @@ def parse_config(raw: dict, label: str = "experiment") -> ExperimentConfig:
     """Build an :class:`ExperimentConfig` from a JSON-shaped dictionary."""
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected an object")
-    unknown = set(raw) - {"label", "source", "initial", "integrator", "diagnostics", "output"}
+    unknown = set(raw) - {"label", "source", "initial", "integrator", "diagnostics"}
     if unknown:
         raise ConfigError(f"top level: unknown keys {sorted(unknown)}")
     label = str(raw.get("label", label))
@@ -168,7 +168,7 @@ def parse_config(raw: dict, label: str = "experiment") -> ExperimentConfig:
         if key_name in integ_raw:
             value = integ_raw[key_name]
             if key_name == "record_stride":
-                if not isinstance(value, int):
+                if not isinstance(value, int) or isinstance(value, bool):
                     raise ConfigError("integrator.record_stride: expected an integer")
                 kwargs[key_name] = value
             else:

@@ -14,20 +14,25 @@ lam = 0.
 
 Evaluation regimes
 ------------------
-Ascending series (DLMF 10.2.2, 10.8.1, 10.25.2, 10.31.1) are used for
-|z| <= 20 and Hankel-type asymptotic expansions (DLMF 10.17.3, 10.40.1,
-10.40.2) beyond; J/Y with Re z < 0 come from -z by the reflection
-formulas DLMF 10.11.1-2.  The modified K additionally uses the integral
-representation K_nu(x) = int_0^inf exp(-x cosh u) cosh(nu u) du on
-2 < x <= 20, where neither the logarithmic series nor the asymptotic
-expansion reaches full precision; the even, super-exponentially decaying
-integrand makes the trapezoid rule spectrally accurate there.
+J/Y for |z| <= 20 come from one backward sweep of Miller's recurrence
+f_{n-1} = (2n/z) f_n - f_{n+1} from the fixed order N = 100 (Gautschi,
+SIAM Review 9 (1967); Gil, Segura & Temme 2007, section 4.6).  The f_n are
+proportional to J_n(z) and are normalised by 1 = J0 + 2 sum J_2k on the
+real axis and by e^{sz} = J0 + 2 sum s^n J_n, |e^{sz}| = e^{|Im z|},
+elsewhere, so neither sum cancels; Y0 and Y1 come from the same sweep by
+Neumann's series (A&S 9.1.88) and its derivative.  Below |z| = 1e-6 two
+terms of the ascending series (DLMF 10.2.2, 10.8.1) are exact to rounding,
+and the sweep, whose 2n/z overflows as z -> 0, is not run.  Beyond
+|z| = 20 the Hankel-type asymptotic expansion (DLMF 10.17.3) is used; J/Y
+with Re z < 0 there come from -z by the reflection formulas DLMF 10.11.1-2.
 
-The alternating ascending series lose up to nine digits to cancellation
-near the regime boundary, so their terms and partial sums are carried in
-double-double (compensated) arithmetic built from the Dekker/Knuth
-error-free transforms.  Those transforms require strict IEEE-754 double
-evaluation, which CPython floats and numpy float64 both provide.
+I and K use ascending series (DLMF 10.25.2, 10.31.1) for x <= 20, where
+their terms do not cancel, and the asymptotic expansions (DLMF 10.40.1,
+10.40.2) beyond.  K additionally uses the integral representation
+K_nu(x) = int_0^inf exp(-x cosh u) cosh(nu u) du on 2 < x <= 20, where
+neither the logarithmic series nor the asymptotic expansion reaches full
+precision; the even, super-exponentially decaying integrand makes the
+trapezoid rule spectrally accurate there.
 
 One private dispatcher picks the regime for J/Y, I and K alike, so
 scalars and arrays take the same path: an array is split by regime mask,
@@ -65,153 +70,109 @@ __all__ = [
     "eval_modal_series",
 ]
 
-#: Handover radius between ascending series and asymptotic expansions.
+#: Handover radius to the asymptotic expansions.
 SERIES_RADIUS = 20.0
 
 #: Cap, in natural-log units, on any exponentially growing factor.
 EXPONENT_CAP = 700.0
 
-_SPLITTER = 134217729.0  # 2**27 + 1
-_GAMMA_HI = 0.5772156649015329  # Euler-Mascheroni, leading double
-_GAMMA_LO = -4.942915152430645e-18  # and its double-double correction
+_GAMMA = 0.5772156649015329  # Euler-Mascheroni
 _SERIES_MAX_TERMS = 220
 _ASYM_TERMS = 26
 _K_QUAD_STEP = 0.15
 
-
-# --------------------------------------------------------------------------
-# double-double arithmetic (elementwise over floats or numpy arrays)
-
-
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _fast_two_sum(a, b):
-    # requires |a| >= |b|, which holds for (hi, lo) renormalization
-    s = a + b
-    return s, b - (s - a)
-
-
-def _two_prod(a, b):
-    p = a * b
-    ta = _SPLITTER * a
-    ah = ta - (ta - a)
-    al = a - ah
-    tb = _SPLITTER * b
-    bh = tb - (tb - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _dd_add(x, y):
-    s, e = _two_sum(x[0], y[0])
-    return _fast_two_sum(s, e + (x[1] + y[1]))
-
-
-def _dd_sub(x, y):
-    return _dd_add(x, (-y[0], -y[1]))
-
-
-def _dd_mul(x, y):
-    p, e = _two_prod(x[0], y[0])
-    return _fast_two_sum(p, e + (x[0] * y[1] + x[1] * y[0]))
-
-
-def _dd_div_real(x, d):
-    q1 = x[0] / d
-    p, e = _two_prod(q1, d)
-    return _fast_two_sum(q1, (((x[0] - p) - e) + x[1]) / d)
-
-
-def _dd_recip(n: float):
-    q = 1.0 / n
-    p, e = _two_prod(q, n)
-    return _fast_two_sum(q, ((1.0 - p) - e) / n)
-
-
-# complex double-double: pair (re_dd, im_dd)
-
-
-def _cdd_add(x, y):
-    return (_dd_add(x[0], y[0]), _dd_add(x[1], y[1]))
-
-
-def _cdd_mul(x, y):
-    re = _dd_sub(_dd_mul(x[0], y[0]), _dd_mul(x[1], y[1]))
-    im = _dd_add(_dd_mul(x[0], y[1]), _dd_mul(x[1], y[0]))
-    return (re, im)
-
-
-def _cdd_mul_dd(x, d):
-    return (_dd_mul(x[0], d), _dd_mul(x[1], d))
-
-
-def _cdd_div_real(x, d):
-    return (_dd_div_real(x[0], d), _dd_div_real(x[1], d))
-
-
-def _cdd_value(x):
-    return (x[0][0] + x[0][1]) + 1j * (x[1][0] + x[1][1])
+#: J/Y below this |z| come from the leading terms of the ascending series.
+_JY_TINY_RADIUS = 1e-6
+#: Start order of Miller's recurrence, fixed so every |z| <= 20 sweeps alike.
+_MILLER_START = 100
+#: The sweep rescales once |f_n| exceeds _MILLER_RESCALE_AT, by an exact
+#: power of two; 2n/|z| < 2e8 above the tiny band, so nothing overflows.
+_MILLER_RESCALE_AT = 1e250
+_MILLER_RESCALE_BY = 2.0**-830
 
 
 # --------------------------------------------------------------------------
 # J/Y on the cut plane
 
 
-def _jy01_series(z: np.ndarray):
-    """J0, J1, Y0, Y1 by ascending series with double-double accumulation."""
-    x, y = z.real.astype(float), z.imag.astype(float)
-    # w = z^2/4 exactly: z^2 = (x^2 - y^2) + 2xy i via error-free products,
-    # then an exact scaling by powers of two.
-    wre = _dd_sub(_two_prod(x, x), _two_prod(y, y))
-    wre = (0.25 * wre[0], 0.25 * wre[1])
-    pxy = _two_prod(x, y)
-    wim = (0.5 * pxy[0], 0.5 * pxy[1])
-    mw = ((-wre[0], -wre[1]), (-wim[0], -wim[1]))
+def _jy01_tiny(z):
+    """J0, J1, Y0, Y1 for |z| <= _JY_TINY_RADIUS: two terms of the ascending
+    series (DLMF 10.2.2, 10.8.1).  With w = z^2/4 <= 2.5e-13 the next terms
+    are below rounding, and the log and 1/z terms dominate, so nothing cancels."""
+    w = 0.25 * z * z
+    log_term = np.log(0.5 * z) + _GAMMA
+    j0 = 1.0 - w
+    j1 = 0.5 * z * (1.0 - 0.5 * w)
+    y0_ = (2.0 / math.pi) * (log_term * j0 + w)
+    y1_ = (2.0 / math.pi) * (log_term * j1 - 1.0 / z) - (z / (2.0 * math.pi)) * (1.0 - 1.25 * w)
+    return j0, j1, y0_, y1_
 
-    one = np.ones_like(x)
-    zero = np.zeros_like(x)
 
-    def cdd_const(c):
-        return ((c * one, zero.copy()), (zero.copy(), zero.copy()))
+def _miller_weights(start: int) -> list:
+    """(n, a, b) for the step of Miller's sweep that makes f_m, m = n - 1.
 
-    t0 = cdd_const(1.0)  # (-w)^k / (k!)^2
-    t1 = cdd_const(1.0)  # (-w)^k / (k! (k+1)!)
-    s_j0 = cdd_const(1.0)
-    s_j1 = cdd_const(1.0)
-    s_y0 = cdd_const(0.0)  # sum_{k>=1} H_k (-w)^k / (k!)^2
-    minus_2g = (-2.0 * _GAMMA_HI, -2.0 * _GAMMA_LO)
-    c0 = _dd_add((1.0, 0.0), minus_2g)  # H_0 + H_1 - 2 gamma
-    s_y1 = ((c0[0] * one, c0[1] * one), (zero.copy(), zero.copy()))
+    Even m = 2k >= 2: a = (-1)^k and b = (-1)^k / k, the weights of J_2k in
+    the normalisation and Y0 sums.  Odd m = 2j + 1: a = (-1)^j and b, the
+    weight of J_2j+1 in the Y1 sum, (-1)^(j+1) / (j+1) - (-1)^j / j with the
+    second term only for j >= 1.  f_0 enters no sum.
+    """
+    rows = []
+    for n in range(start, 0, -1):
+        m = n - 1
+        if m % 2:
+            j = m // 2
+            rows.append((n, float((-1) ** j), (-1) ** (j + 1) / (j + 1) - ((-1) ** j / j if j else 0.0)))
+        else:
+            k = m // 2
+            rows.append((n, float((-1) ** k), (-1) ** k / k if k else 0.0))
+    return rows
 
-    h_next = (1.0, 0.0)  # H_1
-    for k in range(1, _SERIES_MAX_TERMS + 1):
-        t0 = _cdd_div_real(_cdd_mul(t0, mw), float(k) * float(k))
-        t1 = _cdd_div_real(_cdd_mul(t1, mw), float(k) * float(k + 1))
-        h_k = h_next
-        h_next = _dd_add(h_k, _dd_recip(float(k + 1)))
-        s_j0 = _cdd_add(s_j0, t0)
-        s_j1 = _cdd_add(s_j1, t1)
-        s_y0 = _cdd_add(s_y0, _cdd_mul_dd(t0, h_k))
-        coeff = _dd_add(_dd_add(h_k, h_next), minus_2g)
-        s_y1 = _cdd_add(s_y1, _cdd_mul_dd(t1, coeff))
-        if k % 4 == 0:
-            tmag = np.hypot(t0[0][0], t0[1][0]) + np.hypot(t1[0][0], t1[1][0])
-            smag = np.hypot(s_j0[0][0], s_j0[1][0]) + 1e-300
-            if np.all(tmag <= 1e-33 * smag):
-                break
 
-    j0 = _cdd_value(s_j0)
-    j1 = 0.5 * z * _cdd_value(s_j1)
-    # The cancellation-prone sums are already compensated; the remaining
-    # combinations are benign and run in plain doubles.
-    log_half_z = np.log(0.5 * z)
-    two_over_pi = 2.0 / math.pi
-    y0_ = two_over_pi * ((log_half_z + _GAMMA_HI) * j0 - _cdd_value(s_y0))
-    y1_ = two_over_pi * (log_half_z * j1) - two_over_pi / z - (z / (2.0 * math.pi)) * _cdd_value(s_y1)
+_MILLER_WEIGHTS = _miller_weights(_MILLER_START)
+
+
+def _jy01_series(z):
+    """J0, J1, Y0, Y1 for _JY_TINY_RADIUS < |z| <= SERIES_RADIUS by Miller's
+    backward recurrence (Gil, Segura & Temme 2007, section 4.6).
+
+    f_{n-1} = (2n/z) f_n - f_{n+1} runs down from f_N = 1, f_{N+1} = 0 with
+    the same N for every z, so a scalar and an array take the same steps.
+    The f_n are proportional to J_n(z); the same sweep accumulates
+
+    * the normalisation: 1 = J0 + 2 sum J_2k on the real axis, which keeps
+      Im J = Im Y = 0 there, and e^{sz} = J0 + 2 sum s^n J_n elsewhere, with
+      s = -i sign(Im z) so that |e^{sz}| = e^{|Im z|} and the sum does not
+      cancel;
+    * Neumann's series (A&S 9.1.88)
+      Y0 = (2/pi)(ln(z/2) + gamma) J0 - (4/pi) sum (-1)^k J_2k / k
+      and its derivative, Y1 = -Y0' =
+      -(2/(pi z)) J0 + (2/pi)(ln(z/2) + gamma) J1 + (2/pi) sum (-1)^k (J_2k-1 - J_2k+1) / k,
+      which, unlike the Wronskian, keep full accuracy near the zeros of J0.
+    """
+    two_over_z = 2.0 / z
+    f_above, f = 0.0, 1.0
+    even = alt_even = alt_odd = y0_sum = y1_sum = 0.0
+    for n, a, b in _MILLER_WEIGHTS:
+        f_above, f = f, (n * two_over_z) * f - f_above  # f is now f_{n-1}
+        if n % 2 == 0:
+            alt_odd = alt_odd + a * f
+            y1_sum = y1_sum + b * f
+        elif n > 1:
+            even = even + f
+            alt_even = alt_even + a * f
+            y0_sum = y0_sum + b * f
+        big = abs(f) > _MILLER_RESCALE_AT
+        if big.any():
+            scale = np.where(big, _MILLER_RESCALE_BY, 1.0)
+            f, f_above, even, alt_even, alt_odd, y0_sum, y1_sum = (
+                v * scale for v in (f, f_above, even, alt_even, alt_odd, y0_sum, y1_sum)
+            )
+    s = np.where(z.imag > 0.0, -1j, 1j)
+    norm = np.where(z.imag == 0.0, f + 2.0 * even, (f + 2.0 * (alt_even + s * alt_odd)) * np.exp(-s * z))
+    j0, j1 = f / norm, f_above / norm
+    log_term = np.log(0.5 * z) + _GAMMA
+    y0_ = (2.0 / math.pi) * (log_term * j0 - 2.0 * y0_sum / norm)
+    y1_ = (2.0 / math.pi) * (log_term * j1 + y1_sum / norm - j0 / z)
     return j0, j1, y0_, y1_
 
 
@@ -291,8 +252,14 @@ def _jy01_asymptotic(z: np.ndarray):
 
 
 def _jy01(z):
-    """All four J/Y values, by series for |z| <= SERIES_RADIUS and Hankel beyond."""
-    return _by_regime(np.asarray(z, dtype=complex), (SERIES_RADIUS,), (_jy01_series, _jy01_asymptotic), 4)
+    """All four J/Y values: tiny-argument series, Miller's recurrence up to
+    |z| = SERIES_RADIUS and the Hankel expansion beyond."""
+    return _by_regime(
+        np.asarray(z, dtype=complex),
+        (_JY_TINY_RADIUS, SERIES_RADIUS),
+        (_jy01_tiny, _jy01_series, _jy01_asymptotic),
+        4,
+    )
 
 
 def _check_cut(z, allow_zero: bool) -> complex:
@@ -368,7 +335,7 @@ def _k01_series(x: np.ndarray):
     t0 = np.ones_like(x)
     t1 = np.ones_like(x)
     s0 = np.zeros_like(x)  # sum_{k>=1} H_k w^k / (k!)^2
-    s1 = np.full_like(x, 1.0 - 2.0 * _GAMMA_HI)  # sum (H_k + H_{k+1} - 2g) w^k/(k!(k+1)!)
+    s1 = np.full_like(x, 1.0 - 2.0 * _GAMMA)  # sum (H_k + H_{k+1} - 2g) w^k/(k!(k+1)!)
     h_k = 0.0
     h_next = 1.0
     for k in range(1, _SERIES_MAX_TERMS + 1):
@@ -377,10 +344,10 @@ def _k01_series(x: np.ndarray):
         h_k = h_next
         h_next = h_k + 1.0 / (k + 1)
         s0 = s0 + h_k * t0
-        s1 = s1 + (h_k + h_next - 2.0 * _GAMMA_HI) * t1
+        s1 = s1 + (h_k + h_next - 2.0 * _GAMMA) * t1
         if np.all(t0 + t1 <= 1e-18 * (np.abs(s0) + 1.0)):
             break
-    k0 = -(lg + _GAMMA_HI) * i0 + s0
+    k0 = -(lg + _GAMMA) * i0 + s0
     k1 = 1.0 / x + lg * i1 - 0.25 * x * s1
     return k0, k1
 

@@ -77,6 +77,25 @@ def test_config_errors_name_the_key(tmp_path, capsys, mutate, key):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda p: p.update(output={"dir": "results"}), "top level: unknown keys ['output']"),
+        (lambda p: p["integrator"].update(record_stride=True), "integrator.record_stride: expected an integer"),
+    ],
+    ids=["output", "boolean_stride"],
+)
+def test_config_refuses_ignored_output_and_boolean_stride(tmp_path, capsys, mutate, message):
+    payload = json.loads(json.dumps(FIG1))
+    mutate(payload)
+    rc = cli.main(["simulate", "--config", _write_config(tmp_path, payload), "--out", str(tmp_path)])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_config_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -229,6 +229,54 @@ def test_scalar_matches_array_evaluator_at_regime_edges(fn, evaluator, index, po
         assert abs(got - value) <= 1e-15 * abs(value), f"{fn.__name__}({point!r})"
 
 
+def _mp_jy01(z: complex) -> list[complex]:
+    import mpmath
+
+    with mpmath.workdps(30):
+        m = mpmath.mpc(z.real, z.imag)
+        return [complex(f(order, m)) for f in (mpmath.besselj, mpmath.bessely) for order in (0, 1)]
+
+
+def test_miller_recurrence_matches_mpmath_at_every_argument():
+    # seeded points with |z| log-uniform in [1e-3, 20] and arg z uniform in
+    # (-pi, pi): the recurrence, both normalisations and both Neumann sums
+    rng = np.random.default_rng(20261018)
+    r = 10.0 ** rng.uniform(-3.0, math.log10(20.0), 300)
+    z = r * np.exp(1j * rng.uniform(-math.pi, math.pi, 300))
+    values = special._jy01(z)
+    for i, point in enumerate(z):
+        for name, got, want in zip(("J0", "J1", "Y0", "Y1"), (v[i] for v in values), _mp_jy01(point)):
+            assert abs(got - want) <= 1e-13 * abs(want), f"{name}({point})"
+
+
+def test_jy_imaginary_part_is_exactly_zero_on_the_real_axis():
+    x = np.linspace(0.0, 20.0, 801)[1:]
+    for index, values in enumerate(special._jy01(x)):
+        assert np.all(values.imag == 0.0), f"output {index}"
+    for fn in (special.bessel_j0, special.bessel_j1, special.bessel_y0, special.bessel_y1):
+        assert all(fn(float(v)).imag == 0.0 for v in x[::40]), fn.__name__
+
+
+# z = 1e-300 is where 2n/z overflows any recurrence; the band edge is
+# bracketed on the real axis and on a complex ray.
+TINY_POINTS = [1e-300, 1e-20, 1e-7, 1e-7 * complex(math.cos(2.5), math.sin(2.5))] + [
+    scale * edge
+    for edge in _either_side(special._JY_TINY_RADIUS) + [0.5e-6, 2e-6]
+    for scale in (1.0, complex(math.cos(-1.0), math.sin(-1.0)))
+]
+
+
+def test_tiny_arguments_are_finite_accurate_and_scalar_matches_array():
+    values = special._jy01(np.array(TINY_POINTS, dtype=complex))
+    scalar_fns = (special.bessel_j0, special.bessel_j1, special.bessel_y0, special.bessel_y1)
+    for i, point in enumerate(TINY_POINTS):
+        for fn, got, want in zip(scalar_fns, (v[i] for v in values), _mp_jy01(complex(point))):
+            assert math.isfinite(got.real) and math.isfinite(got.imag), f"{fn.__name__}({point})"
+            assert abs(got - want) <= 1e-14 * abs(want), f"{fn.__name__}({point})"
+            # numpy rounds a complex product of arrays and of scalars differently
+            assert abs(fn(point) - got) <= 1e-15 * abs(got), f"{fn.__name__}({point})"
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         special.bessel_y0(0.0)
