@@ -17,16 +17,21 @@ of x'' + (r/t) x' + G x = 0.  The four ``advance`` functions are:
 
 - ``simulate_nagd``: the step maps applied to the state [x; 1], [x'; 0],
   whose augmented matrix [[G, b], [0, 0]] makes the offset b exact, at
-  three small matrix products per step;
+  three small BLAS products (``np.dot``) per step;
 - ``simulate_first_order``: the time-invariant map
   R(-dt G~) = sum_{k<=4} (-dt G~)^k / k!, built once per run and applied
-  as R - I;
+  as R - I, at one BLAS product and one add per step;
 - ``_modal_rk4``: the maps evaluated at z = dt^2 lam, one 2x2 map per
-  eigenvalue, so a whole batch of eigenvalues runs as lanes of one run;
+  eigenvalue, so a whole batch of eigenvalues runs as lanes of one run,
+  at one multiply and one add over the batch per step;
 - ``simulate_smooth_nagd``: the stage form, the only one that calls a
-  user field.  It runs in chunks of one step, so the guard is checked
-  before the field sees the next state, and a trajectory that saturates
-  is reported as saturated, not as a field that overflowed past it.
+  user field.  It runs in chunks like the linear flows but checks the
+  guard inside its step, before the field sees the next state, so a
+  trajectory that saturates is reported as saturated, not as a field
+  that overflowed past it.
+
+The three linear loop bodies call numpy with preallocated ``out=`` buffers,
+so a step costs little more than its array calls.
 """
 
 from __future__ import annotations
@@ -78,7 +83,9 @@ class IntegratorConfig:
             raise ValueError("t_end must exceed t0")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError("dt must be positive")
-        if not (isinstance(self.record_stride, int) and self.record_stride >= 1):
+        # bool is an int subclass, and True would silently mean stride 1
+        stride = self.record_stride
+        if not (isinstance(stride, int) and not isinstance(stride, bool) and stride >= 1):
             raise ValueError("record_stride must be a positive integer")
         if self.n_steps < 1:
             raise ValueError("the grid contains no steps; shrink dt or extend t_end")
@@ -130,10 +137,10 @@ def _check_system(matrix, offset, q0, v0):
     return g, b, q, v
 
 
-#: Steps per chunk of :func:`simulate_nagd` and :func:`simulate_first_order`,
-#: which keeps the chunk's coefficients and state history at tens of KiB.
-#: On a 2-vCPU VM, 4096-step chunks raised the simulate benchmark's peak
-#: RSS by about 0.45 MiB and ran no faster.
+#: Steps per chunk of :func:`simulate_nagd`, :func:`simulate_first_order`
+#: and :func:`simulate_smooth_nagd`, which keeps the chunk's coefficients and
+#: state history at tens of KiB.  On a 2-vCPU VM, 4096-step chunks raised the
+#: simulate benchmark's peak RSS by about 0.45 MiB and ran no faster.
 _LINEAR_STEP_CHUNK = 256
 
 
@@ -197,7 +204,9 @@ def _drive(advance: Callable, s0: np.ndarray, config: IntegratorConfig, chunk: i
     The guard |x| <= 1e150 holds after every step: it is checked per
     chunk, after the fact, and a lane that fails it is flagged saturated
     and keeps only the rows recorded before the failing step.  The run
-    stops after the chunk in which its last live lane fails.
+    stops after the chunk in which its last live lane fails.  An
+    ``advance`` may stop a chunk early by filling its remaining rows with
+    NaN, which the guard reads as a failure.
 
     Returns ``(times, record, rows, saturated)``: lane p's record is
     ``record[:rows[p]]``, and its entries past ``rows[p]`` are undefined.
@@ -258,9 +267,9 @@ def simulate_nagd(matrix, offset, q0, v0=None, config: IntegratorConfig = Integr
         coef = coef.transpose(0, 2, 1, 3).reshape(-1, 2, 6)
         s_now[...] = s
         for ck, o in zip(coef, out):
-            np.matmul(s_now, gt_t, out=s_g)
-            np.matmul(s_g, gt_t, out=s_gg)
-            np.matmul(ck, w6, out=o)
+            np.dot(s_now, gt_t, out=s_g)
+            np.dot(s_g, gt_t, out=s_gg)
+            np.dot(ck, w6, out=o)
             s_now[...] = o
 
     s0 = np.zeros((2, n + 1))
@@ -293,7 +302,7 @@ def simulate_first_order(matrix, offset, x0, config: IntegratorConfig = Integrat
 
     def advance(t, s, out):
         for o in out:
-            np.matmul(s, et, out=o)
+            np.dot(s, et, out=o)
             s = np.add(o, s, out=o)
 
     s0 = np.append(x, 1.0)[None, :]
@@ -310,8 +319,12 @@ def simulate_first_order(matrix, offset, x0, config: IntegratorConfig = Integrat
 
 #: Steps x points per chunk of step maps in :func:`_modal_rk4`.  The maps,
 #: the state history and their temporaries are about a dozen complex
-#: arrays of this size, so the working set stays near 12 MiB.
-_MODAL_CHUNK_CELLS = 2**16
+#: arrays of this size, so the working set stays near 0.75 MiB.  At 2**16
+#: (12 MiB) the step maps of the six-lane batch in ``run_invariant_checks``
+#: took its traced allocation peak from 1.7 to 3.6 MiB; 2**12 holds it at
+#: 1.9 MiB, lowers a 9-point measured sweep's from 7.8 to 2.5 MiB, and runs
+#: no slower.
+_MODAL_CHUNK_CELLS = 2**12
 #: Most steps per chunk, reached for batches of 16 points or fewer.
 _MODAL_STEP_CHUNK = 4096
 
@@ -342,11 +355,13 @@ def _modal_rk4(lams, y0, ydot0, config: IntegratorConfig):
     """
     lam = np.asarray(lams, dtype=complex).ravel()
     h, r = config.dt, config.damping_exponent
+    prod = np.empty((2, 2, lam.shape[0]), dtype=complex)  # [j, i, p]: M[i, j] s[j] of lane p
 
     def advance(t, s, out):
         m = _modal_step_maps(lam, t, h, r)
-        for col0, col1, o in zip(m[:, 0], m[:, 1], out):
-            np.add(col0 * s[0], col1 * s[1], out=o)
+        for m_k, o in zip(m, out):
+            np.multiply(m_k, s[:, None], out=prod)
+            np.add(prod[0], prod[1], out=o)
             s = o
 
     s0 = np.empty((2, lam.shape[0]), dtype=complex)
@@ -388,6 +403,7 @@ def simulate_smooth_nagd(field: Callable, x0, v0=None, config: IntegratorConfig 
         raise ValueError("field(x0) must return a vector matching x0")
     h, r = config.dt, config.damping_exponent
     half, sixth = 0.5 * h, h / 6.0
+    guard = OVERFLOW_NORM * OVERFLOW_NORM
 
     def f(t, s):
         fx = np.asarray(field(s[0]), dtype=float)
@@ -399,16 +415,20 @@ def simulate_smooth_nagd(field: Callable, x0, v0=None, config: IntegratorConfig 
         return out
 
     def advance(t, s, out):
-        for tk, o in zip(t.tolist(), out):
+        for k, tk in enumerate(t.tolist()):
             k1 = f(tk, s)
             k2 = f(tk + half, s + half * k1)
             k3 = f(tk + half, s + half * k2)
             k4 = f(tk + h, s + h * k3)
-            o[...] = s + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-            s = o
+            out[k] = s + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+            # the guard runs here, before the field sees the new state; _drive
+            # flags this same row, and the NaN rows after it cannot read as live
+            if not _position_sq(out[k : k + 1])[0, 0] <= guard:  # False for NaN as well
+                out[k + 1 :] = np.nan
+                return
+            s = out[k]
 
-    # one step per chunk: the guard runs before the field sees the next state
-    times, states, _, saturated = _drive(advance, np.stack([x, v]), config, 1, _position_sq)
+    times, states, _, saturated = _drive(advance, np.stack([x, v]), config, _LINEAR_STEP_CHUNK, _position_sq)
     return TrajectoryRecord(
         times=times,
         q=states[:, 0],

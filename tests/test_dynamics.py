@@ -441,3 +441,63 @@ def test_smooth_flow_saturates_like_stage_form(matrix, stride):
     assert np.array_equal(rec.times, ref_t)
     assert _sup_rel(rec.q, ref_q) <= 1e-12
     assert _sup_rel(rec.v, ref_v) <= 1e-12
+
+
+# --------------------------------------------------------------------------
+# bit-identity of lanes and the guard inside the smooth step
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("cells", [2**12, 2**16])
+@pytest.mark.parametrize("dt", [0.01, 0.5])
+def test_modal_lanes_equal_single_runs_bit_for_bit(monkeypatch, cells, dt):
+    # the check modes, a saturating lane and the zero mode; a batch and a
+    # single lane cut the grid into different chunks
+    monkeypatch.setattr(dynamics, "_MODAL_CHUNK_CELLS", cells)
+    lams = [0.317, 0.883, 1.0, -0.5, 6 + 1.5j, 1j, -1e4, 0.0]
+    cfg = IntegratorConfig(t0=1.0, t_end=30.0, dt=dt)
+    times, q, v, rows, saturated = dynamics._modal_rk4(lams, 1.0, 0.0, cfg)
+    assert saturated.tolist() == [False] * 6 + [True, False]
+    for p, lam in enumerate(lams):
+        rec = simulate_modal(lam, 1.0, 0.0, cfg)
+        n = rows[p]
+        assert rec.n_samples == n and rec.saturated == bool(saturated[p])
+        assert _same_bits(rec.times, times[:n])
+        assert _same_bits(rec.q, q[:n, p])
+        assert _same_bits(rec.v, v[:n, p])
+
+
+def test_integrator_config_refuses_boolean_stride():
+    with pytest.raises(ValueError, match="record_stride"):
+        IntegratorConfig(record_stride=True)
+    with pytest.raises(ValueError, match="record_stride"):
+        IntegratorConfig(record_stride=False)
+
+
+@pytest.mark.parametrize("chunk", [10, 256])
+def test_smooth_flow_field_sees_only_guarded_states(monkeypatch, chunk):
+    # passes 1e150 near t = 3.2: about 220 steps, so 10-step chunks put the
+    # failing step inside a later chunk and 256-step chunks inside the first
+    monkeypatch.setattr(dynamics, "_LINEAR_STEP_CHUNK", chunk)
+    g = np.diag([1.0, -25600.0])
+    seen = []
+
+    def field(x):
+        seen.append(x.copy())
+        return g @ x
+
+    cfg = IntegratorConfig(t0=1.0, t_end=3.93, dt=0.01)
+    rec = simulate_smooth_nagd(field, np.array([1.0, 1.0]), np.zeros(2), cfg)
+    assert rec.saturated and 1 < rec.n_samples < cfg.n_steps + 1
+    # one probe, then four stages for every step taken: the n_samples - 1
+    # recorded steps and the step that failed the guard
+    assert len(seen) == 1 + 4 * rec.n_samples
+    assert np.all(np.isfinite(seen))
+    # each step's first stage is the state it starts from, all recorded
+    starts = np.array(seen[1::4])
+    assert _same_bits(starts, rec.q)
+    assert np.all(np.linalg.norm(starts, axis=1) <= dynamics.OVERFLOW_NORM)
