@@ -1,0 +1,218 @@
+"""CSV rows of float columns, each cell exactly ``"%.17g" % x``, formatted with array operations.
+
+Python's ``%.17g`` runs David Gay's bignum ``dtoa`` once per value.  For 17
+significant digits the exact significand can instead be found with
+fixed-width arithmetic plus a certified error bound (Gay, AT&T NAM 90-10,
+1990; Adams, "Ryu revisited: printf floating point conversion", OOPSLA
+2019), so whole columns are converted at once:
+
+* For finite x with 1e-11 <= |x| < 1e16, take e = floor(log10|x|) and
+  y = |x| * 10**(16 - e) in ``np.longdouble``.  |x| and 10**k (k <= 27)
+  are exact there, so y carries one rounding of at most ``_DELTA``.  When
+  y lies in [1e16, 1e17) and its fraction is more than ``_DELTA`` from
+  one half, the nearest integer n to y is the correctly rounded 17-digit
+  significand, and e is the decimal exponent ``%g`` prints.
+* Every other value is formatted by ``b"%.17g" % v`` itself: values
+  outside that range, within ``_DELTA`` of a rounding tie, whose rounding
+  carries into the next decade, or whose log10 picked the wrong decade.
+  Where long double is no wider than double, ``_DELTA`` exceeds one half
+  and every value takes this path: the output is the same, only slower.
+* NaN (of either sign), +-inf and +-0 are constants.
+
+The digits of n are packed four at a time from a ``%04d`` table into
+little-endian 64-bit words, and each cell is laid out as ``%g`` does
+(``ddd.ddd``, ``0.000ddd`` or ``d.ddde-XX``, trailing zeros and a bare
+point dropped) by masking and shifting those words with a per-layout
+record.  A row is a run of 25-byte slots, one cell and its separator
+each, padded with NUL; dropping the NUL bytes leaves the CSV text.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+from typing import Sequence
+
+import numpy as np
+
+_XMIN, _XMAX = -11, 15  # decimal exponents of the fast path
+_NX = _XMAX - _XMIN + 1
+_NFAST = 2 * _NX * 17  # layouts: sign x exponent x significant digits kept
+_CELL = 24  # bytes of text in a slot: the longest "%.17g" output
+_SLOT = _CELL + 1  # and its separator
+
+_POW10 = np.array([10**k for k in range(28)], dtype=np.longdouble)
+# Half an ulp of y < 1e17 < 2**57; it exceeds 1/2 unless long double holds
+# 10**27 exactly, and then nothing takes the fast path.
+_DELTA = float(np.finfo(np.longdouble).eps) * 2.0**55 if np.finfo(np.longdouble).nmant >= 63 else 1.0
+
+
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """``"%04d" % k`` as a little-endian word, and its number of trailing zeros, for k < 10**4."""
+    k = np.arange(10_000, dtype=np.uint16)
+    chars = np.empty((k.size, 4), np.uint8)
+    for p, scale in enumerate((1000, 100, 10, 1)):
+        chars[:, p] = k // scale % 10 + ord("0")
+    zeros = (k % 10 == 0).astype(np.int8) + (k % 100 == 0) + (k % 1000 == 0) + (k == 0)
+    return chars.view("<u4").ravel().astype(np.uint64), zeros
+
+
+def _layouts() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per layout: head mask, tail mask and constant text (3 words each, by row), and a shift.
+
+    The digit string D0..D16 splits into a head D0..D(h-1) and a tail
+    Dh..D(k-1), k the digits ``%g`` keeps.  The head moves right by the
+    prefix length (the shift), the tail by one byte more to make room for
+    the point, and the constant text holds the prefix, the point and the
+    exponent.  The last five layouts are the constants nan, inf, -inf, 0
+    and -0.
+    """
+    heads, tails, shifts, texts = [], [], [], []
+    for neg, x in itertools.product((0, 1), range(_XMIN, _XMAX + 1)):
+        sign = b"-" * neg
+        if x >= 0:  # ddd.ddd: integer digits stay even when zero
+            prefix, head, suffix = sign, x + 1, b""
+        elif x >= -4:  # 0.000ddd
+            prefix, head, suffix = sign + b"0." + b"0" * (-x - 1), 17, b""
+        else:  # d.ddde-XX
+            prefix, head, suffix = sign, 1, b"e-%02d" % -x
+        for kept in range(1, 18):
+            length = max(kept, head) if x >= 0 else kept
+            tail = max(length - head, 0)
+            heads.append(length - tail)
+            tails.append(tail)
+            shifts.append(8 * len(prefix))
+            texts.append(prefix + bytes(length - tail) + (b"." + bytes(tail) if tail else b"") + suffix)
+    texts += [b"nan", b"inf", b"-inf", b"0", b"-0"]
+    head = np.array(heads + [0] * 5)[:, None]
+    tail = np.array(tails + [0] * 5)[:, None]
+    p = np.arange(_CELL)
+
+    def rows_of_words(b: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(b.astype(np.uint8).view("<u8").T)
+
+    return (
+        rows_of_words((p < head) * 0xFF),
+        rows_of_words(((p >= head) & (p < head + tail)) * 0xFF),
+        rows_of_words(np.array(texts, dtype=f"S{_CELL}").view(np.uint8).reshape(-1, _CELL)),
+        np.array(shifts + [0] * 5, np.uint64),
+    )
+
+
+@functools.cache
+def _tables() -> tuple[np.ndarray, ...]:
+    """The read-only digit and layout tables, built once, on first use.
+
+    Built at import instead, they would cost every import, and raise the
+    peak memory of a process that writes its CSV after its largest arrays
+    are freed (a classify-only sweep), by their construction.
+    """
+    tables = (*_digit_tables(), *_layouts())
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+_U1, _U8, _U32, _U56, _U63 = (np.uint64(b) for b in (1, 8, 32, 56, 63))
+
+
+def _cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of the values ``v`` as three rows of words, and the indices left for ``%.17g``.
+
+    Only the fast-path and constant cells are filled in.
+    """
+    digits4, zeros4, head_mask, tail_mask, layout_text, layout_shift = _tables()
+    a = np.abs(v)
+    fast = (a >= 1e-11) & (a < 1e16)  # False for NaN
+    a = np.where(fast, a, 1.0)  # NaN must not reach the long-double product
+    e = np.floor(np.log10(a)).astype(np.int64)
+    np.maximum(e, _XMIN, out=e)  # so that 10**(16 - e) stays exact
+    np.minimum(e, _XMAX, out=e)
+    y = a.astype(np.longdouble)
+    y *= _POW10[16 - e]
+    n = y.astype(np.int64)
+    f = (y - n).astype(float)  # a multiple of ulp(y) >= 2**-10 below 1: exact
+    # The rounding is decided, and y >= 1e16 is certain: the integer part
+    # exceeds 1e16, or y exceeds it by more than the error, or e >= 0, where
+    # 10**e is a double whose neighbours lie 1e-16 away, so that an integer
+    # part of 1e16 means |x| == 10**e and an exact y.  Then no carry to 1e17.
+    ok = fast & (np.abs(f - 0.5) > _DELTA) & (n + ((f > _DELTA) | (e >= 0)) > 10**16)
+    n += f > 0.5
+    ok &= n < 10**17
+    n[~ok] = 10**16  # any significand, to keep the table indices below in range
+
+    hi = n // 10**9  # digits 0-7
+    lo = n - hi * 10**9
+    mid = lo // 10  # digits 8-15
+    last = lo - mid * 10  # digit 16
+    groups = np.empty((4, v.size), np.int64)  # digits 0-3, 4-7, 8-11 and 12-15
+    np.floor_divide(hi, 10**4, out=groups[0])
+    np.floor_divide(mid, 10**4, out=groups[2])
+    np.subtract(hi, groups[0] * 10**4, out=groups[1])
+    np.subtract(mid, groups[2] * 10**4, out=groups[3])
+    # trailing zeros: of digit 16, then of each group whose later digits are all zero
+    g = zeros4[groups]
+    zeros = 4 + np.where(groups[1] != 0, g[1], 4 + g[0])
+    zeros = 4 + np.where(groups[2] != 0, g[2], zeros)
+    zeros = np.where(last != 0, 0, 1 + np.where(groups[3] != 0, g[3], zeros))
+    key = (np.signbit(v) * _NX + (e - _XMIN)) * 17 + (16 - zeros)
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        w = v[rest]
+        # the constants: nan, inf, -inf, 0, -0
+        key[rest] = _NFAST + np.where(np.isnan(w), 0, np.where(np.isinf(w), 1, 3) + np.signbit(w))
+        rest = rest[np.isfinite(w) & (w != 0)]
+
+    c = digits4[groups]
+    digits = np.empty((3, v.size), np.uint64)  # D0..D16 as three little-endian words
+    np.bitwise_or(c[0], c[1] << _U32, out=digits[0])
+    np.bitwise_or(c[2], c[3] << _U32, out=digits[1])
+    np.add(last.view(np.uint64), ord("0"), out=digits[2])
+    # head, then the tail one byte on: the digits with a gap for the point
+    tail = digits & np.take(tail_mask, key, axis=1)
+    u = (digits & np.take(head_mask, key, axis=1)) | (tail << _U8)
+    u[1:] |= tail[:-1] >> _U56
+    # then all of it on by the prefix, carrying between words
+    shift = layout_shift[key]
+    text = np.take(layout_text, key, axis=1)
+    text |= u << shift
+    text[1:] |= u[:-1] >> _U1 >> (_U63 - shift)  # never a shift by the full 64 bits
+    return text, rest
+
+
+def format_rows(columns: list[np.ndarray], labels: Sequence[str] | None = None) -> np.ndarray:
+    """The CSV rows of float64 ``columns`` and optional last text column ``labels``, as UTF-8 bytes.
+
+    Every float cell is ``"%.17g" % x``; a label is written as it is and
+    must not contain NUL.  All columns have the length of ``columns[0]``.
+    """
+    rows, ncols = columns[0].shape[0], len(columns)
+    width = ncols * _SLOT
+    if labels is not None:
+        index: dict[str, int] = {}
+        code = np.fromiter((index.setdefault(s, len(index)) for s in labels), np.int64, rows)
+        encoded = [s.encode("utf-8") for s in index]
+        if any(b"\0" in s for s in encoded):
+            raise ValueError("labels must not contain NUL")
+        slot = max(map(len, encoded), default=0) + 1
+        table = np.frombuffer(b"".join(s.ljust(slot - 1, b"\0") + b"\n" for s in encoded), np.uint8)
+        width += slot
+    buf = np.zeros((rows, width), np.uint8)
+    words = np.ndarray((rows, ncols, 3), "<u8", buf, 0, (width, _SLOT, 8))
+    seps = np.ndarray((rows, ncols), np.uint8, buf, _CELL, (width, _SLOT))
+    seps[:] = ord(",")
+    if labels is None:
+        seps[:, -1] = ord("\n")
+    else:
+        buf[:, ncols * _SLOT :] = table.reshape(-1, slot)[code]
+
+    # the columns one after another: one pass, whatever the column count
+    values = np.concatenate(columns)
+    text, rest = _cells(values)
+    words.transpose(1, 0, 2)[...] = text.T.reshape(ncols, rows, 3)
+    if rest.size:
+        at_col, at_row = np.divmod(rest, rows)
+        literal = np.array([b"%.17g" % x for x in values[rest].tolist()], dtype=f"S{_CELL}")
+        words[at_row, at_col] = literal.view("<u8").reshape(-1, 3)
+    flat = buf.ravel()
+    return flat[flat != 0]

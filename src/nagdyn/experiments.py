@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import analysis, dynamics, game, special, spectral
+from . import _csvformat, analysis, dynamics, game, special, spectral
 from .errors import (
     ConfigError,
     GridTooLarge,
@@ -238,8 +238,8 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _atomic_write(path: str, chunks: Iterable[str]) -> None:
-    """Write the concatenated ``chunks`` to ``path`` through a temporary file.
+def _atomic_write(path: str, chunks: Iterable[bytes | np.ndarray]) -> None:
+    """Write the concatenated byte ``chunks`` to ``path`` through a temporary file.
 
     Any ``OSError`` (a missing or read-only directory, a path under a
     regular file, a full disk) becomes :class:`OutputError` naming the path.
@@ -247,9 +247,9 @@ def _atomic_write(path: str, chunks: Iterable[str]) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     try:
         os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            with os.fdopen(fd, "wb") as fh:
                 fh.writelines(chunks)
             os.replace(tmp, path)
         except BaseException:
@@ -261,30 +261,39 @@ def _atomic_write(path: str, chunks: Iterable[str]) -> None:
 
 
 #: Rows formatted and written at a time by :func:`write_csv`.
-_CSV_CHUNK_ROWS = 8192
+_CSV_CHUNK_ROWS = 1024
 
 
 def write_csv(path: str, header: list[str], columns: list[np.ndarray], labels: Sequence[str] | None = None) -> None:
-    """Write float columns, then an optional text column, as CSV.
+    """Write float columns, then an optional text column, as UTF-8 CSV.
 
-    Floats are written with 17 significant digits; ``labels``, when given,
-    is the last column and the last name in ``header``.  Rows are formatted
-    and written in chunks, so memory does not grow with the row count.
+    Every float cell holds exactly the bytes of ``"%.17g" % x``, 17
+    significant digits; ``labels``, when given, is the last column and the
+    last name in ``header``.  The columns of a chunk are formatted one
+    after another in one pass of array operations (:mod:`nagdyn._csvformat`):
+    for finite 1e-11 <= |x| < 1e16 the correctly rounded 17-digit
+    significand comes from a long-double product whose rounding error is
+    bounded, and a value that bound cannot settle (near a rounding tie or
+    a decade boundary, outside that range, or every value where long
+    double is no wider than double) is formatted by ``%.17g`` itself.
+    Rows are formatted and written in chunks, so memory does not grow with
+    the row count.
+
+    Raises ``ValueError`` when ``header`` does not name every column, when
+    the columns and labels differ in length, or when a label contains NUL.
     """
     if len(header) != len(columns) + (labels is not None):
         raise ValueError("header and column counts differ")
     rows = columns[0].shape[0]
-    # "%.17g" renders a float exactly as format(x, ".17g") does (see _fmt)
-    line = ",".join(["%.17g"] * len(columns) + ["%s"] * (labels is not None)) + "\n"
+    if any(len(col) != rows for col in columns) or (labels is not None and len(labels) != rows):
+        raise ValueError("column and label lengths differ")
 
     def chunks():
-        yield ",".join(header) + "\n"
+        yield (",".join(header) + "\n").encode("utf-8")
         for lo in range(0, rows, _CSV_CHUNK_ROWS):
             hi = min(lo + _CSV_CHUNK_ROWS, rows)
-            cells = [np.asarray(col[lo:hi], dtype=float).tolist() for col in columns]
-            if labels is not None:
-                cells.append(labels[lo:hi])
-            yield "".join(line % row for row in zip(*cells))
+            cols = [np.asarray(col[lo:hi], dtype=float) for col in columns]
+            yield _csvformat.format_rows(cols, None if labels is None else labels[lo:hi])
 
     _atomic_write(path, chunks())
 
@@ -308,7 +317,7 @@ def _json_ready(obj):
 
 
 def write_json(path: str, payload: dict) -> None:
-    _atomic_write(path, [json.dumps(_json_ready(payload), indent=2, sort_keys=True), "\n"])
+    _atomic_write(path, [(json.dumps(_json_ready(payload), indent=2, sort_keys=True) + "\n").encode("utf-8")])
 
 
 def _fingerprint(system: game.PseudoGradientSystem) -> str:
