@@ -25,13 +25,21 @@ little-endian 64-bit words, and each cell is laid out as ``%g`` does
 point dropped) by masking and shifting those words with a per-layout
 record.  A row is a run of 25-byte slots, one cell and its separator
 each, padded with NUL; dropping the NUL bytes leaves the CSV text.
+
+A column may also be a :class:`CodedColumn`, a table of values and one
+index into it per row (dictionary encoding: Abadi, Madden & Ferreira,
+SIGMOD 2006).  :func:`csv_chunks` formats each table entry once per
+write, and each row of a chunk gathers its cell.  Up to ``_FEW_VALUES``
+values, ``%.17g`` one value at a time is faster than the array path and
+formats them.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -180,23 +188,56 @@ def _cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return text, rest
 
 
-def format_rows(columns: list[np.ndarray], labels: Sequence[str] | None = None) -> np.ndarray:
-    """The CSV rows of float64 ``columns`` and optional last text column ``labels``, as UTF-8 bytes.
+def _percent_g(v: np.ndarray) -> np.ndarray:
+    """The cells ``b"%.17g" % x`` of the values ``v``, NUL-padded, as rows of three words."""
+    return np.array([b"%.17g" % x for x in v.tolist()], dtype=f"S{_CELL}").view("<u8").reshape(-1, 3)
 
-    Every float cell is ``"%.17g" % x``; a label is written as it is and
-    must not contain NUL.  All columns have the length of ``columns[0]``.
+
+#: Values up to which ``%.17g`` one at a time is faster than :func:`_cells`,
+#: whose fixed cost is about that of 200 of them.
+_FEW_VALUES = 128
+
+
+def cell_table(values: np.ndarray) -> np.ndarray:
+    """The cell of each float64 value, ``"%.17g" % x`` NUL-padded to three words: one row per value."""
+    if values.size <= _FEW_VALUES:
+        return _percent_g(values)
+    text, rest = _cells(values)
+    cells = text.T
+    if rest.size:
+        cells[rest] = _percent_g(values[rest])
+    return cells
+
+
+@functools.lru_cache(maxsize=8)
+def label_table(names: tuple[str, ...]) -> np.ndarray:
+    """Row k is ``names[k]`` in UTF-8 and a newline, NUL-padded to the longest name; read-only.
+
+    Cached, so that a writer called again with the same names (the four
+    class names of every sweep) builds their table once.  Raises
+    ``ValueError`` when a name contains NUL.
     """
-    rows, ncols = columns[0].shape[0], len(columns)
-    width = ncols * _SLOT
-    if labels is not None:
-        index: dict[str, int] = {}
-        code = np.fromiter((index.setdefault(s, len(index)) for s in labels), np.int64, rows)
-        encoded = [s.encode("utf-8") for s in index]
-        if any(b"\0" in s for s in encoded):
-            raise ValueError("labels must not contain NUL")
-        slot = max(map(len, encoded), default=0) + 1
-        table = np.frombuffer(b"".join(s.ljust(slot - 1, b"\0") + b"\n" for s in encoded), np.uint8)
-        width += slot
+    encoded = [s.encode("utf-8") for s in names]
+    if any(b"\0" in s for s in encoded):
+        raise ValueError("labels must not contain NUL")
+    slot = max(map(len, encoded), default=0) + 1
+    return np.frombuffer(b"".join(s.ljust(slot - 1, b"\0") + b"\n" for s in encoded), np.uint8).reshape(-1, slot)
+
+
+def format_rows(
+    columns: list[np.ndarray | tuple[np.ndarray, np.ndarray]], labels: tuple[np.ndarray, np.ndarray] | None = None
+) -> np.ndarray:
+    """The CSV rows of ``columns`` and an optional last text column ``labels``, as UTF-8 bytes.
+
+    A column is either a float64 array, whose cells ``"%.17g" % x`` are
+    formatted here, or a pair ``(cells, index)`` of a :func:`cell_table`
+    and one row of it per CSV row.  ``labels`` is a pair ``(table, codes)``
+    of a :func:`label_table` and one row of it per CSV row.  Indices are
+    not checked.  All columns have the same number of rows.
+    """
+    first = columns[0]
+    rows, ncols = (first if isinstance(first, np.ndarray) else first[1]).shape[0], len(columns)
+    width = ncols * _SLOT + (0 if labels is None else labels[0].shape[1])
     buf = np.zeros((rows, width), np.uint8)
     words = np.ndarray((rows, ncols, 3), "<u8", buf, 0, (width, _SLOT, 8))
     seps = np.ndarray((rows, ncols), np.uint8, buf, _CELL, (width, _SLOT))
@@ -204,15 +245,87 @@ def format_rows(columns: list[np.ndarray], labels: Sequence[str] | None = None) 
     if labels is None:
         seps[:, -1] = ord("\n")
     else:
-        buf[:, ncols * _SLOT :] = table.reshape(-1, slot)[code]
+        buf[:, ncols * _SLOT :] = labels[0][labels[1]]
 
-    # the columns one after another: one pass, whatever the column count
-    values = np.concatenate(columns)
-    text, rest = _cells(values)
-    words.transpose(1, 0, 2)[...] = text.T.reshape(ncols, rows, 3)
-    if rest.size:
-        at_col, at_row = np.divmod(rest, rows)
-        literal = np.array([b"%.17g" % x for x in values[rest].tolist()], dtype=f"S{_CELL}")
-        words[at_row, at_col] = literal.view("<u8").reshape(-1, 3)
+    plain = []
+    for j, col in enumerate(columns):
+        if isinstance(col, np.ndarray):
+            plain.append(j)
+        else:
+            words[:, j] = col[0][col[1]]
+    if plain:
+        # the plain columns one after another: one pass, whatever their count
+        cells = cell_table(np.concatenate([columns[j] for j in plain]))
+        at = plain if len(plain) < ncols else slice(None)
+        words[:, at] = cells.T.reshape(3, len(plain), rows).transpose(2, 1, 0)
     flat = buf.ravel()
     return flat[flat != 0]
+
+
+@dataclass(frozen=True)
+class CodedColumn:
+    """A CSV column given as a table of values and one index into it per row: ``values[index]``.
+
+    Like a plain column it has a ``shape`` of ``(rows,)`` and a ``len``.
+    """
+
+    values: Sequence
+    index: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.index.shape
+
+    def __len__(self) -> int:
+        return self.index.shape[0]
+
+
+def csv_chunks(
+    header: list[str],
+    columns: list[np.ndarray | CodedColumn],
+    labels: Sequence[str] | CodedColumn | None,
+    chunk_rows: int,
+) -> Iterator[bytes | np.ndarray]:
+    """The header line, then the rows of ``columns`` and ``labels``, ``chunk_rows`` rows at a time.
+
+    A column is a float array or a :class:`CodedColumn`, and ``labels``
+    plain or coded str.  The input is checked, and each table formatted
+    once, here, before the first chunk is taken.
+    """
+    if len(header) != len(columns) + (labels is not None):
+        raise ValueError("header and column counts differ")
+    rows = columns[0].shape[0]
+    if any(len(col) != rows for col in columns) or (labels is not None and len(labels) != rows):
+        raise ValueError("column and label lengths differ")
+    if labels is not None and not isinstance(labels, CodedColumn):
+        names, codes = np.unique(np.asarray(labels, dtype=object), return_inverse=True)
+        labels = CodedColumn(tuple(names), codes)
+    for col in (*columns, labels):
+        if isinstance(col, CodedColumn):
+            index = col.index
+            if not (isinstance(index, np.ndarray) and index.dtype.kind in "iu" and index.ndim == 1):
+                raise ValueError("the index of a coded column must be a 1-D integer array")
+            if rows and (index.min() < 0 or index.max() >= len(col.values)):
+                raise ValueError("the index of a coded column must lie within its table")
+    label_cells = None if labels is None else label_table(tuple(labels.values))
+    # the cells of every table, in one pass
+    coded = [j for j, col in enumerate(columns) if isinstance(col, CodedColumn)]
+    cells: list[np.ndarray | None] = [None] * len(columns)
+    if coded:
+        tables = [np.asarray(columns[j].values, dtype=float) for j in coded]
+        table_cells, lo = np.ascontiguousarray(cell_table(np.concatenate(tables))), 0
+        for j, table in zip(coded, tables):
+            cells[j] = table_cells[lo : lo + table.size]
+            lo += table.size
+
+    def chunks():
+        yield (",".join(header) + "\n").encode("utf-8")
+        for lo in range(0, rows, chunk_rows):
+            hi = lo + chunk_rows
+            cols = [
+                np.asarray(col[lo:hi], dtype=float) if table is None else (table, col.index[lo:hi])
+                for col, table in zip(columns, cells)
+            ]
+            yield format_rows(cols, None if labels is None else (label_cells, labels.index[lo:hi]))
+
+    return chunks()

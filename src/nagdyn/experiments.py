@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _csvformat, analysis, dynamics, game, special, spectral
+from ._csvformat import CodedColumn
 from .errors import (
     ConfigError,
     GridTooLarge,
@@ -36,6 +37,7 @@ __all__ = [
     "parse_config",
     "load_config",
     "config_to_dict",
+    "CodedColumn",
     "write_csv",
     "write_json",
     "run_experiment",
@@ -109,7 +111,10 @@ def parse_config(raw: dict, label: str = "experiment") -> ExperimentConfig:
     unknown = set(raw) - {"label", "source", "initial", "integrator", "diagnostics"}
     if unknown:
         raise ConfigError(f"top level: unknown keys {sorted(unknown)}")
-    label = str(raw.get("label", label))
+    label = raw.get("label", label)
+    separators = ("/", os.sep, os.altsep, "\0")
+    if not isinstance(label, str) or label in ("", ".", "..") or any(c and c in label for c in separators):
+        raise ConfigError(f"label: expected a file-name stem without a path separator or NUL, got {label!r}")
 
     source = raw.get("source")
     if not isinstance(source, dict):
@@ -264,7 +269,12 @@ def _atomic_write(path: str, chunks: Iterable[bytes | np.ndarray]) -> None:
 _CSV_CHUNK_ROWS = 1024
 
 
-def write_csv(path: str, header: list[str], columns: list[np.ndarray], labels: Sequence[str] | None = None) -> None:
+def write_csv(
+    path: str,
+    header: list[str],
+    columns: list[np.ndarray | CodedColumn],
+    labels: Sequence[str] | CodedColumn | None = None,
+) -> None:
     """Write float columns, then an optional text column, as UTF-8 CSV.
 
     Every float cell holds exactly the bytes of ``"%.17g" % x``, 17
@@ -279,23 +289,19 @@ def write_csv(path: str, header: list[str], columns: list[np.ndarray], labels: S
     Rows are formatted and written in chunks, so memory does not grow with
     the row count.
 
+    A column, and ``labels`` with a table of str, may be a
+    :class:`CodedColumn`: the same bytes as ``values[index]`` passed
+    plainly, but each table entry is formatted once per call and each row
+    only gathers its cell.  A column that repeats few values, such as a
+    grid axis, a constant or a class name, then costs a gather per row in
+    place of a formatting.  Plain labels are coded once per call.
+
     Raises ``ValueError`` when ``header`` does not name every column, when
-    the columns and labels differ in length, or when a label contains NUL.
+    the columns and labels differ in length, when a label contains NUL, or
+    when the index of a coded column is not an integer array within its
+    table.
     """
-    if len(header) != len(columns) + (labels is not None):
-        raise ValueError("header and column counts differ")
-    rows = columns[0].shape[0]
-    if any(len(col) != rows for col in columns) or (labels is not None and len(labels) != rows):
-        raise ValueError("column and label lengths differ")
-
-    def chunks():
-        yield (",".join(header) + "\n").encode("utf-8")
-        for lo in range(0, rows, _CSV_CHUNK_ROWS):
-            hi = min(lo + _CSV_CHUNK_ROWS, rows)
-            cols = [np.asarray(col[lo:hi], dtype=float) for col in columns]
-            yield _csvformat.format_rows(cols, None if labels is None else labels[lo:hi])
-
-    _atomic_write(path, chunks())
+    _atomic_write(path, _csvformat.csv_chunks(header, columns, labels, _CSV_CHUNK_ROWS))
 
 
 def _json_ready(obj):
@@ -775,41 +781,69 @@ _SWEEP_FITS = {
     spectral.EigenvalueClass.STRICTLY_COMPLEX.value: _EXPONENTIAL_FIT,
 }
 
+#: Class code of Zero.
+_ZERO_CODE = spectral.CLASS_NAMES.index(spectral.EigenvalueClass.ZERO.value)
+
+#: The cell table of a sweep that was not measured.
+_UNMEASURED = np.array([math.nan])
+
 
 @dataclass(frozen=True)
 class SweepResult:
-    """One entry per grid point in each column, real axis outermost."""
+    """A sweep over the grid ``re_axis`` x ``im_axis``, real axis outermost.
 
-    re: np.ndarray
-    im: np.ndarray
+    Point k is ``re_axis[k // m] + i im_axis[k % m]``, with m the length
+    of ``im_axis``.  Per point it holds the predicted rate, the measured
+    rate (``None`` when the sweep was not measured) and the class code, an
+    index into ``spectral.CLASS_NAMES``.  The axes and codes are kept as
+    they are, so that :attr:`columns` and :attr:`labels` give the CSV
+    writer each distinct value once and an index per point.
+    """
+
+    re_axis: np.ndarray
+    im_axis: np.ndarray
     predicted_rate: np.ndarray
-    measured_rate: np.ndarray
-    classes: np.ndarray
+    measured_rate: np.ndarray | None
+    class_codes: np.ndarray
 
     def __len__(self) -> int:
-        return self.re.shape[0]
+        return self.predicted_rate.shape[0]
 
     @property
-    def columns(self) -> list[np.ndarray]:
-        """The numeric CSV columns, in ``SWEEP_HEADER`` order."""
-        return [self.re, self.im, self.predicted_rate, self.measured_rate]
+    def columns(self) -> list[np.ndarray | CodedColumn]:
+        """The numeric CSV columns, in ``SWEEP_HEADER`` order; the axes and an unmeasured column coded."""
+        re_index, im_index = np.indices((self.re_axis.shape[0], self.im_axis.shape[0])).reshape(2, -1)
+        measured = self.measured_rate
+        if measured is None:
+            measured = CodedColumn(_UNMEASURED, np.broadcast_to(np.intp(0), (len(self),)))
+        return [
+            CodedColumn(self.re_axis, re_index),
+            CodedColumn(self.im_axis, im_index),
+            self.predicted_rate,
+            measured,
+        ]
+
+    @property
+    def labels(self) -> CodedColumn:
+        """The class column of the CSV."""
+        return CodedColumn(spectral.CLASS_NAMES, self.class_codes)
 
 
-def _measure_rates(lam: np.ndarray, classes: np.ndarray) -> np.ndarray:
+def _measure_rates(lam: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Fitted envelope rate of y'' + (3/t) y' + lam y = 0 from y(1) = 1, y'(1) = 0.
 
-    NaN where the fit has too few usable samples, e.g. after saturation.
+    ``codes`` are the class codes of ``lam``.  NaN where the fit has too
+    few usable samples, e.g. after saturation.
     """
     cfg = dynamics.IntegratorConfig(t0=1.0, t_end=_SWEEP_T_END, dt=0.01)
     measured = np.full(lam.shape, math.nan)
     for lo in range(0, lam.shape[0], _SWEEP_BATCH):
         times, q, _, rows, _ = dynamics._modal_rk4(lam[lo : lo + _SWEEP_BATCH], 1.0, 0.0, cfg)
-        for p, n in enumerate(rows.tolist()):
+        for p, (n, code) in enumerate(zip(rows.tolist(), codes[lo : lo + _SWEEP_BATCH].tolist())):
             t = times[:n]
+            fits = _SWEEP_FITS[spectral.CLASS_NAMES[code]]
             try:
-                fit = analysis.fit_rate(
-                    t, np.abs(q[:n, p]), window=(max(20.0, t[0]), t[-1]), **_SWEEP_FITS[classes[lo + p]]
-                )
+                fit = analysis.fit_rate(t, np.abs(q[:n, p]), window=(max(20.0, t[0]), t[-1]), **fits)
             except (InsufficientPoints, NonPositiveSeries):
                 continue
             measured[lo + p] = fit.slope
@@ -824,19 +858,19 @@ def run_sweep(grid_spec: str, measure: bool = False) -> SweepResult:
     ``measure`` the measured points are integrated in batches by the
     batched modal RK4, so memory stays bounded for any grid size.
     """
-    re_vals, im_vals = parse_grid(grid_spec)
-    re = np.repeat(re_vals, im_vals.shape[0])
-    im = np.tile(im_vals, re_vals.shape[0])
-    classes, rates = spectral.classify_eigenvalues(re, im)
-    zero = classes == spectral.EigenvalueClass.ZERO.value
-    predicted = np.where(rates > 0.0, rates, np.where(zero, 0.0, spectral.ALGEBRAIC_DECAY_EXPONENT))
+    re_axis, im_axis = parse_grid(grid_spec)
+    re = np.repeat(re_axis, im_axis.shape[0])
+    im = np.tile(im_axis, re_axis.shape[0])
+    codes, rates = spectral._classify_codes(re, im)
+    predicted = np.where(rates > 0.0, rates, np.where(codes == _ZERO_CODE, 0.0, spectral.ALGEBRAIC_DECAY_EXPONENT))
+    measured = None
     if measure:
         lam = re.astype(complex)
         lam.imag = im
-        measured = _measure_rates(lam, classes)
-    else:
-        measured = np.full(re.shape, math.nan)
-    return SweepResult(re=re, im=im, predicted_rate=predicted, measured_rate=measured, classes=classes)
+        measured = _measure_rates(lam, codes)
+    return SweepResult(
+        re_axis=re_axis, im_axis=im_axis, predicted_rate=predicted, measured_rate=measured, class_codes=codes
+    )
 
 
 # --------------------------------------------------------------------------

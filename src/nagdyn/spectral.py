@@ -43,6 +43,7 @@ __all__ = [
     "DEFAULT_SCALAR_TOL",
     "DIAGONALIZABLE_KAPPA_MAX",
     "EigenvalueClass",
+    "CLASS_NAMES",
     "ClassifiedEigenvalue",
     "Spectrum",
     "NagdVerdict",
@@ -85,9 +86,10 @@ class EigenvalueClass(Enum):
     STRICTLY_COMPLEX = "StrictlyComplex"
 
 
-#: Class names in ``EigenvalueClass`` order, so that :func:`classify_eigenvalues`
-#: can index them with codes 0 (PositiveReal) to 3 (StrictlyComplex).
-_CLASS_NAMES = np.array([c.value for c in EigenvalueClass], dtype=object)
+#: Class names in ``EigenvalueClass`` order: class codes 0 (PositiveReal) to
+#: 3 (StrictlyComplex) index them.
+CLASS_NAMES = tuple(c.value for c in EigenvalueClass)
+_CLASS_NAMES = np.array(CLASS_NAMES, dtype=object)
 
 #: The class of each name in ``_CLASS_NAMES``; faster than ``EigenvalueClass(name)``.
 _CLASS_OF_NAME = {c.value: c for c in EigenvalueClass}
@@ -197,6 +199,12 @@ def classify_eigenvalues(re, im, tol: float = DEFAULT_SCALAR_TOL) -> tuple[np.nd
     |Re| <= tol as zero, so the corner case with both parts just inside
     tolerance is deterministically Zero.
     """
+    codes, rates = _classify_codes(re, im, tol)
+    return _CLASS_NAMES[codes], rates
+
+
+def _classify_codes(re, im, tol: float = DEFAULT_SCALAR_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`classify_eigenvalues` with each class as its code, the index of its name in ``CLASS_NAMES``."""
     a = np.asarray(re, dtype=float)
     b = np.asarray(im, dtype=float)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
@@ -216,7 +224,7 @@ def classify_eigenvalues(re, im, tol: float = DEFAULT_SCALAR_TOL) -> tuple[np.nd
     a8, bc = a[cplx] / 8.0, b[cplx]
     root = np.sqrt(_math_hypot(a8, bc / 8.0).astype(float) + np.abs(a8))
     rates[cplx] = np.where(a8 >= 0.0, np.abs(bc) / (4.0 * root), 2.0 * root)
-    return _CLASS_NAMES[codes], rates
+    return codes, rates
 
 
 def predicted_rate(lam: complex, tol: float = DEFAULT_SCALAR_TOL) -> float:

@@ -96,6 +96,18 @@ def test_config_refuses_ignored_output_and_boolean_stride(tmp_path, capsys, muta
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("label", ["../../x", "a/b", "", ".", "..", "a\0b", 5, None], ids=repr)
+def test_config_label_must_be_a_file_name_stem(tmp_path, capsys, label):
+    # the label names the artifacts, so it must not lead outside --out
+    payload = dict(FIG1, label=label, integrator={"t0": 1.0, "t_end": 2.0, "dt": 0.01})
+    config = _write_config(tmp_path, payload)
+    out = tmp_path / "out" / "deep"
+    for command in ("simulate", "classify"):
+        assert cli.main([command, "--config", config, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "label" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["cfg.json"]
+
+
 def test_config_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -368,16 +380,27 @@ def test_sweep_negative_grid_as_separate_argument(tmp_path):
     assert filecmp.cmp(tmp_path / "sweep.csv", joined / "sweep.csv", shallow=False)
 
 
-def test_sweep_csv_matches_per_cell_format(tmp_path):
-    # every cell is format(x, ".17g") of the classifier's own value
-    rc = cli.main(["sweep", "--grid=-3:5:17,-2:2:9", "--out", str(tmp_path)])
-    assert rc == cli.EXIT_OK
-    re_vals, im_vals = experiments.parse_grid("-3:5:17,-2:2:9")
-    lines = (tmp_path / "sweep.csv").read_text().split("\n")
-    assert lines[0] == "re,im,predicted_rate,measured_rate,class" and lines[-1] == ""
-    want = []
-    for a in re_vals:
-        for b in im_vals:
+def test_sweep_csv_matches_per_cell_format(tmp_path, monkeypatch):
+    # every cell is format(x, ".17g") of the classifier's own value, also
+    # with chunks that straddle the blocks of equal re, and with a measured
+    # column, which is written plainly
+    for grid, measure, chunk in (
+        ("-3:5:17,-2:2:9", False, experiments._CSV_CHUNK_ROWS),
+        ("-3:5:17,-2:2:9", False, 7),
+        ("-1:1:3,-1:1:3", True, 7),
+    ):
+        monkeypatch.setattr(experiments, "_CSV_CHUNK_ROWS", chunk)
+        out = tmp_path / f"{measure}_{chunk}"
+        rc = cli.main(["sweep", f"--grid={grid}", "--out", str(out)] + ["--measure"] * measure)
+        assert rc == cli.EXIT_OK
+        re_vals, im_vals = experiments.parse_grid(grid)
+        measured = experiments.run_sweep(grid, measure=True).measured_rate if measure else [math.nan] * (
+            re_vals.size * im_vals.size
+        )
+        lines = (out / "sweep.csv").read_text().split("\n")
+        assert lines[0] == "re,im,predicted_rate,measured_rate,class" and lines[-1] == ""
+        want = []
+        for k, (a, b) in enumerate((a, b) for a in re_vals for b in im_vals):
             cls = spectral.classify_eigenvalue(complex(a, b))
             if cls.rate > 0.0:
                 predicted = cls.rate
@@ -385,9 +408,9 @@ def test_sweep_csv_matches_per_cell_format(tmp_path):
                 predicted = 0.0
             else:
                 predicted = -1.5
-            cells = [format(float(x), ".17g") for x in (a, b, predicted, math.nan)]
+            cells = [format(float(x), ".17g") for x in (a, b, predicted, measured[k])]
             want.append(",".join(cells + [cls.tag.value]))
-    assert lines[1:-1] == want
+        assert lines[1:-1] == want
 
 
 def test_sweep_overflowing_grid_is_config_error(tmp_path, capsys):

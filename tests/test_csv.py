@@ -100,18 +100,42 @@ def test_fig1_csv_values_take_the_fast_path(tmp_path, monkeypatch):
 # the writer against the row-at-a-time oracle
 
 
+#: A coded column's table: constants and values that ``_cells`` leaves to ``%.17g``.
+_TABLE = np.array(
+    [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e17, np.nextafter(1e-4, 0.0), 1 / 3, -2.5e-7]
+)
+
+
+def _values(col):
+    return np.asarray(col.values)[col.index] if isinstance(col, experiments.CodedColumn) else col
+
+
 @pytest.mark.parametrize("chunk", [1, 3])
 @pytest.mark.parametrize("rows", [0, 1, 2, 3, 4, 7])
 def test_write_csv_matches_oracle_across_chunks(tmp_path, monkeypatch, chunk, rows):
+    # each column and the labels, plain and coded: a coded column writes
+    # the bytes of its values passed plainly
     monkeypatch.setattr(experiments, "_CSV_CHUNK_ROWS", chunk)
-    cells = np.array([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1 / 3, -2.5e-7])
-    a = np.resize(cells, rows)
-    b = np.arange(rows) * 0.01 + 1.0
-    labels = ["Zero", "ü", "", "PositiveReal", "λ·x"][:rows] + ["Negative"] * max(rows - 5, 0)
-    for header, columns, tags in ((["a", "b"], [a, b], None), (["a", "b", "tag"], [a, b], labels)):
-        path = tmp_path / "t.csv"
-        experiments.write_csv(str(path), header, columns, labels=tags)
-        assert path.read_bytes() == _oracle(header, columns, tags)
+    k = np.arange(rows)
+    wide = np.concatenate([1.0 + 0.01 * np.arange(200), _TABLE])  # enough values for the array formatter
+    a = experiments.CodedColumn(_TABLE, k % _TABLE.size)
+    b = experiments.CodedColumn(wide, (37 * k + 5) % wide.size)
+    c = experiments.CodedColumn(_TABLE, (_TABLE.size - 1 - k) % _TABLE.size)
+    names = ("Zero", "ü", "", "PositiveReal", "λ·x", "Negative")
+    tags = experiments.CodedColumn(names, k % len(names))
+    labels = [names[j] for j in tags.index]
+    for header, columns, coded_labels in (
+        (["a", "c"], [a, c], None),  # tables that %.17g formats one value at a time
+        (["λ", "a", "tag"], [b, a], tags),  # tables that take the array formatter
+        (["b", "c", "tag"], [np.asarray(_values(b)), c], tags),
+    ):
+        assert columns[0].shape[0] == len(columns[0]) == rows
+        plain = [_values(col) for col in columns]
+        want = _oracle(header, plain, None if coded_labels is None else labels)
+        for given, given_labels in ((plain, labels), (columns, coded_labels)):
+            path = tmp_path / "t.csv"
+            experiments.write_csv(str(path), header, given, labels=None if coded_labels is None else given_labels)
+            assert path.read_bytes() == want
 
 
 def test_write_csv_refuses_ragged_input(tmp_path):
@@ -124,3 +148,18 @@ def test_write_csv_refuses_ragged_input(tmp_path):
     with pytest.raises(ValueError, match="NUL"):
         experiments.write_csv(path, ["a", "tag"], [a], labels=["x", "y\0", "x", "x"])
     assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "index",
+    [np.array([0, -1]), np.array([0, 2]), np.array([0.0, 1.0]), np.array([True, False]), np.array([[0], [1]])],
+    ids=["negative", "past_the_end", "float", "bool", "2d"],
+)
+def test_write_csv_refuses_an_index_outside_its_table(tmp_path, index):
+    path = tmp_path / "t.csv"
+    table = np.array([1.0, 2.0])
+    with pytest.raises(ValueError, match="index of a coded column"):
+        experiments.write_csv(str(path), ["a"], [experiments.CodedColumn(table, index)])
+    with pytest.raises(ValueError, match="index of a coded column"):
+        experiments.write_csv(str(path), ["a", "tag"], [table], labels=experiments.CodedColumn(("x", "y"), index))
+    assert not path.exists()
