@@ -209,13 +209,10 @@ def cell_table(values: np.ndarray) -> np.ndarray:
     return cells
 
 
-@functools.lru_cache(maxsize=8)
-def label_table(names: tuple[str, ...]) -> np.ndarray:
+def label_table(names: Sequence[str]) -> np.ndarray:
     """Row k is ``names[k]`` in UTF-8 and a newline, NUL-padded to the longest name; read-only.
 
-    Cached, so that a writer called again with the same names (the four
-    class names of every sweep) builds their table once.  Raises
-    ``ValueError`` when a name contains NUL.
+    Raises ``ValueError`` when a name contains NUL.
     """
     encoded = [s.encode("utf-8") for s in names]
     if any(b"\0" in s for s in encoded):
@@ -283,23 +280,22 @@ class CodedColumn:
 def csv_chunks(
     header: list[str],
     columns: list[np.ndarray | CodedColumn],
-    labels: Sequence[str] | CodedColumn | None,
+    labels: CodedColumn | None,
     chunk_rows: int,
 ) -> Iterator[bytes | np.ndarray]:
     """The header line, then the rows of ``columns`` and ``labels``, ``chunk_rows`` rows at a time.
 
-    A column is a float array or a :class:`CodedColumn`, and ``labels``
-    plain or coded str.  The input is checked, and each table formatted
-    once, here, before the first chunk is taken.
+    A column is a float array or a :class:`CodedColumn`, and ``labels`` a
+    :class:`CodedColumn` of str.  The input is checked, and each table
+    formatted once, here, before the first chunk is taken.
     """
+    if labels is not None and not isinstance(labels, CodedColumn):
+        raise TypeError("labels must be a CodedColumn")
     if len(header) != len(columns) + (labels is not None):
         raise ValueError("header and column counts differ")
     rows = columns[0].shape[0]
     if any(len(col) != rows for col in columns) or (labels is not None and len(labels) != rows):
         raise ValueError("column and label lengths differ")
-    if labels is not None and not isinstance(labels, CodedColumn):
-        names, codes = np.unique(np.asarray(labels, dtype=object), return_inverse=True)
-        labels = CodedColumn(tuple(names), codes)
     for col in (*columns, labels):
         if isinstance(col, CodedColumn):
             index = col.index
@@ -307,7 +303,7 @@ def csv_chunks(
                 raise ValueError("the index of a coded column must be a 1-D integer array")
             if rows and (index.min() < 0 or index.max() >= len(col.values)):
                 raise ValueError("the index of a coded column must lie within its table")
-    label_cells = None if labels is None else label_table(tuple(labels.values))
+    label_cells = None if labels is None else label_table(labels.values)
     # the cells of every table, in one pass
     coded = [j for j, col in enumerate(columns) if isinstance(col, CodedColumn)]
     cells: list[np.ndarray | None] = [None] * len(columns)

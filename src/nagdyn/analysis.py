@@ -17,6 +17,7 @@ import numpy as np
 
 from .dynamics import TrajectoryRecord
 from .errors import InsufficientPoints, NonPositiveSeries, NotApplicable, TrivialNullspace
+from .spectral import ALGEBRAIC_DECAY_EXPONENT
 
 __all__ = [
     "ALGEBRAIC_WINDOW",
@@ -42,8 +43,18 @@ ALGEBRAIC_WINDOW = (30.0, 100.0)
 #: Default fit window for exponential (semilog) rates.
 EXPONENTIAL_WINDOW = (20.0, 60.0)
 
-#: Envelope exponent divided out when detrending oscillatory growth.
-OSCILLATORY_ENVELOPE_POWER = -1.5
+#: Rate fit of an algebraically decaying series: log-log on its envelope maxima.
+_ALGEBRAIC_FIT = {"kind": "algebraic", "envelope": True}
+
+#: Rate fit of an exponentially growing series.  Both unstable branches grow
+#: like e^{rate t} t^{-3/2} (I_1 and Hankel asymptotics share the algebraic
+#: factor), so the fit detrends the t^{-3/2} envelope.
+_EXPONENTIAL_FIT = {"kind": "exponential", "detrend_log_power": ALGEBRAIC_DECAY_EXPONENT}
+
+#: Rate fit of a single mode, by class code (``spectral.CLASSES`` order).  A
+#: Zero mode tends to its limit without oscillating, so it is fitted on
+#: every sample.
+_MODE_FITS = (_ALGEBRAIC_FIT, {"kind": "algebraic"}, _EXPONENTIAL_FIT, _EXPONENTIAL_FIT)
 
 
 def _fd_derivative(times: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -295,14 +306,10 @@ def chetaev_negative(record: TrajectoryRecord, eigvec, mu: float) -> ChetaevNega
         raise InsufficientPoints("the growth ratio of W needs at least 2 samples")
     w = xi * zeta + (mu / 3.0) * xi**2 - xi**2 / (2.0 * t)
     in_omega = (xi > 0.0) & (zeta > mu * xi / 3.0)
-    ratio = np.full_like(w, np.nan)
     ok = w > 0.0
     lw = np.where(ok, np.log(np.where(ok, w, 1.0)), np.nan)
-    h = t[1] - t[0]
     # centered 3-point log-derivative; ends one-sided
-    ratio[1:-1] = (lw[2:] - lw[:-2]) / (2.0 * h)
-    ratio[0] = (lw[1] - lw[0]) / h
-    ratio[-1] = (lw[-1] - lw[-2]) / h
+    ratio = np.gradient(lw, t[1] - t[0])
     t0_req = 6.0 / mu + 1.0
     return ChetaevNegative(
         times=t,
@@ -343,13 +350,7 @@ def chetaev_complex(record: TrajectoryRecord, left_vector) -> ChetaevComplex:
     xi = record.q @ w.real
     eta = record.q @ w.imag
     rho = np.hypot(xi, eta)
-    fit = fit_rate(
-        t,
-        rho,
-        kind="exponential",
-        window=_fit_window(t, EXPONENTIAL_WINDOW),
-        detrend_log_power=OSCILLATORY_ENVELOPE_POWER,
-    )
+    fit = fit_rate(t, rho, window=_fit_window(t, EXPONENTIAL_WINDOW), **_EXPONENTIAL_FIT)
     return ChetaevComplex(times=t, xi=xi, eta=eta, rho=rho, fit=fit)
 
 
@@ -357,7 +358,7 @@ def chetaev_complex(record: TrajectoryRecord, left_vector) -> ChetaevComplex:
 # conserved-flux identity for complex modes
 
 
-def energy_identity_residual(times, y, ydot, lam: complex, window: tuple[float, float] | None = None) -> float:
+def energy_identity_residual(times, y, ydot, lam: complex) -> float:
     """RMS residual of d/dt (t^3 Q) = 2i Im(lam) t^3 |y|^2, Q = y y*' - y' y*.
 
     Real eigenvalues make both sides vanish identically and carry no
@@ -379,14 +380,8 @@ def energy_identity_residual(times, y, ydot, lam: complex, window: tuple[float, 
     lhs = _fd_derivative(t, flux)
     rhs = 2.0j * lam.imag * t**3 * np.abs(y) ** 2
     sl = slice(2, -2)
-    mask = np.ones(t.shape[0] - 4, dtype=bool)
-    if window is not None:
-        tw = t[sl]
-        mask = (tw >= window[0]) & (tw <= window[1])
-        if int(mask.sum()) < 1:
-            raise InsufficientPoints("window excludes all interior samples")
-    num = np.abs(lhs[sl][mask] - rhs[sl][mask])
-    den = np.maximum(1.0, np.abs(rhs[sl][mask]))
+    num = np.abs(lhs[sl] - rhs[sl])
+    den = np.maximum(1.0, np.abs(rhs[sl]))
     rel = num / den
     return float(np.sqrt(np.mean(rel**2)))
 

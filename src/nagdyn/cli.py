@@ -104,7 +104,7 @@ def cmd_reproduce(figure: str, out_dir: str) -> int:
             line += f" slope={fit['slope']:.4f} (predicted {fit['predicted']:.4f}, kind={fit['kind']})"
         print(line)
     status = "pass" if summary["pass"] else "FAIL"
-    print(f"checks: {status} " + json.dumps(experiments._json_ready(summary["checks"]), sort_keys=True))
+    print(f"checks: {status} " + json.dumps(summary["checks"], sort_keys=True, default=experiments._json_default))
     print(f"wrote {os.path.join(out_dir, figure + '_summary.json')}")
     return EXIT_SATURATED if summary["saturated"] else EXIT_OK
 

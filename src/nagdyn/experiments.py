@@ -16,7 +16,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -273,7 +273,7 @@ def write_csv(
     path: str,
     header: list[str],
     columns: list[np.ndarray | CodedColumn],
-    labels: Sequence[str] | CodedColumn | None = None,
+    labels: CodedColumn | None = None,
 ) -> None:
     """Write float columns, then an optional text column, as UTF-8 CSV.
 
@@ -289,41 +289,40 @@ def write_csv(
     Rows are formatted and written in chunks, so memory does not grow with
     the row count.
 
-    A column, and ``labels`` with a table of str, may be a
-    :class:`CodedColumn`: the same bytes as ``values[index]`` passed
-    plainly, but each table entry is formatted once per call and each row
-    only gathers its cell.  A column that repeats few values, such as a
-    grid axis, a constant or a class name, then costs a gather per row in
-    place of a formatting.  Plain labels are coded once per call.
+    A column may be a :class:`CodedColumn`, and ``labels`` is one with a
+    table of str: the same bytes as ``values[index]`` passed plainly, but
+    each table entry is formatted once per call and each row only gathers
+    its cell.  A column that repeats few values, such as a grid axis, a
+    constant or a class name, then costs a gather per row in place of a
+    formatting.
 
-    Raises ``ValueError`` when ``header`` does not name every column, when
-    the columns and labels differ in length, when a label contains NUL, or
+    Raises ``TypeError`` when ``labels`` is not a :class:`CodedColumn`, and
+    ``ValueError`` when ``header`` does not name every column, when the
+    columns and labels differ in length, when a label contains NUL, or
     when the index of a coded column is not an integer array within its
     table.
     """
     _atomic_write(path, _csvformat.csv_chunks(header, columns, labels, _CSV_CHUNK_ROWS))
 
 
-def _json_ready(obj):
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
+def _json_default(obj):
+    """The ``default`` hook of ``json.dumps`` for the numpy and complex values of a summary."""
     if isinstance(obj, np.ndarray):
-        return _json_ready(obj.tolist())
-    if isinstance(obj, (bool, np.bool_)):  # before int: bool subclasses int
+        return obj.tolist()
+    if isinstance(obj, np.bool_):
         return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
+    if isinstance(obj, np.integer):
         return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    return obj
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def write_json(path: str, payload: dict) -> None:
-    _atomic_write(path, [(json.dumps(_json_ready(payload), indent=2, sort_keys=True) + "\n").encode("utf-8")])
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
+    _atomic_write(path, [(text + "\n").encode("utf-8")])
 
 
 def _fingerprint(system: game.PseudoGradientSystem) -> str:
@@ -358,15 +357,6 @@ def _strongest(spectrum: spectral.Spectrum, verdict: spectral.StabilityVerdict, 
     """(class, left eigenvector) of the eigenvalue of class ``tag`` with the largest rate, or None."""
     found = [(c, w) for c, w in zip(verdict.per_eigenvalue, spectrum.left_vectors) if c.tag is tag]
     return max(found, key=lambda cw: cw[0].rate) if found else None
-
-
-#: Rate fit of an algebraically decaying norm: log-log on its envelope maxima.
-_ALGEBRAIC_FIT = {"kind": "algebraic", "envelope": True}
-
-#: Rate fit of an exponentially growing norm.  Both unstable branches grow
-#: like e^{rate t} t^{-3/2} (I_1 and Hankel asymptotics share the algebraic
-#: factor), so the fit detrends the t^{-3/2} envelope.
-_EXPONENTIAL_FIT = {"kind": "exponential", "detrend_log_power": analysis.OSCILLATORY_ENVELOPE_POWER}
 
 
 def _modal(cfg, spectrum, verdict, record):
@@ -439,13 +429,14 @@ def _rates(cfg, spectrum, verdict, record):
     growing = verdict.dominant_growth_rate > 0.0
     window = analysis._fit_window(record.times, analysis.EXPONENTIAL_WINDOW if growing else analysis.ALGEBRAIC_WINDOW)
     norm_q = np.linalg.norm(record.q, axis=1)
-    fit = analysis.fit_rate(record.times, norm_q, window=window, **(_EXPONENTIAL_FIT if growing else _ALGEBRAIC_FIT))
-    if growing:
-        predicted = verdict.dominant_growth_rate
-    elif verdict.nagd is spectral.NagdVerdict.STABLE_TO_NULLSPACE:  # as in run_sweep: the norm tends to a limit
-        predicted = 0.0
-    else:
-        predicted = spectral.ALGEBRAIC_DECAY_EXPONENT
+    fit = analysis.fit_rate(
+        record.times, norm_q, window=window, **(analysis._EXPONENTIAL_FIT if growing else analysis._ALGEBRAIC_FIT)
+    )
+    # a norm that tends to its null-space limit is predicted as a Zero mode,
+    # any other that does not grow as a PositiveReal one
+    limit = verdict.nagd is spectral.NagdVerdict.STABLE_TO_NULLSPACE
+    cls = spectral.EigenvalueClass.ZERO if limit else spectral.EigenvalueClass.POSITIVE_REAL
+    predicted = float(spectral.predicted_rate(spectral.CLASSES.index(cls), verdict.dominant_growth_rate))
     return {}, {
         "rate_fit": {
             "kind": fit.kind,
@@ -581,8 +572,8 @@ def _fig2_checks(runs, out_dir):
 
 def _fig3_checks(runs, out_dir):
     [(_, rec, _)] = runs
-    x1_fit = analysis.fit_rate(rec.times, rec.q[:, 0], window=(20.0, 60.0), **_ALGEBRAIC_FIT)
-    x2_fit = analysis.fit_rate(rec.times, np.abs(rec.q[:, 1]), window=(20.0, 60.0), **_EXPONENTIAL_FIT)
+    x1_fit = analysis.fit_rate(rec.times, rec.q[:, 0], window=(20.0, 60.0), **analysis._ALGEBRAIC_FIT)
+    x2_fit = analysis.fit_rate(rec.times, np.abs(rec.q[:, 1]), window=(20.0, 60.0), **analysis._EXPONENTIAL_FIT)
     return {
         **_envelope_slope("x1_envelope_slope", x1_fit.slope),
         "x2_rate": x2_fit.slope,
@@ -593,7 +584,7 @@ def _fig3_checks(runs, out_dir):
 def _fig4_checks(runs, out_dir):
     [(cfg, rec, _)] = runs
     dist = analysis.distance_to_nullspace(rec, cfg.system.matrix)
-    d_fit = analysis.fit_rate(rec.times, dist.distance, window=(20.0, 100.0), **_ALGEBRAIC_FIT)
+    d_fit = analysis.fit_rate(rec.times, dist.distance, window=(20.0, 100.0), **analysis._ALGEBRAIC_FIT)
     w = dist.basis[:, 0]
     limit = analysis.nullspace_limit(rec.times[0], float(cfg.q0 @ w), float(cfg.v0 @ w))
     error = abs(float(rec.q[-1] @ w) - limit)
@@ -773,17 +764,6 @@ _SWEEP_T_END = 60.0
 #: 23 MiB.
 _SWEEP_BATCH = 128
 
-#: Rate fit of a measured sweep point, by class.
-_SWEEP_FITS = {
-    spectral.EigenvalueClass.POSITIVE_REAL.value: _ALGEBRAIC_FIT,
-    spectral.EigenvalueClass.ZERO.value: {"kind": "algebraic"},
-    spectral.EigenvalueClass.NEGATIVE_REAL.value: _EXPONENTIAL_FIT,
-    spectral.EigenvalueClass.STRICTLY_COMPLEX.value: _EXPONENTIAL_FIT,
-}
-
-#: Class code of Zero.
-_ZERO_CODE = spectral.CLASS_NAMES.index(spectral.EigenvalueClass.ZERO.value)
-
 #: The cell table of a sweep that was not measured.
 _UNMEASURED = np.array([math.nan])
 
@@ -841,9 +821,9 @@ def _measure_rates(lam: np.ndarray, codes: np.ndarray) -> np.ndarray:
         times, q, _, rows, _ = dynamics._modal_rk4(lam[lo : lo + _SWEEP_BATCH], 1.0, 0.0, cfg)
         for p, (n, code) in enumerate(zip(rows.tolist(), codes[lo : lo + _SWEEP_BATCH].tolist())):
             t = times[:n]
-            fits = _SWEEP_FITS[spectral.CLASS_NAMES[code]]
+            window = (max(20.0, t[0]), t[-1])
             try:
-                fit = analysis.fit_rate(t, np.abs(q[:n, p]), window=(max(20.0, t[0]), t[-1]), **fits)
+                fit = analysis.fit_rate(t, np.abs(q[:n, p]), window=window, **analysis._MODE_FITS[code])
             except (InsufficientPoints, NonPositiveSeries):
                 continue
             measured[lo + p] = fit.slope
@@ -853,16 +833,15 @@ def _measure_rates(lam: np.ndarray, codes: np.ndarray) -> np.ndarray:
 def run_sweep(grid_spec: str, measure: bool = False) -> SweepResult:
     """Classify (and optionally measure) modal rates over a complex grid.
 
-    The predicted rate is the exponential growth rate for growing classes,
-    0 for Zero and the algebraic slope -1.5 for PositiveReal.  With
-    ``measure`` the measured points are integrated in batches by the
+    The predicted rate of each point is :func:`nagdyn.spectral.predicted_rate`.
+    With ``measure`` the measured points are integrated in batches by the
     batched modal RK4, so memory stays bounded for any grid size.
     """
     re_axis, im_axis = parse_grid(grid_spec)
     re = np.repeat(re_axis, im_axis.shape[0])
     im = np.tile(im_axis, re_axis.shape[0])
     codes, rates = spectral._classify_codes(re, im)
-    predicted = np.where(rates > 0.0, rates, np.where(codes == _ZERO_CODE, 0.0, spectral.ALGEBRAIC_DECAY_EXPONENT))
+    predicted = spectral.predicted_rate(codes, rates)
     measured = None
     if measure:
         lam = re.astype(complex)

@@ -49,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, OverflowSaturation, SingularBasis
-from .spectral import DEFAULT_SCALAR_TOL, EigenvalueClass, classify_eigenvalue
+from .spectral import EigenvalueClass, classify_eigenvalue
 
 __all__ = [
     "SERIES_RADIUS",
@@ -489,12 +489,11 @@ def make_modal_solution(
     t0: float,
     y0: complex,
     ydot0: complex,
-    tol: float = DEFAULT_SCALAR_TOL,
 ) -> ModalSolution:
     """Match initial data (y0, ydot0) at t0 > 0 and return the closed form.
 
     The branch is chosen by :func:`nagdyn.spectral.classify_eigenvalue`
-    with the same tolerance semantics.  The 2x2 basis matrix at t0 has
+    at its default tolerance.  The 2x2 basis matrix at t0 has
     determinant 2/(pi t0^3) (J/Y pair) or -1/t0^3 (I/K pair), so it is
     singular only through numerical saturation, which raises
     :class:`~nagdyn.errors.SingularBasis`.
@@ -505,7 +504,7 @@ def make_modal_solution(
     lam = complex(lam)
     y0 = complex(y0)
     ydot0 = complex(ydot0)
-    cls = classify_eigenvalue(lam, tol)
+    cls = classify_eigenvalue(lam)
     if cls.tag is EigenvalueClass.ZERO:
         # y = c1 + c2 t^{-2}: the finite limit is c1 = y0 + (t0/2) ydot0.
         c2 = -0.5 * ydot0 * t0**3

@@ -11,16 +11,17 @@ module computes that spectrum with LAPACK ``geev`` through
 distinct regions of the complex plane, and folds the per-eigenvalue
 verdicts into a stability verdict for the matrix.
 
-Eigenvalue classes and their mode-wise envelope rates:
+Eigenvalue classes, in the order of their codes (``CLASSES``), and their
+mode-wise envelope rates:
 
-=================  =============================  =======================
-class              region                         envelope of |y(t)|
-=================  =============================  =======================
-PositiveReal       Re > tol, |Im| <= tol          t^{-3/2} (oscillatory)
-Zero               |lam| <= tol                   constant (finite limit)
-NegativeReal       Re < -tol, |Im| <= tol         exp(+sqrt(-Re) t)
-StrictlyComplex    |Im| > tol                     exp(+beta t) t^{-3/2}
-=================  =============================  =======================
+====  =================  =============================  =======================
+code  class              region                         envelope of |y(t)|
+====  =================  =============================  =======================
+0     PositiveReal       Re > tol, |Im| <= tol          t^{-3/2} (oscillatory)
+1     Zero               |lam| <= tol                   constant (finite limit)
+2     NegativeReal       Re < -tol, |Im| <= tol         exp(+sqrt(-Re) t)
+3     StrictlyComplex    |Im| > tol                     exp(+beta t) t^{-3/2}
+====  =================  =============================  =======================
 
 with ``beta = sqrt((|lam| - Re lam)/2)``, the imaginary part of the
 principal square root of ``lam``.  Classification snaps to the real axis
@@ -43,6 +44,7 @@ __all__ = [
     "DEFAULT_SCALAR_TOL",
     "DIAGONALIZABLE_KAPPA_MAX",
     "EigenvalueClass",
+    "CLASSES",
     "CLASS_NAMES",
     "ClassifiedEigenvalue",
     "Spectrum",
@@ -86,13 +88,12 @@ class EigenvalueClass(Enum):
     STRICTLY_COMPLEX = "StrictlyComplex"
 
 
-#: Class names in ``EigenvalueClass`` order: class codes 0 (PositiveReal) to
-#: 3 (StrictlyComplex) index them.
-CLASS_NAMES = tuple(c.value for c in EigenvalueClass)
-_CLASS_NAMES = np.array(CLASS_NAMES, dtype=object)
+#: The classes in code order: the class code k of :func:`_classify_codes`,
+#: 0 (PositiveReal) to 3 (StrictlyComplex), is ``CLASSES[k]``.
+CLASSES = tuple(EigenvalueClass)
 
-#: The class of each name in ``_CLASS_NAMES``; faster than ``EigenvalueClass(name)``.
-_CLASS_OF_NAME = {c.value: c for c in EigenvalueClass}
+#: The name of each class, in code order.
+CLASS_NAMES = tuple(c.value for c in CLASSES)
 
 #: ``math.hypot`` over arrays; ``np.hypot`` can differ from it in the last
 #: bit, which would change written rates.
@@ -101,7 +102,7 @@ _math_hypot = np.frompyfunc(math.hypot, 2, 1)
 
 @dataclass(frozen=True)
 class ClassifiedEigenvalue:
-    """One eigenvalue, its class tag, and its predicted envelope rate.
+    """One eigenvalue, its class tag, and its envelope growth rate.
 
     ``rate`` is the exponential growth rate of the mode envelope: 0.0 for
     PositiveReal and Zero classes (decay there is algebraic, see
@@ -181,13 +182,13 @@ class StabilityVerdict:
 
 
 def classify_eigenvalue(lam: complex, tol: float = DEFAULT_SCALAR_TOL) -> ClassifiedEigenvalue:
-    """Classify one eigenvalue and attach its predicted envelope rate.
+    """Classify one eigenvalue and attach its envelope growth rate.
 
-    A one-point view of :func:`classify_eigenvalues`, which holds the rule.
+    A one-point view of :func:`_classify_codes`, which holds the rule.
     """
     lam = complex(lam)
-    tags, rates = classify_eigenvalues([lam.real], [lam.imag], tol)
-    return ClassifiedEigenvalue(_CLASS_OF_NAME[tags[0]], lam, float(rates[0]))
+    codes, rates = _classify_codes([lam.real], [lam.imag], tol)
+    return ClassifiedEigenvalue(CLASSES[codes[0]], lam, float(rates[0]))
 
 
 def classify_eigenvalues(re, im, tol: float = DEFAULT_SCALAR_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -200,11 +201,11 @@ def classify_eigenvalues(re, im, tol: float = DEFAULT_SCALAR_TOL) -> tuple[np.nd
     tolerance is deterministically Zero.
     """
     codes, rates = _classify_codes(re, im, tol)
-    return _CLASS_NAMES[codes], rates
+    return np.array(CLASS_NAMES, dtype=object)[codes], rates
 
 
 def _classify_codes(re, im, tol: float = DEFAULT_SCALAR_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`classify_eigenvalues` with each class as its code, the index of its name in ``CLASS_NAMES``."""
+    """:func:`classify_eigenvalues` with each class as its code, its index in ``CLASSES``."""
     a = np.asarray(re, dtype=float)
     b = np.asarray(im, dtype=float)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
@@ -227,9 +228,17 @@ def _classify_codes(re, im, tol: float = DEFAULT_SCALAR_TOL) -> tuple[np.ndarray
     return codes, rates
 
 
-def predicted_rate(lam: complex, tol: float = DEFAULT_SCALAR_TOL) -> float:
-    """Exponential envelope growth rate of the mode for eigenvalue ``lam``."""
-    return classify_eigenvalue(lam, tol).rate
+def predicted_rate(codes, rates) -> np.ndarray:
+    """The envelope rate predicted for modes of class codes ``codes`` and growth rates ``rates``.
+
+    The growth rate where it is positive (the slope of log |y| against t),
+    0 for Zero (the mode tends to a finite limit) and
+    ``ALGEBRAIC_DECAY_EXPONENT`` otherwise (the slope of log |y| against
+    log t).  ``codes`` and ``rates`` are as :func:`_classify_codes` returns
+    them, or scalars, which give a 0-d array.
+    """
+    zero = codes == CLASSES.index(EigenvalueClass.ZERO)
+    return np.where(rates > 0.0, rates, np.where(zero, 0.0, ALGEBRAIC_DECAY_EXPONENT))
 
 
 # --------------------------------------------------------------------------
@@ -243,8 +252,11 @@ def _phase_normalize(vecs: np.ndarray) -> np.ndarray:
     return vecs / (piv / np.abs(piv))
 
 
-def eigendecompose(matrix: np.ndarray, tol: float | None = None) -> Spectrum:
+def eigendecompose(matrix: np.ndarray) -> Spectrum:
     """Full eigendecomposition of a real square matrix by LAPACK ``geev``.
+
+    The tolerance of its symmetry, normality and classification tests is
+    :func:`matrix_tolerance` of the matrix.
 
     Raises ``ValueError`` when the matrix is not square, not finite, or
     its Frobenius norm overflows, and
@@ -261,8 +273,7 @@ def eigendecompose(matrix: np.ndarray, tol: float | None = None) -> Spectrum:
     if not math.isfinite(normg):
         raise ValueError("matrix norm overflows; rescale the matrix")
     n = g.shape[0]
-    if tol is None:
-        tol = matrix_tolerance(g)
+    tol = matrix_tolerance(g)
     is_sym = float(np.linalg.norm(g - g.T)) <= tol
 
     try:
@@ -303,7 +314,7 @@ def eigendecompose(matrix: np.ndarray, tol: float | None = None) -> Spectrum:
         is_symmetric=bool(is_sym),
         is_normal=bool(is_normal),
         is_diagonalizable=bool(is_diag),
-        tol=float(tol),
+        tol=tol,
     )
 
 
@@ -321,8 +332,8 @@ def classify_matrix(spectrum: Spectrum, t0: float = 1.0) -> StabilityVerdict:
     if t0 <= 0.0:
         raise ValueError("t0 must be positive")
     vals = spectrum.eigenvalues
-    tags, rates = classify_eigenvalues(vals.real, vals.imag, spectrum.tol)
-    classes = tuple(map(ClassifiedEigenvalue, map(_CLASS_OF_NAME.get, tags.tolist()), vals.tolist(), rates.tolist()))
+    codes, rates = _classify_codes(vals.real, vals.imag, spectrum.tol)
+    classes = tuple(map(ClassifiedEigenvalue, map(CLASSES.__getitem__, codes.tolist()), vals.tolist(), rates.tolist()))
     unstable = [c for c in classes if c.tag in (EigenvalueClass.NEGATIVE_REAL, EigenvalueClass.STRICTLY_COMPLEX)]
     bound_c: float | None = None
     dominant: complex | None = None

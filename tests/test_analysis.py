@@ -185,6 +185,19 @@ def test_chetaev_negative_outside_cone():
     assert not np.any(che.in_omega)
 
 
+def test_chetaev_negative_growth_ratio_is_the_three_point_stencil():
+    # centred differences of log W inside, one-sided at both ends, NaN
+    # where W <= 0, also on a two-row record
+    two_rows = IntegratorConfig(t0=T0_CHETAEV, t_end=T0_CHETAEV + 0.01, dt=0.01)
+    short = simulate_nagd(MIXED, None, np.array([0.0, 1.0]), np.array([0.0, 1.0]), two_rows)
+    for rec in (_chetaev_record(+1.0), _chetaev_record(-1.0), short):
+        che = analysis.chetaev_negative(rec, np.array([0.0, 1.0]), MU)
+        lw = np.log(np.where(che.W > 0.0, che.W, np.nan))
+        h = rec.times[1] - rec.times[0]
+        want = np.concatenate([[(lw[1] - lw[0]) / h], (lw[2:] - lw[:-2]) / (2.0 * h), [(lw[-1] - lw[-2]) / h]])
+        assert np.array_equal(che.growth_ratio, want, equal_nan=True)
+
+
 def test_chetaev_negative_validation():
     rec = _chetaev_record(+1.0)
     with pytest.raises(ValueError):
@@ -268,8 +281,6 @@ def test_energy_identity_validation():
     y = np.exp(1j * t)
     with pytest.raises(ValueError):
         analysis.energy_identity_residual(t, y[:-1], y[:-1], 1.0j)
-    with pytest.raises(InsufficientPoints):
-        analysis.energy_identity_residual(t, y, y, 1.0j, window=(90.0, 95.0))
 
 
 # --------------------------------------------------------------------------

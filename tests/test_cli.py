@@ -413,6 +413,29 @@ def test_sweep_csv_matches_per_cell_format(tmp_path, monkeypatch):
         assert lines[1:-1] == want
 
 
+@pytest.mark.parametrize(
+    "cls,lam,matrix,t_end",
+    [
+        (spectral.EigenvalueClass.POSITIVE_REAL, 0.5, [[0.5]], 100.0),
+        # and a mode that gives the norm peaks to fit
+        (spectral.EigenvalueClass.ZERO, 0.0, [[0.0, 0.0], [0.0, 0.5]], 100.0),
+        (spectral.EigenvalueClass.NEGATIVE_REAL, -0.5, [[-0.5]], 60.0),
+        # eigenvalues 1 -/+ i, exact in LAPACK's standard 2x2 form
+        (spectral.EigenvalueClass.STRICTLY_COMPLEX, 1.0 + 1.0j, [[1.0, 1.0], [-1.0, 1.0]], 60.0),
+    ],
+    ids=spectral.CLASS_NAMES,
+)
+def test_sweep_and_run_predict_the_same_rate(cls, lam, matrix, t_end):
+    # one eigenvalue per class: the sweep's predicted rate of lam is the one
+    # a run predicts for the norm of a system whose dominant eigenvalue is lam
+    n = len(matrix)
+    cfg = experiments._experiment("one", matrix, [1.0] * n, [0.0] * n, t_end, ["rates"])
+    _, summary, _, _ = experiments.run_experiment(cfg)
+    sweep = experiments.run_sweep(f"{lam.real!r}:{lam.real!r}:1,{lam.imag!r}:{lam.imag!r}:1")
+    assert spectral.CLASSES[sweep.class_codes[0]] is cls
+    assert sweep.predicted_rate[0] == summary["rate_fit"]["predicted"]
+
+
 def test_sweep_overflowing_grid_is_config_error(tmp_path, capsys):
     rc = cli.main(["sweep", "--grid=-1e308:1e308:3,0:1:2", "--out", str(tmp_path)])
     assert rc == cli.EXIT_CONFIG
@@ -599,6 +622,33 @@ def test_unwritable_out_is_output_error(tmp_path, capsys, argv):
     assert not list(tmp_path.glob("**/.tmp-*"))
 
 
+def test_write_json_converts_numpy_and_complex_values(tmp_path):
+    path = tmp_path / "a.json"
+    payload = {
+        "bool": np.bool_(True),
+        "int": np.int64(3),
+        "float32": np.float32(0.5),
+        "float64": np.float64(0.1),
+        "array": np.array([[1.0, 2.0]]),
+        "complex": [1.0 - 2.0j, np.complex128(3.0j)],
+        "tuple": (1, np.int32(2)),
+    }
+    experiments.write_json(str(path), payload)
+    loaded = json.loads(path.read_text())
+    assert loaded == {
+        "bool": True,
+        "int": 3,
+        "float32": 0.5,
+        "float64": 0.1,
+        "array": [[1.0, 2.0]],
+        "complex": [{"re": 1.0, "im": -2.0}, {"re": 0.0, "im": 3.0}],
+        "tuple": [1, 2],
+    }
+    assert loaded["bool"] is True and type(loaded["int"]) is int
+    with pytest.raises(TypeError):
+        experiments.write_json(str(path), {"set": {1}})
+
+
 def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
     def fail(src, dst):
         raise PermissionError(13, "Permission denied")
@@ -617,11 +667,12 @@ def test_write_csv_rows_and_labels_across_chunks(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "_CSV_CHUNK_ROWS", 4)
     a = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 1 / 3, 5e-324, 1e300, -2.5, 7.0])
     b = np.arange(10)
-    labels = [f"L{i}" for i in range(10)]
+    names = [f"L{i}" for i in range(10)]
+    labels = experiments.CodedColumn(names, np.arange(10))
     path = tmp_path / "t.csv"
     experiments.write_csv(str(path), ["a", "b", "tag"], [a, b], labels=labels)
     want = ["a,b,tag"] + [
-        f"{format(float(x), '.17g')},{format(float(y), '.17g')},{t}" for x, y, t in zip(a, b, labels)
+        f"{format(float(x), '.17g')},{format(float(y), '.17g')},{t}" for x, y, t in zip(a, b, names)
     ]
     assert path.read_text() == "\n".join(want) + "\n"
     with pytest.raises(ValueError):

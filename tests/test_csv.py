@@ -124,6 +124,9 @@ def test_write_csv_matches_oracle_across_chunks(tmp_path, monkeypatch, chunk, ro
     names = ("Zero", "ü", "", "PositiveReal", "λ·x", "Negative")
     tags = experiments.CodedColumn(names, k % len(names))
     labels = [names[j] for j in tags.index]
+    # the same labels in another table: sorted, holding only the names in use
+    table, index = np.unique(np.asarray(labels, dtype=object), return_inverse=True)
+    used = experiments.CodedColumn(tuple(table), index)
     for header, columns, coded_labels in (
         (["a", "c"], [a, c], None),  # tables that %.17g formats one value at a time
         (["λ", "a", "tag"], [b, a], tags),  # tables that take the array formatter
@@ -132,7 +135,7 @@ def test_write_csv_matches_oracle_across_chunks(tmp_path, monkeypatch, chunk, ro
         assert columns[0].shape[0] == len(columns[0]) == rows
         plain = [_values(col) for col in columns]
         want = _oracle(header, plain, None if coded_labels is None else labels)
-        for given, given_labels in ((plain, labels), (columns, coded_labels)):
+        for given, given_labels in ((plain, used), (columns, coded_labels)):
             path = tmp_path / "t.csv"
             experiments.write_csv(str(path), header, given, labels=None if coded_labels is None else given_labels)
             assert path.read_bytes() == want
@@ -143,10 +146,13 @@ def test_write_csv_refuses_ragged_input(tmp_path):
     a, b = np.zeros(4), np.zeros(3)
     with pytest.raises(ValueError, match="lengths differ"):
         experiments.write_csv(path, ["a", "b"], [a, b])
+    short, nul = np.zeros(3, int), np.array([0, 1, 0, 0])
     with pytest.raises(ValueError, match="lengths differ"):
-        experiments.write_csv(path, ["a", "tag"], [a], labels=["x"] * 3)
+        experiments.write_csv(path, ["a", "tag"], [a], labels=experiments.CodedColumn(("x",), short))
     with pytest.raises(ValueError, match="NUL"):
-        experiments.write_csv(path, ["a", "tag"], [a], labels=["x", "y\0", "x", "x"])
+        experiments.write_csv(path, ["a", "tag"], [a], labels=experiments.CodedColumn(("x", "y\0"), nul))
+    with pytest.raises(TypeError, match="CodedColumn"):
+        experiments.write_csv(path, ["a", "tag"], [a], labels=["x"] * 4)
     assert not (tmp_path / "t.csv").exists()
 
 

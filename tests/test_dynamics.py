@@ -283,7 +283,7 @@ def test_simulate_modal_is_one_lane_of_the_batch():
 
 def _reference_sweep_rate(lam, cls):
     """Rate of one measured sweep point, fitted on a stage-form trajectory."""
-    from nagdyn import analysis
+    from nagdyn import analysis, spectral
 
     times, q, _, _ = _reference_modal_rk4(lam, 1.0, 0.0, IntegratorConfig(t0=1.0, t_end=60.0, dt=0.01))
     window = (max(20.0, times[0]), times[-1])
@@ -294,7 +294,7 @@ def _reference_sweep_rate(lam, cls):
     else:
         fit = analysis.fit_rate(
             times, np.abs(q), kind="exponential", window=window,
-            detrend_log_power=analysis.OSCILLATORY_ENVELOPE_POWER,
+            detrend_log_power=spectral.ALGEBRAIC_DECAY_EXPONENT,
         )
     return fit.slope
 

@@ -296,13 +296,13 @@ def test_growth_rate_formula_against_direct_sqrt():
     # uses the half-angle form, so cross-check against cmath.
     for lam in (6 + 1.5j, -1 + 0.25j, 0.3 - 2j, -4 - 3j, 9 + 0.01j):
         direct = abs(cmath.sqrt(lam).imag)
-        assert math.isclose(predicted_rate(lam), direct, rel_tol=1e-14)
+        assert math.isclose(classify_eigenvalue(lam).rate, direct, rel_tol=1e-14)
 
 
 def test_rate_continuity_near_positive_axis():
     # approaching the positive real axis the growth rate vanishes like
     # |b| / (2 sqrt(a)): no classification cliff in the rate value
-    assert predicted_rate(complex(1.0, 1e-8)) <= 1e-4
+    assert classify_eigenvalue(complex(1.0, 1e-8)).rate <= 1e-4
     assert classify_eigenvalue(complex(1.0, 1e-8)).tag is EigenvalueClass.STRICTLY_COMPLEX
 
 
@@ -351,6 +351,18 @@ def test_array_classification_matches_the_partition_rule_and_cmath():
             assert rate == 0.0, (a, b)
     with pytest.raises(ValueError):
         spectral.classify_eigenvalues([1.0, math.nan], [0.0, 0.0])
+
+
+def test_class_table_is_in_code_order():
+    # each class once, and class code k names CLASSES[k]
+    assert sorted(spectral.CLASSES, key=list(EigenvalueClass).index) == list(EigenvalueClass)
+    assert all(spectral.CLASS_NAMES[k] == c.value for k, c in enumerate(spectral.CLASSES))
+    points = {EigenvalueClass.POSITIVE_REAL: 2.0, EigenvalueClass.ZERO: 0.0, EigenvalueClass.NEGATIVE_REAL: -2.0,
+              EigenvalueClass.STRICTLY_COMPLEX: 1.0 + 1.0j}
+    lam = np.array(list(points.values()), dtype=complex)
+    codes, rates = spectral._classify_codes(lam.real, lam.imag)
+    assert [spectral.CLASSES[k] for k in codes] == list(points)
+    assert predicted_rate(codes, rates).tolist() == [spectral.ALGEBRAIC_DECAY_EXPONENT, 0.0, SQRT2, rates[3]]
 
 
 # --------------------------------------------------------------------------
