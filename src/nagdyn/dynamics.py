@@ -17,7 +17,7 @@ of x'' + (r/t) x' + G x = 0.  The four ``advance`` functions are:
 
 - ``simulate_nagd``: the step maps applied to the state [x; 1], [x'; 0],
   whose augmented matrix [[G, b], [0, 0]] makes the offset b exact, at
-  three small BLAS products (``np.dot``) per step;
+  three small BLAS products per step;
 - ``simulate_first_order``: the time-invariant map
   R(-dt G~) = sum_{k<=4} (-dt G~)^k / k!, built once per run and applied
   as R - I, at one BLAS product and one add per step;
@@ -30,8 +30,13 @@ of x'' + (r/t) x' + G x = 0.  The four ``advance`` functions are:
   trajectory that saturates is reported as saturated, not as a field
   that overflowed past it.
 
-The three linear loop bodies call numpy with preallocated ``out=`` buffers,
-so a step costs little more than its array calls.
+The three linear loops step through a workspace ring allocated once per run,
+one slot per step of a chunk plus one: step k reads slot k and writes its
+state straight into slot k + 1, through lists of slot views built with the
+ring, and the chunk's states are copied out in one assignment at its end.
+The products are ``ndarray.dot`` and ufunc calls with ``out=``, which skip
+the Python-level ``__array_function__`` dispatch of ``np.dot``, so a step
+costs little more than its BLAS calls and copies no state back.
 """
 
 from __future__ import annotations
@@ -83,6 +88,8 @@ class IntegratorConfig:
             raise ValueError("t_end must exceed t0")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError("dt must be positive")
+        if not math.isfinite(self.damping_exponent):
+            raise ValueError("damping_exponent must be finite")
         # bool is an int subclass, and True would silently mean stride 1
         stride = self.record_stride
         if not (isinstance(stride, int) and not isinstance(stride, bool) and stride >= 1):
@@ -138,8 +145,9 @@ def _check_system(matrix, offset, q0, v0):
 
 
 #: Steps per chunk of :func:`simulate_nagd`, :func:`simulate_first_order`
-#: and :func:`simulate_smooth_nagd`, which keeps the chunk's coefficients and
-#: state history at tens of KiB.  On a 2-vCPU VM, 4096-step chunks raised the
+#: and :func:`simulate_smooth_nagd`, which keeps the chunk's coefficients,
+#: state history and workspace ring at tens of KiB for small systems (about
+#: 0.5 MiB of ring at n = 40).  On a 2-vCPU VM, 4096-step chunks raised the
 #: simulate benchmark's peak RSS by about 0.45 MiB and ran no faster.
 _LINEAR_STEP_CHUNK = 256
 
@@ -192,15 +200,17 @@ def _position_sq(x: np.ndarray) -> np.ndarray:
     return np.einsum("ki,ki->k", x[:, 0], x[:, 0])[:, None]
 
 
-def _drive(advance: Callable, s0: np.ndarray, config: IntegratorConfig, chunk: int, lane_sq: Callable, keep=()):
+def _drive(make_advance: Callable, s0: np.ndarray, config: IntegratorConfig, chunk: int, lane_sq: Callable, keep=()):
     """Run an RK4 step recurrence in chunks of ``chunk`` steps and record it.
 
-    ``advance(t, s, out)`` takes the state ``s`` through the steps that
-    start at the times ``t`` (T,) and writes the state after each of them
-    into ``out`` (T, *s0.shape).  The record keeps the part ``s[keep]`` of
-    the initial state and of every ``record_stride``-th state.  The state
-    holds one or more lanes, and ``lane_sq`` maps the kept parts of a
-    chunk's states to each lane's squared position norm, shape (T, L).
+    ``make_advance(m)`` allocates the run's workspace for chunks of at most
+    ``m`` steps and returns ``advance(t, s, out)``, which takes the state
+    ``s`` through the steps that start at the times ``t`` (T,) and writes
+    the state after each of them into ``out`` (T, *s0.shape).  The record
+    keeps the part ``s[keep]`` of the initial state and of every
+    ``record_stride``-th state.  The state holds one or more lanes, and
+    ``lane_sq`` maps the kept parts of a chunk's states to each lane's
+    squared position norm, shape (T, L).
     The guard |x| <= 1e150 holds after every step: it is checked per
     chunk, after the fact, and a lane that fails it is flagged saturated
     and keeps only the rows recorded before the failing step.  The run
@@ -222,6 +232,7 @@ def _drive(advance: Callable, s0: np.ndarray, config: IntegratorConfig, chunk: i
     alive = np.ones(lane_sq(record[:1]).shape[1], dtype=bool)
     rows = np.full(alive.shape, n_rec)
     chunk = min(chunk, n_steps)
+    advance = make_advance(chunk)
     buf = np.empty((chunk,) + s0.shape, dtype=s0.dtype)
     s = s0
     guard = OVERFLOW_NORM * OVERFLOW_NORM
@@ -257,24 +268,30 @@ def simulate_nagd(matrix, offset, q0, v0=None, config: IntegratorConfig = Integr
     # a state at which G~ x~ rounds to exactly zero then stays exactly fixed,
     # as in the stage form
     powers = np.array([1.0, h * h, h**4])[:, None, None]
-    w = np.empty((3, 2, n + 1))  # [s; s G~^T; s (G~^T)^2]
-    s_now, s_g, s_gg = w
-    w6 = w.reshape(6, n + 1)
 
-    def advance(t, s, out):
-        coef = _step_coefficients(t, h, r)
-        coef *= powers
-        coef = coef.transpose(0, 2, 1, 3).reshape(-1, 2, 6)
-        s_now[...] = s
-        for ck, o in zip(coef, out):
-            np.dot(s_now, gt_t, out=s_g)
-            np.dot(s_g, gt_t, out=s_gg)
-            np.dot(ck, w6, out=o)
-            s_now[...] = o
+    def make_advance(chunk):
+        # slot k holds [s; s G~^T; s (G~^T)^2] for the state s after k steps
+        # of the chunk; step k reads slot k and writes its state into slot k + 1
+        ring = np.empty((chunk + 1, 3, 2, n + 1))
+        a_all, ag_all, agg_all = (list(ring[:, i]) for i in range(3))
+        slots = list(zip(a_all, ag_all, agg_all, ring.reshape(chunk + 1, 6, n + 1), a_all[1:]))
+
+        def advance(t, s, out):
+            coef = _step_coefficients(t, h, r)
+            coef *= powers
+            coef = coef.transpose(0, 2, 1, 3).reshape(-1, 2, 6)
+            ring[0, 0] = s
+            for ck, (a, ag, agg, a6, nxt) in zip(coef, slots):
+                a.dot(gt_t, out=ag)
+                ag.dot(gt_t, out=agg)
+                ck.dot(a6, out=nxt)
+            out[...] = ring[1 : out.shape[0] + 1, 0]
+
+        return advance
 
     s0 = np.zeros((2, n + 1))
     s0[0, :n], s0[0, n], s0[1, :n] = q, 1.0, v
-    times, states, _, saturated = _drive(advance, s0, config, _LINEAR_STEP_CHUNK, _position_sq, np.s_[:, :n])
+    times, states, _, saturated = _drive(make_advance, s0, config, _LINEAR_STEP_CHUNK, _position_sq, np.s_[:, :n])
     return TrajectoryRecord(
         times=times,
         q=states[:, 0],
@@ -300,13 +317,21 @@ def simulate_first_order(matrix, offset, x0, config: IntegratorConfig = Integrat
         incr += term
     et = incr.T.copy()
 
-    def advance(t, s, out):
-        for o in out:
-            np.dot(s, et, out=o)
-            s = np.add(o, s, out=o)
+    def make_advance(chunk):
+        ring = np.empty((chunk + 1, 1, n + 1))  # slot k: the state after k steps of the chunk
+        slots = list(zip(ring[:-1], ring[1:]))
+
+        def advance(t, s, out):
+            ring[0] = s
+            for a, nxt in slots[: out.shape[0]]:
+                a.dot(et, out=nxt)
+                np.add(nxt, a, out=nxt)
+            out[...] = ring[1 : out.shape[0] + 1]
+
+        return advance
 
     s0 = np.append(x, 1.0)[None, :]
-    times, states, _, saturated = _drive(advance, s0, config, _LINEAR_STEP_CHUNK, _position_sq, np.s_[:, :n])
+    times, states, _, saturated = _drive(make_advance, s0, config, _LINEAR_STEP_CHUNK, _position_sq, np.s_[:, :n])
     q = states[:, 0]
     return TrajectoryRecord(
         times=times,
@@ -355,19 +380,29 @@ def _modal_rk4(lams, y0, ydot0, config: IntegratorConfig):
     """
     lam = np.asarray(lams, dtype=complex).ravel()
     h, r = config.dt, config.damping_exponent
-    prod = np.empty((2, 2, lam.shape[0]), dtype=complex)  # [j, i, p]: M[i, j] s[j] of lane p
 
-    def advance(t, s, out):
-        m = _modal_step_maps(lam, t, h, r)
-        for m_k, o in zip(m, out):
-            np.multiply(m_k, s[:, None], out=prod)
-            np.add(prod[0], prod[1], out=o)
-            s = o
+    def make_advance(chunk):
+        # slot k: the state after k steps of the chunk, as a column [y; y'] per lane
+        ring = np.empty((chunk + 1, 2, 1, lam.shape[0]), dtype=complex)
+        slots = list(ring)
+        nexts = slots[1:]
+        prod = np.empty((2, 2, lam.shape[0]), dtype=complex)  # [j, i, p]: M[i, j] s[j] of lane p
+        p0, p1 = prod[:, :, None]
+
+        def advance(t, s, out):
+            m = _modal_step_maps(lam, t, h, r)
+            ring[0, :, 0] = s
+            for m_k, col, nxt in zip(m, slots, nexts):
+                np.multiply(m_k, col, out=prod)
+                np.add(p0, p1, out=nxt)
+            out[...] = ring[1 : out.shape[0] + 1, :, 0]
+
+        return advance
 
     s0 = np.empty((2, lam.shape[0]), dtype=complex)
     s0[0], s0[1] = y0, ydot0
     chunk = max(1, min(_MODAL_STEP_CHUNK, _MODAL_CHUNK_CELLS // max(lam.shape[0], 1)))
-    times, states, rows, saturated = _drive(advance, s0, config, chunk, lambda y: np.abs(y[:, 0]) ** 2)
+    times, states, rows, saturated = _drive(make_advance, s0, config, chunk, lambda y: np.abs(y[:, 0]) ** 2)
     return times, states[:, 0], states[:, 1], rows, saturated
 
 
@@ -405,21 +440,21 @@ def simulate_smooth_nagd(field: Callable, x0, v0=None, config: IntegratorConfig 
     half, sixth = 0.5 * h, h / 6.0
     guard = OVERFLOW_NORM * OVERFLOW_NORM
 
-    def f(t, s):
+    def f(t, s, out):
         fx = np.asarray(field(s[0]), dtype=float)
-        if not np.all(np.isfinite(fx)):
+        if not np.isfinite(fx).all():
             raise NonFiniteField(f"field returned a non-finite value near t = {t:.6g}")
-        out = np.empty((2, n))
         out[0] = s[1]
         out[1] = -fx - (r / t) * s[1]
-        return out
+
+    k1, k2, k3, k4 = np.empty((4, 2, n))  # the stage derivatives, reused by every step
 
     def advance(t, s, out):
         for k, tk in enumerate(t.tolist()):
-            k1 = f(tk, s)
-            k2 = f(tk + half, s + half * k1)
-            k3 = f(tk + half, s + half * k2)
-            k4 = f(tk + h, s + h * k3)
+            f(tk, s, k1)
+            f(tk + half, s + half * k1, k2)
+            f(tk + half, s + half * k2, k3)
+            f(tk + h, s + h * k3, k4)
             out[k] = s + sixth * (k1 + 2.0 * (k2 + k3) + k4)
             # the guard runs here, before the field sees the new state; _drive
             # flags this same row, and the NaN rows after it cannot read as live
@@ -428,7 +463,7 @@ def simulate_smooth_nagd(field: Callable, x0, v0=None, config: IntegratorConfig 
                 return
             s = out[k]
 
-    times, states, _, saturated = _drive(advance, np.stack([x, v]), config, _LINEAR_STEP_CHUNK, _position_sq)
+    times, states, _, saturated = _drive(lambda chunk: advance, np.stack([x, v]), config, _LINEAR_STEP_CHUNK, _position_sq)
     return TrajectoryRecord(
         times=times,
         q=states[:, 0],

@@ -108,6 +108,21 @@ def test_config_label_must_be_a_file_name_stem(tmp_path, capsys, label):
     assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["cfg.json"]
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_config_refuses_non_finite_damping_exponent(tmp_path, capsys, value):
+    # json writes and reads NaN and Infinity; a run with either would be a
+    # numerical artefact reported as saturated dynamics
+    payload = json.loads(json.dumps(FIG1))
+    payload["integrator"]["damping_exponent"] = value
+    config = _write_config(tmp_path, payload)
+    rc = cli.main(["simulate", "--config", config, "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "integrator: damping_exponent must be finite" in err
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["cfg.json"]
+
+
 def test_config_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

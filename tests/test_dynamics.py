@@ -156,6 +156,9 @@ def test_config_validation():
         IntegratorConfig(t0=1.0, t_end=2.0, dt=1e-9)  # > 1e8 steps
     with pytest.raises(ValueError):
         IntegratorConfig(t0=1.0, t_end=1.001, dt=0.01)  # rounds to zero steps
+    for r in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="damping_exponent"):
+            IntegratorConfig(damping_exponent=r)
     with pytest.warns(UserWarning):
         IntegratorConfig(damping_exponent=1.0)
 
@@ -352,6 +355,86 @@ def _reference_nagd(g, b, q0, v0, cfg):
     return times, states[:, :n], states[:, n:], saturated
 
 
+# Plain step loops with one work buffer, the references of the workspace
+# rings: each step makes the same products in the same order, so the records
+# must agree bit for bit.  They run in chunks of their own length; a step does not
+# depend on where a chunk starts.
+_PLAIN_CHUNK = 64
+
+
+def _plain_nagd(g, b, q0, v0, cfg):
+    """simulate_nagd with one work buffer: three np.dot calls and a copy back per step."""
+    n = g.shape[0]
+    gt_t = dynamics._augmented(g, b).T.copy()
+    h, r = cfg.dt, cfg.damping_exponent
+    powers = np.array([1.0, h * h, h**4])[:, None, None]
+    w = np.empty((3, 2, n + 1))
+    s_now, s_g, s_gg = w
+    w6 = w.reshape(6, n + 1)
+
+    def advance(t, s, out):
+        coef = dynamics._step_coefficients(t, h, r)
+        coef *= powers
+        coef = coef.transpose(0, 2, 1, 3).reshape(-1, 2, 6)
+        s_now[...] = s
+        for ck, o in zip(coef, out):
+            np.dot(s_now, gt_t, out=s_g)
+            np.dot(s_g, gt_t, out=s_gg)
+            np.dot(ck, w6, out=o)
+            s_now[...] = o
+
+    s0 = np.zeros((2, n + 1))
+    s0[0, :n], s0[0, n], s0[1, :n] = q0, 1.0, v0
+    times, states, _, saturated = dynamics._drive(
+        lambda chunk: advance, s0, cfg, _PLAIN_CHUNK, dynamics._position_sq, np.s_[:, :n]
+    )
+    return times, states[:, 0], states[:, 1], bool(saturated[0])
+
+
+def _plain_first_order(g, b, x0, cfg):
+    """simulate_first_order's step as np.dot into the output row, then np.add."""
+    n = g.shape[0]
+    a = -cfg.dt * dynamics._augmented(g, b)
+    term = np.eye(n + 1)
+    incr = np.zeros((n + 1, n + 1))
+    for k in range(1, 5):
+        term = (term @ a) / k
+        incr += term
+    et = incr.T.copy()
+
+    def advance(t, s, out):
+        for o in out:
+            np.dot(s, et, out=o)
+            s = np.add(o, s, out=o)
+
+    s0 = np.append(x0, 1.0)[None, :]
+    times, states, _, saturated = dynamics._drive(
+        lambda chunk: advance, s0, cfg, _PLAIN_CHUNK, dynamics._position_sq, np.s_[:, :n]
+    )
+    return times, states[:, 0], bool(saturated[0])
+
+
+def _plain_modal(lams, y0, ydot0, cfg):
+    """_modal_rk4's step as np.multiply and np.add over the lanes, into the output row."""
+    lam = np.asarray(lams, dtype=complex)
+    h, r = cfg.dt, cfg.damping_exponent
+    prod = np.empty((2, 2, lam.shape[0]), dtype=complex)
+
+    def advance(t, s, out):
+        m = dynamics._modal_step_maps(lam, t, h, r)
+        for m_k, o in zip(m, out):
+            np.multiply(m_k, s[:, None], out=prod)
+            np.add(prod[0], prod[1], out=o)
+            s = o
+
+    s0 = np.empty((2, lam.shape[0]), dtype=complex)
+    s0[0], s0[1] = y0, ydot0
+    times, states, rows, saturated = dynamics._drive(
+        lambda chunk: advance, s0, cfg, _PLAIN_CHUNK, lambda y: np.abs(y[:, 0]) ** 2
+    )
+    return times, states[:, 0], states[:, 1], rows, saturated
+
+
 def _vector_system(n, kind):
     rng = np.random.RandomState(n)
     if kind == "jordan":
@@ -387,6 +470,12 @@ def test_step_map_core_matches_stage_form(monkeypatch, n, kind, stride):
     assert rec.q.shape == rec.v.shape == ref_q.shape
     assert _sup_rel(rec.q, ref_q) <= 1e-12
     assert _sup_rel(rec.v, ref_v) <= 1e-12
+    # and bit for bit the plain loop, which cuts the grid into other chunks
+    plain_t, plain_q, plain_v, plain_sat = _plain_nagd(g, b, q0, v0, cfg)
+    assert rec.saturated == plain_sat
+    assert _same_bits(rec.times, plain_t)
+    assert _same_bits(rec.q, plain_q)
+    assert _same_bits(rec.v, plain_v)
 
 
 @pytest.mark.parametrize("stride", [1, 7])
@@ -399,6 +488,10 @@ def test_first_order_step_map_matches_stage_form(stride):
     assert np.array_equal(rec.times, ref_t)
     assert _sup_rel(rec.q, ref_x) <= 1e-12
     assert np.allclose(rec.v, -(rec.q @ g.T) - b, rtol=0.0, atol=1e-15)
+    plain_t, plain_x, plain_sat = _plain_first_order(g, b, x0, cfg)
+    assert not plain_sat
+    assert _same_bits(rec.times, plain_t)
+    assert _same_bits(rec.q, plain_x)
     # the offset moves the rest point to -G^{-1} b
     assert np.allclose(rec.q[-1], np.linalg.solve(g, -b), atol=1e-9)
 
@@ -462,6 +555,13 @@ def test_modal_lanes_equal_single_runs_bit_for_bit(monkeypatch, cells, dt):
     cfg = IntegratorConfig(t0=1.0, t_end=30.0, dt=dt)
     times, q, v, rows, saturated = dynamics._modal_rk4(lams, 1.0, 0.0, cfg)
     assert saturated.tolist() == [False] * 6 + [True, False]
+    plain = _plain_modal(lams, 1.0, 0.0, cfg)
+    assert np.array_equal(plain[3], rows) and np.array_equal(plain[4], saturated)
+    for p in range(len(lams)):
+        n = rows[p]
+        assert _same_bits(plain[0][:n], times[:n])
+        assert _same_bits(plain[1][:n, p], q[:n, p])
+        assert _same_bits(plain[2][:n, p], v[:n, p])
     for p, lam in enumerate(lams):
         rec = simulate_modal(lam, 1.0, 0.0, cfg)
         n = rows[p]
