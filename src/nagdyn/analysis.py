@@ -17,7 +17,7 @@ import numpy as np
 
 from .dynamics import TrajectoryRecord
 from .errors import InsufficientPoints, NonPositiveSeries, NotApplicable, TrivialNullspace
-from .spectral import ALGEBRAIC_DECAY_EXPONENT
+from .spectral import ALGEBRAIC_DECAY_EXPONENT, matrix_tolerance
 
 __all__ = [
     "ALGEBRAIC_WINDOW",
@@ -213,8 +213,11 @@ class LyapunovSeries:
     G is positive semidefinite.  Without both hypotheses the certificate
     does not apply: ``applicable`` is False and ``obstruction`` names the
     one that fails, "not symmetric" (checked first) or "not positive
-    semidefinite".  ``skew_residual`` carries t^2 v^T (G - G^T) q, the term
-    a non-symmetric G would add to the derivative.
+    semidefinite".  Both are judged within ``spectral.matrix_tolerance(G)``,
+    as the spectral verdict is: ||G - G^T||_F and the most negative
+    eigenvalue of G may reach it.  ``skew_residual`` carries
+    t^2 v^T (G - G^T) q, the term a non-symmetric G would add to the
+    derivative.
     ``vdot_numeric`` is a five-point finite difference of V (edges at
     reduced order, see the interior slice [2:-2]).  It is taken only when
     the certificate applies, and is None otherwise, so a failed hypothesis
@@ -241,8 +244,8 @@ def lyapunov_series(record: TrajectoryRecord, matrix) -> LyapunovSeries:
     vv = 0.5 * t**2 * qgq + 0.5 * np.einsum("ij,ij->i", shifted, shifted)
     vdot = -t * qgq
     skew = np.einsum("ij,ij->i", v @ (g - g.T), q) * t**2
-    tol = 1e-12 * max(1.0, float(np.abs(g).max()))
-    if float(np.abs(g - g.T).max()) > tol:
+    tol = matrix_tolerance(g)
+    if float(np.linalg.norm(g - g.T)) > tol:
         obstruction = "not symmetric"
     elif float(np.linalg.eigvalsh(g)[0]) < -tol:
         obstruction = "not positive semidefinite"
@@ -403,14 +406,15 @@ class NullspaceDistance:
 def distance_to_nullspace(record: TrajectoryRecord, matrix) -> NullspaceDistance:
     """Pointwise distance ||q - Pi_ker q||; raises TrivialNullspace if ker G = 0.
 
-    The null space is read off the SVD with threshold 1e-10 * sigma_max.
+    The null space is spanned by the right singular vectors whose singular
+    values are at most ``spectral.matrix_tolerance(G)``, the tolerance
+    within which the spectral verdict calls an eigenvalue zero.
     """
     g = np.asarray(matrix, dtype=float)
     if record.q.ndim != 2 or record.q.shape[1] != g.shape[0]:
         raise ValueError("trajectory and matrix dimensions do not match")
     _, sv, vt = np.linalg.svd(g)
-    thresh = 1e-10 * (float(sv[0]) if sv[0] > 0.0 else 1.0)
-    dim = int(np.sum(sv <= thresh))
+    dim = int(np.sum(sv <= matrix_tolerance(g)))
     if dim == 0:
         raise TrivialNullspace("matrix has full rank; there is no null space to track")
     basis = vt[g.shape[0] - dim :].T  # orthonormal columns spanning ker G

@@ -30,13 +30,17 @@ of x'' + (r/t) x' + G x = 0.  The four ``advance`` functions are:
   trajectory that saturates is reported as saturated, not as a field
   that overflowed past it.
 
-The three linear loops step through a workspace ring allocated once per run,
-one slot per step of a chunk plus one: step k reads slot k and writes its
-state straight into slot k + 1, through lists of slot views built with the
-ring, and the chunk's states are copied out in one assignment at its end.
+Each integrator steps through a buffer allocated once per run, one slot per
+step of a chunk: the three linear loops through a ring with one more slot,
+in which step k reads slot k and writes its state straight into slot k + 1
+through lists of slot views built with the ring.  ``advance`` returns a
+view of the states it took, and ``_drive`` records straight from that view,
+so a state is copied only into the record.  The augmented entries of the
+state [x; 1], [x'; 0] are set once when the ring is allocated: every step
+reproduces them exactly, so the view and the record hold only x and x'.
 The products are ``ndarray.dot`` and ufunc calls with ``out=``, which skip
 the Python-level ``__array_function__`` dispatch of ``np.dot``, so a step
-costs little more than its BLAS calls and copies no state back.
+costs little more than its BLAS calls.
 """
 
 from __future__ import annotations
@@ -88,6 +92,10 @@ class IntegratorConfig:
             raise ValueError("t_end must exceed t0")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError("dt must be positive")
+        # checked before n_steps is read: a span that overflows to inf
+        # cannot be rounded to an int
+        if not (self.t_end - self.t0) / self.dt <= 1e8:
+            raise ValueError("more than 1e8 steps requested; coarsen dt")
         if not math.isfinite(self.damping_exponent):
             raise ValueError("damping_exponent must be finite")
         # bool is an int subclass, and True would silently mean stride 1
@@ -96,8 +104,6 @@ class IntegratorConfig:
             raise ValueError("record_stride must be a positive integer")
         if self.n_steps < 1:
             raise ValueError("the grid contains no steps; shrink dt or extend t_end")
-        if self.n_steps > 10**8:
-            raise ValueError("more than 1e8 steps requested; coarsen dt")
         if self.damping_exponent <= 1.0:
             warnings.warn(
                 "damping exponent <= 1 is outside the guaranteed-convergence regime",
@@ -145,8 +151,8 @@ def _check_system(matrix, offset, q0, v0):
 
 
 #: Steps per chunk of :func:`simulate_nagd`, :func:`simulate_first_order`
-#: and :func:`simulate_smooth_nagd`, which keeps the chunk's coefficients,
-#: state history and workspace ring at tens of KiB for small systems (about
+#: and :func:`simulate_smooth_nagd`, which keeps the chunk's coefficients
+#: and the ring that holds its states at tens of KiB for small systems (about
 #: 0.5 MiB of ring at n = 40).  On a 2-vCPU VM, 4096-step chunks raised the
 #: simulate benchmark's peak RSS by about 0.45 MiB and ran no faster.
 _LINEAR_STEP_CHUNK = 256
@@ -200,23 +206,28 @@ def _position_sq(x: np.ndarray) -> np.ndarray:
     return np.einsum("ki,ki->k", x[:, 0], x[:, 0])[:, None]
 
 
-def _drive(make_advance: Callable, s0: np.ndarray, config: IntegratorConfig, chunk: int, lane_sq: Callable, keep=()):
+def _chunk_steps(config: IntegratorConfig, cap: int) -> int:
+    """Steps per chunk of one run, which sizes its buffer: ``cap``, or fewer
+    when the run is shorter."""
+    return min(cap, config.n_steps)
+
+
+def _drive(advance: Callable, s0: np.ndarray, config: IntegratorConfig, chunk: int, lane_sq: Callable):
     """Run an RK4 step recurrence in chunks of ``chunk`` steps and record it.
 
-    ``make_advance(m)`` allocates the run's workspace for chunks of at most
-    ``m`` steps and returns ``advance(t, s, out)``, which takes the state
-    ``s`` through the steps that start at the times ``t`` (T,) and writes
-    the state after each of them into ``out`` (T, *s0.shape).  The record
-    keeps the part ``s[keep]`` of the initial state and of every
-    ``record_stride``-th state.  The state holds one or more lanes, and
-    ``lane_sq`` maps the kept parts of a chunk's states to each lane's
-    squared position norm, shape (T, L).
+    ``advance(t, s)`` takes the state ``s`` through the steps that start at
+    the times ``t`` (T,) and returns a view of the state after each of them,
+    shape (T, *s0.shape).  The view stays valid until the next call, which
+    gets its last state as ``s``, and the record copies the initial state
+    and every ``record_stride``-th state straight from it.  The state holds one or more lanes, and
+    ``lane_sq`` maps a chunk's states to each lane's squared position
+    norm, shape (T, L).
     The guard |x| <= 1e150 holds after every step: it is checked per
     chunk, after the fact, and a lane that fails it is flagged saturated
     and keeps only the rows recorded before the failing step.  The run
     stops after the chunk in which its last live lane fails.  An
-    ``advance`` may stop a chunk early by filling its remaining rows with
-    NaN, which the guard reads as a failure.
+    ``advance`` may return fewer than T states only to end the run: the
+    last of them must fail the guard on every live lane.
 
     Returns ``(times, record, rows, saturated)``: lane p's record is
     ``record[:rows[p]]``, and its entries past ``rows[p]`` are undefined.
@@ -226,24 +237,19 @@ def _drive(make_advance: Callable, s0: np.ndarray, config: IntegratorConfig, chu
     t0, h = config.t0, config.dt
     n_rec = n_steps // stride + 1
     times = t0 + (np.arange(n_rec) * stride) * h
-    record = np.empty((n_rec,) + s0[keep].shape, dtype=s0.dtype)
-    record[0] = s0[keep]
-    keep = (slice(None),) + keep
+    record = np.empty((n_rec,) + s0.shape, dtype=s0.dtype)
+    record[0] = s0
     alive = np.ones(lane_sq(record[:1]).shape[1], dtype=bool)
     rows = np.full(alive.shape, n_rec)
-    chunk = min(chunk, n_steps)
-    advance = make_advance(chunk)
-    buf = np.empty((chunk,) + s0.shape, dtype=s0.dtype)
     s = s0
     guard = OVERFLOW_NORM * OVERFLOW_NORM
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n_steps, chunk):
-            states = buf[: min(chunk, n_steps - start)]  # states[k]: after step start + k + 1
-            advance(t0 + np.arange(start, start + states.shape[0]) * h, s, states)
-            parts = states[keep]
-            ok = lane_sq(parts) <= guard  # False for NaN as well
+            # states[k]: the state after step start + k + 1
+            states = advance(t0 + np.arange(start, min(start + chunk, n_steps)) * h, s)
+            ok = lane_sq(states) <= guard  # False for NaN as well
             first = -(start + 1) % stride  # local index of the first recorded step
-            kept = parts[first::stride]
+            kept = states[first::stride]
             row = (start + 1 + first) // stride
             record[row : row + kept.shape[0]] = kept
             if not ok.all():  # a lane failed here, or failed in an earlier chunk
@@ -253,9 +259,16 @@ def _drive(make_advance: Callable, s0: np.ndarray, config: IntegratorConfig, chu
                 alive[failed] = False
                 if not alive.any():
                     break
-            s = states[-1].copy()
+            s = states[-1]
     top = rows.max(initial=1)
     return times[:top], record[:top], rows, ~alive
+
+
+def _record(kind: str, times, q, v, saturated, config: IntegratorConfig, **meta) -> TrajectoryRecord:
+    """The record of one run, with ``meta`` between its kind and its config."""
+    return TrajectoryRecord(
+        times=times, q=q, v=v, saturated=bool(saturated), meta={"kind": kind, **meta, "config": config}
+    )
 
 
 def simulate_nagd(matrix, offset, q0, v0=None, config: IntegratorConfig = IntegratorConfig()) -> TrajectoryRecord:
@@ -268,37 +281,27 @@ def simulate_nagd(matrix, offset, q0, v0=None, config: IntegratorConfig = Integr
     # a state at which G~ x~ rounds to exactly zero then stays exactly fixed,
     # as in the stage form
     powers = np.array([1.0, h * h, h**4])[:, None, None]
+    # slot k holds [s; s G~^T; s (G~^T)^2] for the state s after k steps of
+    # the chunk; step k reads slot k and writes its state into slot k + 1
+    chunk = _chunk_steps(config, _LINEAR_STEP_CHUNK)
+    ring = np.empty((chunk + 1, 3, 2, n + 1))
+    ring[:, 0, :, n] = 1.0, 0.0
+    a_all, ag_all, agg_all = (list(ring[:, i]) for i in range(3))
+    slots = list(zip(a_all, ag_all, agg_all, ring.reshape(chunk + 1, 6, n + 1), a_all[1:]))
 
-    def make_advance(chunk):
-        # slot k holds [s; s G~^T; s (G~^T)^2] for the state s after k steps
-        # of the chunk; step k reads slot k and writes its state into slot k + 1
-        ring = np.empty((chunk + 1, 3, 2, n + 1))
-        a_all, ag_all, agg_all = (list(ring[:, i]) for i in range(3))
-        slots = list(zip(a_all, ag_all, agg_all, ring.reshape(chunk + 1, 6, n + 1), a_all[1:]))
+    def advance(t, s):
+        coef = _step_coefficients(t, h, r)
+        coef *= powers
+        coef = coef.transpose(0, 2, 1, 3).reshape(-1, 2, 6)
+        ring[0, 0, :, :n] = s
+        for ck, (a, ag, agg, a6, nxt) in zip(coef, slots):
+            a.dot(gt_t, out=ag)
+            ag.dot(gt_t, out=agg)
+            ck.dot(a6, out=nxt)
+        return ring[1 : t.shape[0] + 1, 0, :, :n]
 
-        def advance(t, s, out):
-            coef = _step_coefficients(t, h, r)
-            coef *= powers
-            coef = coef.transpose(0, 2, 1, 3).reshape(-1, 2, 6)
-            ring[0, 0] = s
-            for ck, (a, ag, agg, a6, nxt) in zip(coef, slots):
-                a.dot(gt_t, out=ag)
-                ag.dot(gt_t, out=agg)
-                ck.dot(a6, out=nxt)
-            out[...] = ring[1 : out.shape[0] + 1, 0]
-
-        return advance
-
-    s0 = np.zeros((2, n + 1))
-    s0[0, :n], s0[0, n], s0[1, :n] = q, 1.0, v
-    times, states, _, saturated = _drive(make_advance, s0, config, _LINEAR_STEP_CHUNK, _position_sq, np.s_[:, :n])
-    return TrajectoryRecord(
-        times=times,
-        q=states[:, 0],
-        v=states[:, 1],
-        saturated=bool(saturated[0]),
-        meta={"kind": "nagd", "config": config},
-    )
+    times, states, _, saturated = _drive(advance, np.stack([q, v]), config, chunk, _position_sq)
+    return _record("nagd", times, states[:, 0], states[:, 1], saturated[0], config)
 
 
 def simulate_first_order(matrix, offset, x0, config: IntegratorConfig = IntegratorConfig()) -> TrajectoryRecord:
@@ -316,30 +319,21 @@ def simulate_first_order(matrix, offset, x0, config: IntegratorConfig = Integrat
         term = (term @ a) / k
         incr += term
     et = incr.T.copy()
+    chunk = _chunk_steps(config, _LINEAR_STEP_CHUNK)
+    ring = np.empty((chunk + 1, 1, n + 1))  # slot k: the state after k steps of the chunk
+    ring[:, 0, n] = 1.0
+    slots = list(zip(ring[:-1], ring[1:]))
 
-    def make_advance(chunk):
-        ring = np.empty((chunk + 1, 1, n + 1))  # slot k: the state after k steps of the chunk
-        slots = list(zip(ring[:-1], ring[1:]))
+    def advance(t, s):
+        ring[0, :, :n] = s
+        for a, nxt in slots[: t.shape[0]]:
+            a.dot(et, out=nxt)
+            np.add(nxt, a, out=nxt)
+        return ring[1 : t.shape[0] + 1, :, :n]
 
-        def advance(t, s, out):
-            ring[0] = s
-            for a, nxt in slots[: out.shape[0]]:
-                a.dot(et, out=nxt)
-                np.add(nxt, a, out=nxt)
-            out[...] = ring[1 : out.shape[0] + 1]
-
-        return advance
-
-    s0 = np.append(x, 1.0)[None, :]
-    times, states, _, saturated = _drive(make_advance, s0, config, _LINEAR_STEP_CHUNK, _position_sq, np.s_[:, :n])
+    times, states, _, saturated = _drive(advance, x[None, :], config, chunk, _position_sq)
     q = states[:, 0]
-    return TrajectoryRecord(
-        times=times,
-        q=q,
-        v=-(q @ g.T) - b,
-        saturated=bool(saturated[0]),
-        meta={"kind": "first-order", "config": config},
-    )
+    return _record("first-order", times, q, -(q @ g.T) - b, saturated[0], config)
 
 
 #: Steps x points per chunk of step maps in :func:`_modal_rk4`.  The maps,
@@ -380,29 +374,25 @@ def _modal_rk4(lams, y0, ydot0, config: IntegratorConfig):
     """
     lam = np.asarray(lams, dtype=complex).ravel()
     h, r = config.dt, config.damping_exponent
+    chunk = _chunk_steps(config, max(1, min(_MODAL_STEP_CHUNK, _MODAL_CHUNK_CELLS // max(lam.shape[0], 1))))
+    # slot k: the state after k steps of the chunk, as a column [y; y'] per lane
+    ring = np.empty((chunk + 1, 2, 1, lam.shape[0]), dtype=complex)
+    slots = list(ring)
+    nexts = slots[1:]
+    prod = np.empty((2, 2, lam.shape[0]), dtype=complex)  # [j, i, p]: M[i, j] s[j] of lane p
+    p0, p1 = prod[:, :, None]
 
-    def make_advance(chunk):
-        # slot k: the state after k steps of the chunk, as a column [y; y'] per lane
-        ring = np.empty((chunk + 1, 2, 1, lam.shape[0]), dtype=complex)
-        slots = list(ring)
-        nexts = slots[1:]
-        prod = np.empty((2, 2, lam.shape[0]), dtype=complex)  # [j, i, p]: M[i, j] s[j] of lane p
-        p0, p1 = prod[:, :, None]
-
-        def advance(t, s, out):
-            m = _modal_step_maps(lam, t, h, r)
-            ring[0, :, 0] = s
-            for m_k, col, nxt in zip(m, slots, nexts):
-                np.multiply(m_k, col, out=prod)
-                np.add(p0, p1, out=nxt)
-            out[...] = ring[1 : out.shape[0] + 1, :, 0]
-
-        return advance
+    def advance(t, s):
+        m = _modal_step_maps(lam, t, h, r)
+        ring[0, :, 0] = s
+        for m_k, col, nxt in zip(m, slots, nexts):
+            np.multiply(m_k, col, out=prod)
+            np.add(p0, p1, out=nxt)
+        return ring[1 : t.shape[0] + 1, :, 0]
 
     s0 = np.empty((2, lam.shape[0]), dtype=complex)
     s0[0], s0[1] = y0, ydot0
-    chunk = max(1, min(_MODAL_STEP_CHUNK, _MODAL_CHUNK_CELLS // max(lam.shape[0], 1)))
-    times, states, rows, saturated = _drive(make_advance, s0, config, chunk, lambda y: np.abs(y[:, 0]) ** 2)
+    times, states, rows, saturated = _drive(advance, s0, config, chunk, lambda y: np.abs(y[:, 0]) ** 2)
     return times, states[:, 0], states[:, 1], rows, saturated
 
 
@@ -410,13 +400,7 @@ def simulate_modal(lam: complex, y0: complex, ydot0: complex, config: Integrator
     """Integrate the scalar modal equation y'' + (r/t) y' + lam y = 0."""
     lam = complex(lam)
     times, q, v, _, saturated = _modal_rk4([lam], complex(y0), complex(ydot0), config)
-    return TrajectoryRecord(
-        times=times,
-        q=q[:, 0],
-        v=v[:, 0],
-        saturated=bool(saturated[0]),
-        meta={"kind": "modal", "lam": lam, "config": config},
-    )
+    return _record("modal", times, q[:, 0], v[:, 0], saturated[0], config, lam=lam)
 
 
 def simulate_smooth_nagd(field: Callable, x0, v0=None, config: IntegratorConfig = IntegratorConfig()) -> TrajectoryRecord:
@@ -448,29 +432,25 @@ def simulate_smooth_nagd(field: Callable, x0, v0=None, config: IntegratorConfig 
         out[1] = -fx - (r / t) * s[1]
 
     k1, k2, k3, k4 = np.empty((4, 2, n))  # the stage derivatives, reused by every step
+    chunk = _chunk_steps(config, _LINEAR_STEP_CHUNK)
+    out = np.empty((chunk, 2, n))
 
-    def advance(t, s, out):
+    def advance(t, s):
         for k, tk in enumerate(t.tolist()):
             f(tk, s, k1)
             f(tk + half, s + half * k1, k2)
             f(tk + half, s + half * k2, k3)
             f(tk + h, s + h * k3, k4)
             out[k] = s + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-            # the guard runs here, before the field sees the new state; _drive
-            # flags this same row, and the NaN rows after it cannot read as live
+            # the guard runs here, before the field sees the new state, and
+            # _drive flags this same row, the last it is given
             if not _position_sq(out[k : k + 1])[0, 0] <= guard:  # False for NaN as well
-                out[k + 1 :] = np.nan
-                return
+                return out[: k + 1]
             s = out[k]
+        return out[: t.shape[0]]
 
-    times, states, _, saturated = _drive(lambda chunk: advance, np.stack([x, v]), config, _LINEAR_STEP_CHUNK, _position_sq)
-    return TrajectoryRecord(
-        times=times,
-        q=states[:, 0],
-        v=states[:, 1],
-        saturated=bool(saturated[0]),
-        meta={"kind": "smooth-nagd", "config": config},
-    )
+    times, states, _, saturated = _drive(advance, np.stack([x, v]), config, chunk, _position_sq)
+    return _record("smooth-nagd", times, states[:, 0], states[:, 1], saturated[0], config)
 
 
 def finite_difference_jacobian(field: Callable, x_star, step: float = 1e-6) -> np.ndarray:

@@ -865,9 +865,10 @@ class CheckResult:
     detail: str = ""
 
 
-def _check(name, measured, threshold, detail="", larger_is_fail=True):
-    passed = measured <= threshold if larger_is_fail else measured >= threshold
-    return CheckResult(name=name, passed=bool(passed), measured=float(measured), threshold=float(threshold), detail=detail)
+def _check(name, measured, threshold, detail=""):
+    return CheckResult(
+        name=name, passed=bool(measured <= threshold), measured=float(measured), threshold=float(threshold), detail=detail
+    )
 
 
 def _check_grids(dt: float) -> dict[str, dynamics.IntegratorConfig]:

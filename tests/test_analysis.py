@@ -347,3 +347,38 @@ def test_distance_in_nullspace_is_zero():
 def test_distance_full_rank_raises(potential_record):
     with pytest.raises(TrivialNullspace):
         analysis.distance_to_nullspace(potential_record, POTENTIAL)
+
+
+# --------------------------------------------------------------------------
+# the certificates judge hypotheses within the verdict's tolerance
+
+
+def _short_record(g):
+    return simulate_nagd(g, None, np.ones(2), config=IntegratorConfig(t0=1.0, t_end=1.1, dt=0.01))
+
+
+def test_lyapunov_symmetric_within_the_verdict_tolerance():
+    # ||G - G^T||_F = 1.4e-10 lies inside matrix_tolerance(G), about 2.3e-9
+    g = np.array([[1.0, 0.5], [0.5000000001, 2.0]])
+    assert spectral.eigendecompose(g).is_symmetric
+    lyap = analysis.lyapunov_series(_short_record(g), g)
+    assert lyap.applicable and lyap.obstruction == ""
+
+
+def test_lyapunov_semidefinite_within_the_verdict_tolerance():
+    # -1e-11 is the Zero eigenvalue of the verdict, not a negative one
+    g = np.diag([1.0, -1e-11])
+    verdict = spectral.classify_matrix(spectral.eigendecompose(g))
+    assert verdict.nagd is spectral.NagdVerdict.STABLE_TO_NULLSPACE
+    lyap = analysis.lyapunov_series(_short_record(g), g)
+    assert lyap.applicable and lyap.obstruction == ""
+
+
+def test_nullspace_within_the_verdict_tolerance():
+    # 5e-10 is the Zero eigenvalue of the verdict, so its axis is the null space
+    g = np.diag([1.0, 5e-10])
+    verdict = spectral.classify_matrix(spectral.eigendecompose(g))
+    assert verdict.nagd is spectral.NagdVerdict.STABLE_TO_NULLSPACE
+    dist = analysis.distance_to_nullspace(_short_record(g), g)
+    assert dist.nullspace_dim == 1
+    assert np.allclose(np.abs(dist.basis[:, 0]), [0.0, 1.0])

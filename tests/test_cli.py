@@ -556,7 +556,7 @@ def test_check_degraded_dt_names_failures(tmp_path, capsys):
     assert "FAIL modal_closed_form_agreement" in out
 
 
-@pytest.mark.parametrize("dt", ["0", "-0.01", "nan", "1000"])
+@pytest.mark.parametrize("dt", ["0", "-0.01", "nan", "1000", "1e-320"])
 def test_check_bad_dt_is_config_error(tmp_path, capsys, dt):
     rc = cli.main(["check", "--dt", dt, "--out", str(tmp_path)])
     assert rc == cli.EXIT_CONFIG

@@ -156,6 +156,10 @@ def test_config_validation():
         IntegratorConfig(t0=1.0, t_end=2.0, dt=1e-9)  # > 1e8 steps
     with pytest.raises(ValueError):
         IntegratorConfig(t0=1.0, t_end=1.001, dt=0.01)  # rounds to zero steps
+    # spans whose step count overflows to inf are refused before it is rounded
+    for t_end, dt in ((1e308, 1e-10), (30.0, 1e-320)):
+        with pytest.raises(ValueError, match="more than 1e8 steps"):
+            IntegratorConfig(t0=1.0, t_end=t_end, dt=dt)
     for r in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="damping_exponent"):
             IntegratorConfig(damping_exponent=r)
@@ -358,7 +362,8 @@ def _reference_nagd(g, b, q0, v0, cfg):
 # Plain step loops with one work buffer, the references of the workspace
 # rings: each step makes the same products in the same order, so the records
 # must agree bit for bit.  They run in chunks of their own length; a step does not
-# depend on where a chunk starts.
+# depend on where a chunk starts.  Each keeps its own output buffer, augments
+# the state on entry and returns a view of the states it took.
 _PLAIN_CHUNK = 64
 
 
@@ -371,22 +376,23 @@ def _plain_nagd(g, b, q0, v0, cfg):
     w = np.empty((3, 2, n + 1))
     s_now, s_g, s_gg = w
     w6 = w.reshape(6, n + 1)
+    buf = np.empty((_PLAIN_CHUNK, 2, n + 1))
 
-    def advance(t, s, out):
+    def advance(t, s):
         coef = dynamics._step_coefficients(t, h, r)
         coef *= powers
         coef = coef.transpose(0, 2, 1, 3).reshape(-1, 2, 6)
-        s_now[...] = s
+        out = buf[: t.shape[0]]
+        s_now[:, :n], s_now[:, n] = s, (1.0, 0.0)
         for ck, o in zip(coef, out):
             np.dot(s_now, gt_t, out=s_g)
             np.dot(s_g, gt_t, out=s_gg)
             np.dot(ck, w6, out=o)
             s_now[...] = o
+        return out[:, :, :n]
 
-    s0 = np.zeros((2, n + 1))
-    s0[0, :n], s0[0, n], s0[1, :n] = q0, 1.0, v0
     times, states, _, saturated = dynamics._drive(
-        lambda chunk: advance, s0, cfg, _PLAIN_CHUNK, dynamics._position_sq, np.s_[:, :n]
+        advance, np.stack([q0, v0]), cfg, _PLAIN_CHUNK, dynamics._position_sq
     )
     return times, states[:, 0], states[:, 1], bool(saturated[0])
 
@@ -401,15 +407,18 @@ def _plain_first_order(g, b, x0, cfg):
         term = (term @ a) / k
         incr += term
     et = incr.T.copy()
+    buf = np.empty((_PLAIN_CHUNK, 1, n + 1))
 
-    def advance(t, s, out):
+    def advance(t, s):
+        out = buf[: t.shape[0]]
+        s = np.append(s[0], 1.0)[None, :]
         for o in out:
             np.dot(s, et, out=o)
             s = np.add(o, s, out=o)
+        return out[:, :, :n]
 
-    s0 = np.append(x0, 1.0)[None, :]
     times, states, _, saturated = dynamics._drive(
-        lambda chunk: advance, s0, cfg, _PLAIN_CHUNK, dynamics._position_sq, np.s_[:, :n]
+        advance, x0[None, :], cfg, _PLAIN_CHUNK, dynamics._position_sq
     )
     return times, states[:, 0], bool(saturated[0])
 
@@ -419,18 +428,21 @@ def _plain_modal(lams, y0, ydot0, cfg):
     lam = np.asarray(lams, dtype=complex)
     h, r = cfg.dt, cfg.damping_exponent
     prod = np.empty((2, 2, lam.shape[0]), dtype=complex)
+    buf = np.empty((_PLAIN_CHUNK, 2, lam.shape[0]), dtype=complex)
 
-    def advance(t, s, out):
+    def advance(t, s):
         m = dynamics._modal_step_maps(lam, t, h, r)
+        out = buf[: t.shape[0]]
         for m_k, o in zip(m, out):
             np.multiply(m_k, s[:, None], out=prod)
             np.add(prod[0], prod[1], out=o)
             s = o
+        return out
 
     s0 = np.empty((2, lam.shape[0]), dtype=complex)
     s0[0], s0[1] = y0, ydot0
     times, states, rows, saturated = dynamics._drive(
-        lambda chunk: advance, s0, cfg, _PLAIN_CHUNK, lambda y: np.abs(y[:, 0]) ** 2
+        advance, s0, cfg, _PLAIN_CHUNK, lambda y: np.abs(y[:, 0]) ** 2
     )
     return times, states[:, 0], states[:, 1], rows, saturated
 
@@ -569,6 +581,33 @@ def test_modal_lanes_equal_single_runs_bit_for_bit(monkeypatch, cells, dt):
         assert _same_bits(rec.times, times[:n])
         assert _same_bits(rec.q, q[:n, p])
         assert _same_bits(rec.v, v[:n, p])
+
+
+def test_drive_records_a_short_chunk_that_ends_the_run():
+    # x doubles 50 times a step, so x_9 = 2^450 passes the guard and
+    # x_10 = 2^500 fails it; 4-step chunks put step 10 second in the third,
+    # which advance returns short, ending in the failing state
+    cfg = IntegratorConfig(t0=1.0, t_end=2.0, dt=0.0625, record_stride=3)
+    assert cfg.n_steps == 16
+    buf = np.empty((4, 1, 1))
+    calls = []
+
+    def advance(t, s):
+        calls.append(t.shape[0])
+        out = buf[: t.shape[0]]
+        for k in range(t.shape[0]):
+            out[k] = s * 2.0**50
+            s = out[k]
+            if s[0, 0] > dynamics.OVERFLOW_NORM:
+                return out[: k + 1]
+        return out
+
+    times, record, rows, saturated = dynamics._drive(advance, np.ones((1, 1)), cfg, 4, dynamics._position_sq)
+    assert calls == [4, 4, 4]
+    assert saturated.tolist() == [True] and rows.tolist() == [4]
+    # the rows of steps 0, 3, 6 and 9, all before the failing step 10
+    assert _same_bits(times, 1.0 + 0.0625 * np.array([0.0, 3.0, 6.0, 9.0]))
+    assert _same_bits(record[:, 0, 0], 2.0 ** np.array([0.0, 150.0, 300.0, 450.0]))
 
 
 def test_integrator_config_refuses_boolean_stride():
