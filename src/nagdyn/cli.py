@@ -17,11 +17,18 @@ the eigensolver did not converge).
 A ``--grid`` value that starts with a minus sign may follow ``--grid``
 as its own argument (``--grid -2:6:8,-3:3:8``) or be joined to it
 (``--grid=-2:6:8,-3:3:8``).
+
+A command runs numpy's OpenBLAS on one thread and then restores the
+caller's thread count: nagdyn's products are too small for a second
+thread to pay, while OpenBLAS's idle worker would spin on another core.
+Library calls keep the caller's setting.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import dataclasses
 import functools
 import json
@@ -209,11 +216,63 @@ _COMMANDS = {
 }
 
 
+#: OpenBLAS's (set, get) thread-count functions, under the names its builds
+#: export: scipy-openblas with 64-bit and 32-bit integers, then plain OpenBLAS.
+_OPENBLAS_THREAD_API = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+@functools.cache
+def _blas_thread_api():
+    """numpy's OpenBLAS ``(set_num_threads, get_num_threads)``, or None.
+
+    ``dlsym`` on numpy's linear-algebra extension also searches the BLAS it
+    links.  None means another BLAS (MKL, Accelerate) whose threads are left
+    as they are.
+    """
+    from numpy.linalg import _umath_linalg
+
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return None
+    for set_name, get_name in _OPENBLAS_THREAD_API:
+        try:
+            set_threads, get_threads = getattr(lib, set_name), getattr(lib, get_name)
+        except AttributeError:
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        return set_threads, get_threads
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with OpenBLAS on one thread, then restore the caller's count."""
+    api = _blas_thread_api()
+    if api is None:
+        yield
+        return
+    set_threads, get_threads = api
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_join_grid_values(sys.argv[1:] if argv is None else list(argv)))
     try:
-        return _COMMANDS[args.command](args)
+        with _one_blas_thread():
+            return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

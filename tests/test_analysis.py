@@ -1,15 +1,16 @@
 """Rate fits, Lyapunov and Chetaev certificates, flux identity, null spaces."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nagdyn import analysis, special, spectral
+from nagdyn import analysis, cli, special, spectral
 from nagdyn.analysis import fit_rate
-from nagdyn.dynamics import IntegratorConfig, simulate_modal, simulate_nagd
+from nagdyn.dynamics import IntegratorConfig, TrajectoryRecord, simulate_modal, simulate_nagd
 from nagdyn.errors import InsufficientPoints, NonPositiveSeries, NotApplicable, TrivialNullspace
 
 POTENTIAL = np.array([[0.4, 0.2], [0.2, 0.8]])
@@ -150,6 +151,36 @@ def test_lyapunov_skew_obstruction():
     expected = t**2 * (rec.v[k] @ (ROT - ROT.T) @ rec.q[k])
     assert lyap.skew_residual[k] == pytest.approx(expected, rel=1e-12)
     assert np.max(np.abs(lyap.skew_residual)) > 0.0
+
+
+@pytest.mark.parametrize("m, n", [(50_001, 4), (401, 40)])
+def test_lyapunov_series_bytes_do_not_depend_on_blas_threads(m, n):
+    # these tall records cross OpenBLAS's threading threshold; the CLI runs
+    # BLAS on one thread, which must not change a byte of the certificate
+    api = cli._blas_thread_api()
+    if api is None or (os.cpu_count() or 1) < 2:
+        pytest.skip("needs OpenBLAS's thread API and two CPUs")
+    set_threads, get_threads = api
+    rng = np.random.default_rng(m + n)
+    g = rng.standard_normal((n, n))  # not symmetric, so the skew product is not zero
+    rec = TrajectoryRecord(
+        times=np.linspace(1.0, 500.0, m),
+        q=rng.standard_normal((m, n)),
+        v=rng.standard_normal((m, n)),
+        saturated=False,
+        meta={},
+    )
+    original = get_threads()
+    series = []
+    try:
+        for threads in (1, 2):
+            set_threads(threads)
+            series.append(analysis.lyapunov_series(rec, g))
+    finally:
+        set_threads(original)
+    one, two = series
+    for name in ("V", "vdot_analytic", "skew_residual"):
+        assert getattr(one, name).tobytes() == getattr(two, name).tobytes(), name
 
 
 # --------------------------------------------------------------------------

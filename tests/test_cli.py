@@ -606,6 +606,41 @@ def test_numerical_error_exit_code(tmp_path, capsys, monkeypatch, argv, target, 
 
 
 # --------------------------------------------------------------------------
+# BLAS threads
+
+
+@pytest.mark.parametrize(
+    "config, code",
+    [(FIG1, cli.EXIT_OK), ({"initial": {"q0": [1.0]}}, cli.EXIT_CONFIG)],
+    ids=["success", "config-error"],
+)
+def test_command_runs_blas_on_one_thread_and_restores_the_count(tmp_path, monkeypatch, config, code):
+    api = cli._blas_thread_api()
+    if api is None:
+        pytest.skip("numpy links no OpenBLAS thread API")
+    set_threads, get_threads = api
+    original = get_threads()
+    seen = []
+    load_config = experiments.load_config
+
+    def recording_load_config(path):
+        seen.append(get_threads())
+        return load_config(path)
+
+    monkeypatch.setattr(experiments, "load_config", recording_load_config)
+    try:
+        set_threads(2)
+        caller = get_threads()
+        if caller == 1:
+            pytest.skip("OpenBLAS keeps one thread here")
+        assert cli.main(["classify", "--config", _write_config(tmp_path, config)]) == code
+        assert seen == [1]
+        assert get_threads() == caller
+    finally:
+        set_threads(original)
+
+
+# --------------------------------------------------------------------------
 # unwritable output
 
 
