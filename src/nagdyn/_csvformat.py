@@ -24,7 +24,9 @@ little-endian 64-bit words, and each cell is laid out as ``%g`` does
 (``ddd.ddd``, ``0.000ddd`` or ``d.ddde-XX``, trailing zeros and a bare
 point dropped) by masking and shifting those words with a per-layout
 record.  A row is a run of 25-byte slots, one cell and its separator
-each, padded with NUL; dropping the NUL bytes leaves the CSV text.
+each, padded with NUL; dropping the NUL bytes leaves the CSV text.  A
+cell fills all of its slot, so one row buffer, its separators set once,
+serves every chunk of a write.
 
 A column may also be a :class:`CodedColumn`, a table of values and one
 index into it per row (dictionary encoding: Abadi, Madden & Ferreira,
@@ -221,8 +223,25 @@ def label_table(names: Sequence[str]) -> np.ndarray:
     return np.frombuffer(b"".join(s.ljust(slot - 1, b"\0") + b"\n" for s in encoded), np.uint8).reshape(-1, slot)
 
 
+def row_buffer(rows: int, ncols: int, label_width: int) -> np.ndarray:
+    """A buffer for ``rows`` CSV rows of ``ncols`` float slots and a label ``label_width`` bytes wide, separators set.
+
+    Every cell and label that :func:`format_rows` writes overwrites all the
+    bytes of its slot, so one buffer serves every chunk of a write.
+    """
+    width = ncols * _SLOT + label_width
+    buf = np.zeros((rows, width), np.uint8)
+    seps = np.ndarray((rows, ncols), np.uint8, buf, _CELL, (width, _SLOT))
+    seps[:] = ord(",")
+    if not label_width:
+        seps[:, -1] = ord("\n")
+    return buf
+
+
 def format_rows(
-    columns: list[np.ndarray | tuple[np.ndarray, np.ndarray]], labels: tuple[np.ndarray, np.ndarray] | None = None
+    columns: list[np.ndarray | tuple[np.ndarray, np.ndarray]],
+    labels: tuple[np.ndarray, np.ndarray] | None = None,
+    buf: np.ndarray | None = None,
 ) -> np.ndarray:
     """The CSV rows of ``columns`` and an optional last text column ``labels``, as UTF-8 bytes.
 
@@ -230,18 +249,18 @@ def format_rows(
     formatted here, or a pair ``(cells, index)`` of a :func:`cell_table`
     and one row of it per CSV row.  ``labels`` is a pair ``(table, codes)``
     of a :func:`label_table` and one row of it per CSV row.  Indices are
-    not checked.  All columns have the same number of rows.
+    not checked.  All columns have the same number of rows.  ``buf`` is a
+    :func:`row_buffer` of these columns and labels with at least that many
+    rows, whose first rows are overwritten; by default one is made.
     """
     first = columns[0]
     rows, ncols = (first if isinstance(first, np.ndarray) else first[1]).shape[0], len(columns)
-    width = ncols * _SLOT + (0 if labels is None else labels[0].shape[1])
-    buf = np.zeros((rows, width), np.uint8)
+    if buf is None:
+        buf = row_buffer(rows, ncols, 0 if labels is None else labels[0].shape[1])
+    buf = buf[:rows]
+    width = buf.shape[1]
     words = np.ndarray((rows, ncols, 3), "<u8", buf, 0, (width, _SLOT, 8))
-    seps = np.ndarray((rows, ncols), np.uint8, buf, _CELL, (width, _SLOT))
-    seps[:] = ord(",")
-    if labels is None:
-        seps[:, -1] = ord("\n")
-    else:
+    if labels is not None:
         buf[:, ncols * _SLOT :] = labels[0][labels[1]]
 
     plain = []
@@ -316,12 +335,15 @@ def csv_chunks(
 
     def chunks():
         yield (",".join(header) + "\n").encode("utf-8")
+        if not rows:
+            return
+        buf = row_buffer(min(rows, chunk_rows), len(columns), 0 if labels is None else label_cells.shape[1])
         for lo in range(0, rows, chunk_rows):
             hi = lo + chunk_rows
             cols = [
                 np.asarray(col[lo:hi], dtype=float) if table is None else (table, col.index[lo:hi])
                 for col, table in zip(columns, cells)
             ]
-            yield format_rows(cols, None if labels is None else (label_cells, labels.index[lo:hi]))
+            yield format_rows(cols, None if labels is None else (label_cells, labels.index[lo:hi]), buf)
 
     return chunks()

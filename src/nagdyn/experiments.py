@@ -388,6 +388,11 @@ def _chetaev_negative(cfg, spectrum, verdict, record):
         return {}, {}
     cls, w = found
     che = analysis.chetaev_negative(record, w, cls.rate)
+    if che.xi[-1] < 0.0:
+        # the sign of an eigenvector is arbitrary and W is even in it, but
+        # the cone is not: orient it by the side xi ends on.  xi and zeta
+        # change sign exactly, so W keeps its bits.
+        che = analysis.chetaev_negative(record, -w, cls.rate)
     return {"W": che.W}, {
         "chetaev_negative": {
             "mu": cls.rate,

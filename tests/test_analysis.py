@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nagdyn import analysis, cli, special, spectral
+from nagdyn import analysis, cli, experiments, special, spectral
 from nagdyn.analysis import fit_rate
 from nagdyn.dynamics import IntegratorConfig, TrajectoryRecord, simulate_modal, simulate_nagd
 from nagdyn.errors import InsufficientPoints, NonPositiveSeries, NotApplicable, TrivialNullspace
@@ -214,6 +214,22 @@ def test_chetaev_negative_outside_cone():
     rec = _chetaev_record(-1.0)
     che = analysis.chetaev_negative(rec, np.array([0.0, 1.0]), MU)
     assert not np.any(che.in_omega)
+
+
+def test_chetaev_run_orients_the_cone_by_the_side_xi_ends_on():
+    # fig3's game from q0 = [1, 1] and from its mirror [1, -1]: the negative
+    # mode's coordinate changes sign exactly, W is even in it, and the
+    # fraction of the record in the cone must not depend on the eigenvector's sign
+    runs = [
+        experiments.run_experiment(experiments._experiment("m", [[1.0, 0.0], [0.0, -0.5]], q0, [0.0, 0.0], 60.0, ["chetaev"]))
+        for q0 in ([1.0, 1.0], [1.0, -1.0])
+    ]
+    (_, first, header, first_cols), (_, mirrored, _, mirrored_cols) = runs
+    w = header.index("W")
+    assert np.array_equal(first_cols[w], mirrored_cols[w])
+    fractions = [run["chetaev_negative"]["fraction_in_omega"] for run in (first, mirrored)]
+    assert fractions[0] > 0.9
+    assert fractions[1].hex() == fractions[0].hex()
 
 
 def test_chetaev_negative_growth_ratio_is_the_three_point_stencil():

@@ -7,6 +7,7 @@ designed spectra of seeded P D P^-1 similarity transforms.
 
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import linear_sum_assignment
 
-from nagdyn import spectral
+from nagdyn import experiments, spectral
 from nagdyn.errors import EigensolverNoConvergence
 from nagdyn.spectral import (
     EigenvalueClass,
@@ -363,6 +364,101 @@ def test_class_table_is_in_code_order():
     codes, rates = spectral._classify_codes(lam.real, lam.imag)
     assert [spectral.CLASSES[k] for k in codes] == list(points)
     assert predicted_rate(codes, rates).tolist() == [spectral.ALGEBRAIC_DECAY_EXPONENT, 0.0, SQRT2, rates[3]]
+
+
+CPYTHON_311 = pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="the port holds the bits of CPython 3.11's math.hypot; CPython 3.12 computes dl_mul with fma",
+)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@CPYTHON_311
+def test_hypot_port_matches_math_hypot_bit_for_bit():
+    rng = np.random.default_rng(19)
+    n = 10**6
+    # signed pairs spanning +-300 decades, and pairs of near magnitude,
+    # where the differential correction decides the last bit
+    a = rng.standard_normal(n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
+    b = rng.standard_normal(n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
+    c = rng.uniform(0.5, 2.0, n) * 10.0 ** rng.integers(-300, 300, n)
+    d = -c * rng.uniform(0.5, 2.0, n)
+    # zeros, subnormals, maxima below 2**-1024 (CPython's DBL_MIN branch)
+    # and at its edge, the least normal, and values near overflow
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.0**-1030, np.nextafter(2.0**-1024, 0.0), 2.0**-1024,
+             2.0**-1023, np.finfo(float).tiny, 1.7e308, -1.7e308, np.finfo(float).max, 1.0, 3.0, 4.0]
+    x = np.concatenate([a, c, np.repeat(edges, len(edges))])
+    y = np.concatenate([b, d, np.tile(edges, len(edges))])
+    with np.errstate(over="ignore"):  # hypot(1.7e308, 1.7e308) is inf, as math.hypot gives it
+        got = spectral._hypot(x, y)
+    want = np.array(list(map(math.hypot, x.tolist(), y.tolist())))
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+def _plain_classify_codes(re, im, tol):
+    """The classification formula on the whole grid, with ``math.hypot`` one point at a time."""
+    a = np.asarray(re, dtype=float)
+    b = np.asarray(im, dtype=float)
+    real = np.abs(b) <= tol
+    negative = real & (a < -tol)
+    codes = np.where(real, np.where(negative, 2, np.where(np.abs(a) <= tol, 1, 0)), 3)
+    rates = np.sqrt(-a, out=np.zeros(a.shape), where=negative)
+    cplx = ~real
+    a8, bc = a[cplx] / 8.0, b[cplx]
+    root = np.sqrt(np.frompyfunc(math.hypot, 2, 1)(a8, bc / 8.0).astype(float) + np.abs(a8))
+    rates[cplx] = np.where(a8 >= 0.0, np.abs(bc) / (4.0 * root), 2.0 * root)
+    return codes, rates
+
+
+def _grid(spec):
+    re_axis, im_axis = experiments.parse_grid(spec) if isinstance(spec, str) else spec
+    return np.repeat(re_axis, im_axis.shape[0]), np.tile(im_axis, re_axis.shape[0])
+
+
+@CPYTHON_311
+@pytest.mark.parametrize("few_points", [0, spectral._FEW_POINTS])
+@pytest.mark.parametrize("tol", [spectral.DEFAULT_SCALAR_TOL, 0.0])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "-1e-3:1e-3:9,-1e17:1e17:9",
+        "5e-324:1e-323:3,0:0:1",
+        (np.linspace(-1.0, 1.0, 9) * 1e308,) * 2,
+        "-3.0:5.0:513,-2.0:6.0:257",  # the size of the benchmark's classify-only grid
+    ],
+    ids=["tolerance-edges", "subnormal", "1e308", "513x257"],
+)
+def test_blocked_classification_keeps_the_bits_of_the_plain_formula(monkeypatch, spec, tol, few_points):
+    # few_points = 0 sends every size through the port; the default sends
+    # the small grids through math.hypot and the large one through the port
+    monkeypatch.setattr(spectral, "_FEW_POINTS", few_points)
+    re, im = _grid(spec)
+    codes, rates = spectral._classify_codes(re, im, tol)
+    want_codes, want_rates = _plain_classify_codes(re, im, tol)
+    assert codes.dtype == want_codes.dtype and np.array_equal(codes, want_codes)
+    assert np.array_equal(_bits(rates), _bits(want_rates))
+
+
+def test_classification_blocks_and_shapes(monkeypatch):
+    # a grid over several blocks, a short last block, and 0-d and 2-D input
+    monkeypatch.setattr(spectral, "_BLOCK", 7)
+    monkeypatch.setattr(spectral, "_FEW_POINTS", 0)
+    re, im = _grid("-2:2:9,-1:1:5")
+    codes, rates = spectral._classify_codes(re, im)
+    whole = [classify_eigenvalue(complex(a, b)) for a, b in zip(re.tolist(), im.tolist())]
+    assert [spectral.CLASSES[k] for k in codes] == [c.tag for c in whole]
+    assert rates.tolist() == [c.rate for c in whole]
+    square_codes, square_rates = spectral._classify_codes(re.reshape(9, 5), im.reshape(9, 5))
+    assert np.array_equal(square_codes, codes.reshape(9, 5)) and np.array_equal(square_rates, rates.reshape(9, 5))
+    one_code, one_rate = spectral._classify_codes(-4.0, 0.0)
+    assert one_code.shape == one_rate.shape == () and one_code == 2 and one_rate == 2.0
+    with pytest.raises(ValueError, match="finite"):
+        spectral._classify_codes(re.tolist() + [math.inf], im.tolist() + [0.0])
+    with pytest.raises(ValueError, match="shape"):
+        spectral._classify_codes([1.0, 2.0], [0.0])
 
 
 # --------------------------------------------------------------------------
