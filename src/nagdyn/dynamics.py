@@ -89,19 +89,21 @@ class IntegratorConfig:
         if not (math.isfinite(self.t0) and self.t0 > 0.0):
             raise ValueError("t0 must be positive (the damping blows up at t = 0)")
         if not (math.isfinite(self.t_end) and self.t_end > self.t0):
-            raise ValueError("t_end must exceed t0")
+            raise ValueError("t_end must be finite and exceed t0")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError("dt must be positive")
+            raise ValueError("dt must be positive and finite")
         # checked before n_steps is read: a span that overflows to inf
         # cannot be rounded to an int
         if not (self.t_end - self.t0) / self.dt <= 1e8:
             raise ValueError("more than 1e8 steps requested; coarsen dt")
         if not math.isfinite(self.damping_exponent):
             raise ValueError("damping_exponent must be finite")
-        # bool is an int subclass, and True would silently mean stride 1
+        # bool is an int subclass, and True would silently mean stride 1; the
+        # bound on the steps also bounds the stride, whose multiples index
+        # the grid in C integers
         stride = self.record_stride
-        if not (isinstance(stride, int) and not isinstance(stride, bool) and stride >= 1):
-            raise ValueError("record_stride must be a positive integer")
+        if not (isinstance(stride, int) and not isinstance(stride, bool) and 1 <= stride <= 10**8):
+            raise ValueError("record_stride must be an integer from 1 to 1e8")
         if self.n_steps < 1:
             raise ValueError("the grid contains no steps; shrink dt or extend t_end")
         if self.damping_exponent <= 1.0:
@@ -345,8 +347,6 @@ def simulate_first_order(matrix, offset, x0, config: IntegratorConfig = Integrat
 #: 1.9 MiB, lowers a 9-point measured sweep's from 7.8 to 2.5 MiB, and runs
 #: no slower.
 _MODAL_CHUNK_CELLS = 2**12
-#: Most steps per chunk, reached for batches of 16 points or fewer.
-_MODAL_STEP_CHUNK = 4096
 
 
 def _modal_step_maps(lam: np.ndarray, t: np.ndarray, h: float, r: float) -> np.ndarray:
@@ -375,7 +375,7 @@ def _modal_rk4(lams, y0, ydot0, config: IntegratorConfig):
     """
     lam = np.asarray(lams, dtype=complex).ravel()
     h, r = config.dt, config.damping_exponent
-    chunk = _chunk_steps(config, max(1, min(_MODAL_STEP_CHUNK, _MODAL_CHUNK_CELLS // max(lam.shape[0], 1))))
+    chunk = _chunk_steps(config, max(1, _MODAL_CHUNK_CELLS // max(lam.shape[0], 1)))
     # slot k: the state after k steps of the chunk, as a column [y; y'] per lane
     ring = np.empty((chunk + 1, 2, 1, lam.shape[0]), dtype=complex)
     slots = list(ring)

@@ -15,7 +15,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable
 
 import numpy as np
@@ -80,28 +80,35 @@ class ExperimentConfig:
         object.__setattr__(self, "v0", v)
 
 
-def _cfg_vector(raw, key: str, n: int | None = None) -> np.ndarray:
+def _cfg_array(raw, key: str, n: int | None = None) -> np.ndarray:
+    """``raw`` as finite floats: a vector of length ``n``, or a square matrix when ``n`` is None."""
+    kind = "square matrix" if n is None else f"vector of length {n}"
     try:
-        vec = np.asarray(raw, dtype=float)
+        arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: expected a numeric vector") from exc
-    if vec.ndim != 1 or (n is not None and vec.shape[0] != n):
-        raise ConfigError(f"{key}: expected a vector" + (f" of length {n}" if n else ""))
-    if not np.all(np.isfinite(vec)):
+        raise ConfigError(f"{key}: expected a numeric {kind}") from exc
+    except OverflowError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+    square = n is None and arr.ndim == 2 and arr.shape[0] == arr.shape[1]
+    if not (square or arr.shape == (n,)):
+        raise ConfigError(f"{key}: expected a {kind}")
+    if not np.all(np.isfinite(arr)):
         raise ConfigError(f"{key}: entries must be finite")
-    return vec
+    return arr
 
 
-def _cfg_matrix(raw, key: str) -> np.ndarray:
+#: The integrator keys, each with the type of its field's default.
+_INTEGRATOR_TYPES = {f.name: type(f.default) for f in fields(dynamics.IntegratorConfig)}
+
+
+def _cfg_number(value, key: str, kind: type):
+    """``value`` as a ``kind``: an int, or a float read from an int or a float; never a bool."""
+    if not isinstance(value, (int, kind)) or isinstance(value, bool):
+        raise ConfigError(f"{key}: expected " + ("an integer" if kind is int else "a number"))
     try:
-        mat = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: expected a numeric matrix") from exc
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ConfigError(f"{key}: expected a square matrix")
-    if not np.all(np.isfinite(mat)):
-        raise ConfigError(f"{key}: entries must be finite")
-    return mat
+        return kind(value)
+    except OverflowError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def parse_config(raw: dict, label: str = "experiment") -> ExperimentConfig:
@@ -122,10 +129,10 @@ def parse_config(raw: dict, label: str = "experiment") -> ExperimentConfig:
     if ("matrix" in source) == ("game" in source):
         raise ConfigError("source: provide exactly one of 'matrix' or 'game'")
     if "matrix" in source:
-        g = _cfg_matrix(source["matrix"], "source.matrix")
+        g = _cfg_array(source["matrix"], "source.matrix")
         n = g.shape[0]
         b = (
-            _cfg_vector(source["offset"], "source.offset", n)
+            _cfg_array(source["offset"], "source.offset", n)
             if "offset" in source
             else np.zeros(n)
         )
@@ -141,14 +148,14 @@ def parse_config(raw: dict, label: str = "experiment") -> ExperimentConfig:
         if not isinstance(payoffs, list) or not payoffs:
             raise ConfigError("source.game.payoffs: expected a nonempty list of matrices")
         n = len(payoffs)
-        qs = [_cfg_matrix(p, f"source.game.payoffs[{i}]") for i, p in enumerate(payoffs)]
+        qs = [_cfg_array(p, f"source.game.payoffs[{i}]") for i, p in enumerate(payoffs)]
         offs = spec_g.get("offsets")
         if offs is None:
             ds = [np.zeros(n) for _ in range(n)]
         else:
             if not isinstance(offs, list) or len(offs) != n:
                 raise ConfigError("source.game.offsets: expected one vector per player")
-            ds = [_cfg_vector(d, f"source.game.offsets[{i}]", n) for i, d in enumerate(offs)]
+            ds = [_cfg_array(d, f"source.game.offsets[{i}]", n) for i, d in enumerate(offs)]
         try:
             system = game.pseudo_gradient(game.QuadraticGame(payoffs=tuple(qs), offsets=tuple(ds)))
         except ValueError as exc:
@@ -158,28 +165,16 @@ def parse_config(raw: dict, label: str = "experiment") -> ExperimentConfig:
     initial = raw.get("initial")
     if not isinstance(initial, dict) or "q0" not in initial:
         raise ConfigError("initial: required object with 'q0'")
-    q0 = _cfg_vector(initial["q0"], "initial.q0", n)
-    v0 = _cfg_vector(initial["v0"], "initial.v0", n) if "v0" in initial else np.zeros(n)
+    q0 = _cfg_array(initial["q0"], "initial.q0", n)
+    v0 = _cfg_array(initial["v0"], "initial.v0", n) if "v0" in initial else np.zeros(n)
 
     integ_raw = raw.get("integrator", {})
     if not isinstance(integ_raw, dict):
         raise ConfigError("integrator: expected an object")
-    allowed = {"t0", "t_end", "dt", "damping_exponent", "record_stride"}
-    unknown = set(integ_raw) - allowed
+    unknown = set(integ_raw) - _INTEGRATOR_TYPES.keys()
     if unknown:
         raise ConfigError(f"integrator: unknown keys {sorted(unknown)}")
-    kwargs = {}
-    for key_name in allowed:
-        if key_name in integ_raw:
-            value = integ_raw[key_name]
-            if key_name == "record_stride":
-                if not isinstance(value, int) or isinstance(value, bool):
-                    raise ConfigError("integrator.record_stride: expected an integer")
-                kwargs[key_name] = value
-            else:
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    raise ConfigError(f"integrator.{key_name}: expected a number")
-                kwargs[key_name] = float(value)
+    kwargs = {k: _cfg_number(v, f"integrator.{k}", _INTEGRATOR_TYPES[k]) for k, v in integ_raw.items()}
     try:
         integ = dynamics.IntegratorConfig(**kwargs)
     except ValueError as exc:
@@ -216,7 +211,6 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    integ = cfg.integrator
     return {
         "label": cfg.label,
         "source": {
@@ -224,13 +218,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
             "offset": cfg.system.offset.tolist(),
         },
         "initial": {"q0": cfg.q0.tolist(), "v0": cfg.v0.tolist()},
-        "integrator": {
-            "t0": integ.t0,
-            "t_end": integ.t_end,
-            "dt": integ.dt,
-            "damping_exponent": integ.damping_exponent,
-            "record_stride": integ.record_stride,
-        },
+        "integrator": asdict(cfg.integrator),
         "diagnostics": list(cfg.diagnostics),
     }
 
@@ -745,6 +733,8 @@ def parse_grid(spec: str) -> tuple[np.ndarray, np.ndarray]:
             raise ConfigError(f"grid.{axis_name}: {exc}") from exc
         if count < 1:
             raise ConfigError(f"grid.{axis_name}: count must be >= 1")
+        if count > GRID_POINT_CAP:  # before linspace allocates the axis
+            raise GridTooLarge(f"grid.{axis_name} has {count} points; the cap is {GRID_POINT_CAP}")
         if not (math.isfinite(start) and math.isfinite(stop)):
             raise ConfigError(f"grid.{axis_name}: bounds must be finite")
         with np.errstate(over="ignore", invalid="ignore"):

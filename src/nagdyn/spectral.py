@@ -223,6 +223,10 @@ _BLOCK = 8192
 #: the size, as much as ``math.hypot`` on some 300 points.
 _FEW_POINTS = 256
 
+#: A complex eigenvalue whose larger part is below ``_TINY`` has its rate
+#: computed on 4**300 lam, where lam/8 is exact, and scaled back by 2**-300.
+_TINY = 2.0**-500
+
 #: Veltkamp's splitting constant 2**27 + 1.
 _VELTKAMP = 134217729.0
 
@@ -311,11 +315,24 @@ def _classify_block(a, b, codes, rates, tol, hypot) -> None:
     # a >= 0, where sqrt((h - a)/2) would cancel, and sqrt((h - a)/2) for
     # a < 0.  They are evaluated on lam/8, an exact scaling, so that h + |a|
     # cannot overflow: with root = sqrt(|lam/8| + |a/8|) they are
-    # |b| / (4 root) and 2 root.
+    # |b| / (4 root) and 2 root.  lam/8 is not exact where a part is
+    # subnormal, so a lam whose larger part is below _TINY is scaled by
+    # 4**300 first and its rate by 2**-300 after: hypot, sqrt and the
+    # quotient commute with these exact scalings while no value is
+    # subnormal, so a lam that needs neither gets the same bits from them.
     cplx = ~real
-    a8, bc = a[cplx] / 8.0, b[cplx]
+    ac, bc = a[cplx], b[cplx]  # copies
+    tiny = np.maximum(np.abs(ac), np.abs(bc)) < _TINY
+    scaled = tiny.any()
+    if scaled:
+        ac[tiny] *= 4.0**300
+        bc[tiny] *= 4.0**300
+    a8 = ac / 8.0
     root = np.sqrt(hypot(a8, bc / 8.0) + np.abs(a8))
-    rates[cplx] = np.where(a8 >= 0.0, np.abs(bc) / (4.0 * root), 2.0 * root)
+    beta = np.where(a8 >= 0.0, np.abs(bc) / (4.0 * root), 2.0 * root)
+    if scaled:
+        beta[tiny] *= 2.0**-300
+    rates[cplx] = beta
 
 
 def predicted_rate(codes, rates) -> np.ndarray:

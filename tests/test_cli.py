@@ -4,12 +4,13 @@ import filecmp
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
 from nagdyn import cli, experiments, special, spectral
-from nagdyn.errors import OutputError, OverflowSaturation
+from nagdyn.errors import ConfigError, OutputError, OverflowSaturation
 
 FIG1 = {
     "label": "potential",
@@ -58,6 +59,22 @@ def test_config_game_source(tmp_path):
     assert np.array_equal(cfg.system.matrix, [[0.4, 0.2], [0.2, 0.8]])
 
 
+def test_config_game_offsets():
+    # player i's offset enters the field through its own coordinate only
+    payoffs = [[[0.2, 0.1], [0.1, 0.5]], [[0.3, 0.1], [0.1, 0.4]]]
+    payload = {
+        "source": {"game": {"payoffs": payoffs, "offsets": [[0.3, -1.0], [2.0, -0.7]]}},
+        "initial": {"q0": [1.0, 0.0]},
+    }
+    cfg = experiments.parse_config(payload)
+    assert np.array_equal(cfg.system.matrix, [[0.4, 0.2], [0.2, 0.8]])
+    assert np.array_equal(cfg.system.offset, [0.3, -0.7])
+    for offsets, key in (([[0.3, -1.0]], "source.game.offsets:"), ([[0.3, -1.0], [2.0]], "source.game.offsets[1]:")):
+        payload["source"]["game"]["offsets"] = offsets
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            experiments.parse_config(payload)
+
+
 @pytest.mark.parametrize(
     "mutate, key",
     [
@@ -82,8 +99,12 @@ def test_config_errors_name_the_key(tmp_path, capsys, mutate, key):
     [
         (lambda p: p.update(output={"dir": "results"}), "top level: unknown keys ['output']"),
         (lambda p: p["integrator"].update(record_stride=True), "integrator.record_stride: expected an integer"),
+        # numbers that do not fit a double, and a stride past the step bound
+        (lambda p: p["integrator"].update(t_end=10**400), "integrator.t_end: int too large to convert to float"),
+        (lambda p: p["source"]["matrix"][0].__setitem__(0, 10**400), "source.matrix: int too large to convert to float"),
+        (lambda p: p["integrator"].update(record_stride=10**30), "integrator: record_stride must be an integer from 1 to 1e8"),
     ],
-    ids=["output", "boolean_stride"],
+    ids=["output", "boolean_stride", "overflowing_t_end", "overflowing_matrix_entry", "huge_stride"],
 )
 def test_config_refuses_ignored_output_and_boolean_stride(tmp_path, capsys, mutate, message):
     payload = json.loads(json.dumps(FIG1))
@@ -163,6 +184,16 @@ def test_simulate_stride(tmp_path):
     assert rc == cli.EXIT_OK
     _, rows = _read_csv(tmp_path / "potential.csv")
     assert len(rows) == 991
+
+
+@pytest.mark.parametrize("stride", ["0", "-3", str(10**8 + 1), str(10**30)])
+def test_simulate_refuses_a_stride_out_of_range(tmp_path, capsys, stride):
+    config = _write_config(tmp_path, FIG1)
+    rc = cli.main(["simulate", "--config", config, "--out", str(tmp_path / "out"), "--stride", stride])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: --stride {stride}: record_stride must be an integer from 1 to 1e8\n"
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["cfg.json"]
 
 
 def test_simulate_saturation_exit_code(tmp_path):
@@ -269,6 +300,34 @@ def test_diagnostic_note_on_a_one_row_record(tmp_path, matrix, diagnostic, note)
     assert summary["notes"] == [note]
     header, rows = _read_csv(tmp_path / "short.csv")
     assert header == ["t", "q_1", "q_2", "v_1", "v_2", "norm_q"] and len(rows) == 1
+
+
+def test_modal_diagnostic_projects_the_initial_data(tmp_path):
+    # y0 = w^* q0 and ydot0 = w^* v0 for each left eigenvector w, and the
+    # right eigenvectors weighted by them rebuild q0 and v0
+    matrix, q0, v0 = [[6.0, 1.5], [-1.5, 6.0]], [1.0, 0.5], [0.2, -0.3]
+    payload = {
+        "label": "modal",
+        "source": {"matrix": matrix},
+        "initial": {"q0": q0, "v0": v0},
+        "integrator": {"t_end": 2.0},
+        "diagnostics": ["modal"],
+    }
+    rc = cli.main(["simulate", "--config", _write_config(tmp_path, payload), "--out", str(tmp_path)])
+    assert rc == cli.EXIT_OK
+    modes = json.loads((tmp_path / "modal.json").read_text())["modal"]
+    spectrum = spectral.eigendecompose(np.array(matrix))
+    assert len(modes) == 2
+    y0 = np.array([complex(m["y0"]["re"], m["y0"]["im"]) for m in modes])
+    ydot0 = np.array([complex(m["ydot0"]["re"], m["ydot0"]["im"]) for m in modes])
+    for k, (mode, lam, w) in enumerate(zip(modes, spectrum.eigenvalues, spectrum.left_vectors)):
+        assert complex(mode["eigenvalue"]["re"], mode["eigenvalue"]["im"]) == lam
+        assert mode["class"] == "StrictlyComplex"
+        assert y0[k] == np.conj(w) @ q0 and ydot0[k] == np.conj(w) @ v0
+    assert np.allclose(spectrum.right_vectors @ y0, q0, rtol=0.0, atol=1e-12)
+    assert np.allclose(spectrum.right_vectors @ ydot0, v0, rtol=0.0, atol=1e-12)
+    # the modal diagnostic adds no CSV column
+    assert _read_csv(tmp_path / "modal.csv")[0] == ["t", "q_1", "q_2", "v_1", "v_2", "norm_q"]
 
 
 def test_diagnostic_columns(tmp_path):
@@ -461,6 +520,26 @@ def test_sweep_grid_too_large(tmp_path, capsys):
     rc = cli.main(["sweep", "--grid", "0:1:2000,0:1:2000", "--out", str(tmp_path)])
     assert rc == cli.EXIT_CONFIG
     assert "cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["0:1:1000001,0:1:1", "0:1:3,0:1:99999999999999999999999"], ids=["real", "imag"])
+def test_sweep_axis_above_the_cap_is_refused_before_it_is_built(tmp_path, capsys, monkeypatch, grid):
+    # an axis count past the cap is refused before linspace would allocate
+    # 8 bytes a point, or fail on a count beyond numpy's array size
+    linspace = np.linspace
+
+    def guarded(start, stop, count):
+        assert count <= experiments.GRID_POINT_CAP, "an axis was built before its count was checked"
+        return linspace(start, stop, count)
+
+    monkeypatch.setattr(np, "linspace", guarded)
+    rc = cli.main(["sweep", f"--grid={grid}", "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    axis = "real" if grid.startswith("0:1:1000001") else "imag"
+    assert err.startswith(f"config error: grid.{axis} has ") and "the cap is 1000000" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_bad_grid(tmp_path):

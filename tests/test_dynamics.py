@@ -258,11 +258,11 @@ def test_batched_modal_saturating_lane_is_truncated_alone():
 
 @pytest.mark.parametrize("stride", [1, 3, 7, 100])
 def test_batched_modal_chunk_edges_and_strides(monkeypatch, stride):
-    # 10 steps per chunk against 293 steps, so the last chunk is partial;
-    # lam = -160^2 passes 1e150 near t = 3.2, inside a chunk and, at
-    # stride 100, after the last recorded row: only a guard checked at
-    # every step flags it
-    monkeypatch.setattr(dynamics, "_MODAL_STEP_CHUNK", 10)
+    # 10 steps per chunk (30 cells over 3 lanes) against 293 steps, so the
+    # last chunk is partial; lam = -160^2 passes 1e150 near t = 3.2, inside
+    # a chunk and, at stride 100, after the last recorded row: only a guard
+    # checked at every step flags it
+    monkeypatch.setattr(dynamics, "_MODAL_CHUNK_CELLS", 30)
     lams = [1.0, -25600.0, 2j]
     cfg = IntegratorConfig(t0=1.0, t_end=3.93, dt=0.01, record_stride=stride)
     assert cfg.n_steps == 293
@@ -615,6 +615,17 @@ def test_integrator_config_refuses_boolean_stride():
         IntegratorConfig(record_stride=True)
     with pytest.raises(ValueError, match="record_stride"):
         IntegratorConfig(record_stride=False)
+
+
+def test_integrator_config_bounds_the_stride_like_the_steps():
+    # a stride of 2**63 or more would overflow the C integers that index
+    # the record; one past the last step is valid and records the first row
+    for stride in (10**8 + 1, 2**63, 10**30):
+        with pytest.raises(ValueError, match="record_stride must be an integer from 1 to 1e8"):
+            IntegratorConfig(record_stride=stride)
+    cfg = IntegratorConfig(t0=1.0, t_end=1.5, dt=0.01, record_stride=10**8)
+    for rec in (simulate_nagd([[1.0]], [0.0], [1.0], [0.0], cfg), simulate_modal(1.0, 1.0, 0.0, cfg)):
+        assert rec.times.tolist() == [1.0] and not rec.saturated
 
 
 @pytest.mark.parametrize("chunk", [10, 256])

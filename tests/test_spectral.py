@@ -428,8 +428,11 @@ def _grid(spec):
         "5e-324:1e-323:3,0:0:1",
         (np.linspace(-1.0, 1.0, 9) * 1e308,) * 2,
         "-3.0:5.0:513,-2.0:6.0:257",  # the size of the benchmark's classify-only grid
+        # below 2**-500, where the rate is computed on 4**300 lam, but with
+        # no subnormal part, where that scaling changes no bit
+        (np.array([3e-200, -2e-300, -np.nextafter(2.0**-500, 0.0)]), np.array([7e-201, -1e-300, 2.0**-501])),
     ],
-    ids=["tolerance-edges", "subnormal", "1e308", "513x257"],
+    ids=["tolerance-edges", "subnormal", "1e308", "513x257", "tiny"],
 )
 def test_blocked_classification_keeps_the_bits_of_the_plain_formula(monkeypatch, spec, tol, few_points):
     # few_points = 0 sends every size through the port; the default sends
@@ -440,6 +443,28 @@ def test_blocked_classification_keeps_the_bits_of_the_plain_formula(monkeypatch,
     want_codes, want_rates = _plain_classify_codes(re, im, tol)
     assert codes.dtype == want_codes.dtype and np.array_equal(codes, want_codes)
     assert np.array_equal(_bits(rates), _bits(want_rates))
+
+
+#: Complex eigenvalues with a subnormal part, in all four quadrants, and
+#: tiny ones on both sides of the 2**-500 threshold of the scaled formula.
+TINY_LAMS = [5e-324j, -5e-324j, 1e-320 + 3e-321j, -1e-320 + 3e-321j, 3e-321 - 1e-320j, -3e-321 - 1e-320j,
+             2e-310 + 1e-310j, 1e-300 + 5e-324j, -1e-300 + 5e-324j, 3e-200 + 7e-201j,
+             complex(2.0**-500, -(2.0**-501)), complex(-np.nextafter(2.0**-500, 0.0), 2.0**-501)]
+
+
+@pytest.mark.parametrize("few_points", [0, spectral._FEW_POINTS])
+def test_rates_of_subnormal_eigenvalues(monkeypatch, few_points):
+    # lam/8 is not exact for a subnormal part; the rate must still be
+    # |Im sqrt(lam)|, with no division by zero, through either hypot
+    monkeypatch.setattr(spectral, "_FEW_POINTS", few_points)
+    lam = np.array(TINY_LAMS)
+    with np.errstate(all="raise"):
+        codes, rates = spectral._classify_codes(lam.real, lam.imag, 0.0)
+    assert all(spectral.CLASSES[k] is EigenvalueClass.STRICTLY_COMPLEX for k in codes)
+    for z, rate in zip(TINY_LAMS, rates.tolist()):
+        beta = abs(cmath.sqrt(z).imag)
+        assert abs(rate - beta) <= 1e-15 * beta, z
+    assert classify_eigenvalue(5e-324j, tol=0.0).rate == abs(cmath.sqrt(5e-324j).imag)
 
 
 def test_classification_blocks_and_shapes(monkeypatch):
