@@ -25,7 +25,6 @@ from .analysis import (
     fit_rate,
     lyapunov_series,
     modal_project,
-    nullspace_limit,
 )
 from .dynamics import (
     IntegratorConfig,
@@ -80,7 +79,6 @@ from .special import (
     make_modal_solution,
 )
 from .spectral import (
-    ALGEBRAIC_DECAY_EXPONENT,
     ClassifiedEigenvalue,
     EigenvalueClass,
     FirstOrderVerdict,
@@ -91,7 +89,9 @@ from .spectral import (
     classify_eigenvalue,
     classify_matrix,
     eigendecompose,
+    fit_recipe,
     matrix_tolerance,
+    nullspace_limit,
     predicted_rate,
 )
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dynamics import TrajectoryRecord
 from .errors import InsufficientPoints, NonPositiveSeries, NotApplicable, TrivialNullspace
-from .spectral import ALGEBRAIC_DECAY_EXPONENT, matrix_tolerance
+from .spectral import EigenvalueClass, fit_recipe, matrix_tolerance
 
 __all__ = [
     "ALGEBRAIC_WINDOW",
@@ -28,7 +28,6 @@ __all__ = [
     "ChetaevComplex",
     "NullspaceDistance",
     "modal_project",
-    "nullspace_limit",
     "fit_rate",
     "lyapunov_series",
     "chetaev_negative",
@@ -42,19 +41,6 @@ ALGEBRAIC_WINDOW = (30.0, 100.0)
 
 #: Default fit window for exponential (semilog) rates.
 EXPONENTIAL_WINDOW = (20.0, 60.0)
-
-#: Rate fit of an algebraically decaying series: log-log on its envelope maxima.
-_ALGEBRAIC_FIT = {"kind": "algebraic", "envelope": True}
-
-#: Rate fit of an exponentially growing series.  Both unstable branches grow
-#: like e^{rate t} t^{-3/2} (I_1 and Hankel asymptotics share the algebraic
-#: factor), so the fit detrends the t^{-3/2} envelope.
-_EXPONENTIAL_FIT = {"kind": "exponential", "detrend_log_power": ALGEBRAIC_DECAY_EXPONENT}
-
-#: Rate fit of a single mode, by class code (``spectral.CLASSES`` order).  A
-#: Zero mode tends to its limit without oscillating, so it is fitted on
-#: every sample.
-_MODE_FITS = (_ALGEBRAIC_FIT, {"kind": "algebraic"}, _EXPONENTIAL_FIT, _EXPONENTIAL_FIT)
 
 
 def _fd_derivative(times: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -83,7 +69,7 @@ def _fd_derivative(times: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# modal projection and the null-space limit
+# modal projection
 
 
 def modal_project(record: TrajectoryRecord, left_vector) -> tuple[np.ndarray, np.ndarray]:
@@ -100,13 +86,6 @@ def modal_project(record: TrajectoryRecord, left_vector) -> tuple[np.ndarray, np
         raise ValueError("left eigenvector length must match the state dimension")
     wc = np.conj(w)
     return record.q @ wc, record.v @ wc
-
-
-def nullspace_limit(t0: float, y0: float, ydot0: float) -> float:
-    """Finite limit y0 + (t0/2) ydot0 of a zero-eigenvalue mode."""
-    if t0 <= 0.0:
-        raise ValueError("t0 must be positive")
-    return y0 + 0.5 * t0 * ydot0
 
 
 # --------------------------------------------------------------------------
@@ -153,10 +132,7 @@ def fit_rate(
     kind="exponential" regresses log y on t (slope is the rate).  With
     ``envelope=True`` the fit uses the strict local maxima of |values|,
     which is how oscillatory series must be measured.  A nonzero
-    ``detrend_log_power`` p divides the series by t^p first; exponential
-    fits of oscillatory unstable modes need p = -1.5, otherwise the
-    t^{-3/2} envelope factor biases the measured rate downward by
-    roughly 1.5/t_mid.
+    ``detrend_log_power`` p divides the series by t^p first; ``spectral.fit_recipe`` has the keywords of each class.
     """
     if kind not in ("algebraic", "exponential"):
         raise ValueError("kind must be 'algebraic' or 'exponential'")
@@ -333,9 +309,9 @@ class ChetaevComplex:
 
     xi and eta are the projections onto the real and imaginary parts of
     the left eigenvector w = u + i v; rho = |w^* q| = hypot(xi, eta)
-    grows like exp(beta t) t^{-3/2} with beta = Im sqrt(lam), and ``fit``
-    measures beta on the default exponential window, clamped to the
-    record, with the envelope power detrended.
+    grows like exp(beta t) t^{-r/2} at damping r/t, with beta = Im sqrt(lam),
+    and ``fit`` measures beta on the default exponential window, clamped to
+    the record, with the envelope power detrended.
     """
 
     times: np.ndarray
@@ -345,7 +321,7 @@ class ChetaevComplex:
     fit: RateFit
 
 
-def chetaev_complex(record: TrajectoryRecord, left_vector) -> ChetaevComplex:
+def chetaev_complex(record: TrajectoryRecord, left_vector, r: float = 3.0) -> ChetaevComplex:
     w = np.asarray(left_vector, dtype=complex)
     if record.q.ndim != 2 or w.shape != (record.q.shape[1],):
         raise ValueError("left eigenvector length must match the state dimension")
@@ -353,7 +329,7 @@ def chetaev_complex(record: TrajectoryRecord, left_vector) -> ChetaevComplex:
     xi = record.q @ w.real
     eta = record.q @ w.imag
     rho = np.hypot(xi, eta)
-    fit = fit_rate(t, rho, window=_fit_window(t, EXPONENTIAL_WINDOW), **_EXPONENTIAL_FIT)
+    fit = fit_rate(t, rho, window=_fit_window(t, EXPONENTIAL_WINDOW), **fit_recipe(EigenvalueClass.STRICTLY_COMPLEX, r))
     return ChetaevComplex(times=t, xi=xi, eta=eta, rho=rho, fit=fit)
 
 
@@ -361,8 +337,8 @@ def chetaev_complex(record: TrajectoryRecord, left_vector) -> ChetaevComplex:
 # conserved-flux identity for complex modes
 
 
-def energy_identity_residual(times, y, ydot, lam: complex) -> float:
-    """RMS residual of d/dt (t^3 Q) = 2i Im(lam) t^3 |y|^2, Q = y y*' - y' y*.
+def energy_identity_residual(times, y, ydot, lam: complex, r: float = 3.0) -> float:
+    """RMS residual of d/dt (t^r Q) = 2i Im(lam) t^r |y|^2, Q = y y*' - y' y*, at damping r/t.
 
     Real eigenvalues make both sides vanish identically and carry no
     information, so they raise :class:`~nagdyn.errors.NotApplicable`.
@@ -379,9 +355,9 @@ def energy_identity_residual(times, y, ydot, lam: complex) -> float:
     if not (t.shape == y.shape == yd.shape):
         raise ValueError("times, y and ydot must have equal shapes")
     quad = y * np.conj(yd) - yd * np.conj(y)
-    flux = t**3 * quad
+    flux = t**r * quad
     lhs = _fd_derivative(t, flux)
-    rhs = 2.0j * lam.imag * t**3 * np.abs(y) ** 2
+    rhs = 2.0j * lam.imag * t**r * np.abs(y) ** 2
     sl = slice(2, -2)
     num = np.abs(lhs[sl] - rhs[sl])
     den = np.maximum(1.0, np.abs(rhs[sl]))

@@ -65,7 +65,7 @@ def _out_dir(explicit: str | None) -> str:
 def cmd_classify(config_path: str, out_dir: str | None = None) -> int:
     cfg = experiments.load_config(config_path)
     spectrum = spectral.eigendecompose(cfg.system.matrix)
-    verdict = spectral.classify_matrix(spectrum, t0=cfg.integrator.t0)
+    verdict = spectral.classify_matrix(spectrum, t0=cfg.integrator.t0, r=cfg.integrator.damping_exponent)
     report = experiments._verdict_report(spectrum, verdict)
     report["label"] = cfg.label
     for lam, tag, rate in zip(report["eigenvalues"], report["classes"], report["rates"]):
@@ -73,7 +73,7 @@ def cmd_classify(config_path: str, out_dir: str | None = None) -> int:
     if report["dominant_growth_rate"] > 0.0:
         nagd_note = f"growth rate = {report['dominant_growth_rate']:.4g}"
     else:
-        nagd_note = "envelope ~ t^-1.5"
+        nagd_note = f"envelope ~ t^{spectral.envelope_power(cfg.integrator.damping_exponent):g}"
     print(f"accelerated flow : {report['nagd_verdict']} ({nagd_note})")
     print(f"first-order flow : {report['first_order_verdict']} (rate = {report['first_order_rate']:.4g})")
     if report["bound_constant"] is not None:

@@ -11,6 +11,7 @@ re-running a configuration reproduces byte-identical artifacts.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -81,7 +82,10 @@ class ExperimentConfig:
 
 
 def _cfg_array(raw, key: str, n: int | None = None) -> np.ndarray:
-    """``raw`` as finite floats: a vector of length ``n``, or a square matrix when ``n`` is None."""
+    """``raw`` as finite floats: a vector of length ``n``, or a square matrix when ``n`` is None.
+
+    A JSON boolean is refused, as by :func:`_cfg_number`.
+    """
     kind = "square matrix" if n is None else f"vector of length {n}"
     try:
         arr = np.asarray(raw, dtype=float)
@@ -92,6 +96,10 @@ def _cfg_array(raw, key: str, n: int | None = None) -> np.ndarray:
     square = n is None and arr.ndim == 2 and arr.shape[0] == arr.shape[1]
     if not (square or arr.shape == (n,)):
         raise ConfigError(f"{key}: expected a {kind}")
+    # numpy reads a boolean as 0.0 or 1.0, so only an array holding one of those is scanned for it
+    cells = raw if n is not None else itertools.chain.from_iterable(raw)
+    if ((arr == 0.0) | (arr == 1.0)).any() and bool in map(type, cells):
+        raise ConfigError(f"{key}: expected numbers, not booleans")
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"{key}: entries must be finite")
     return arr
@@ -364,7 +372,15 @@ def _modal(cfg, spectrum, verdict, record):
     return {}, {"modal": modes}
 
 
+def _derived_at_r3(cfg) -> None:
+    """Refuse a damping exponent other than 3, the one a certificate was derived for."""
+    r = cfg.integrator.damping_exponent
+    if r != 3.0:
+        raise NotApplicable(f"derived for integrator.damping_exponent 3 only, not {r!r}")
+
+
 def _lyapunov(cfg, spectrum, verdict, record):
+    _derived_at_r3(cfg)  # V is the energy of r = 3
     lyap = analysis.lyapunov_series(record, cfg.system.matrix)
     if not lyap.applicable:
         raise NotApplicable(f"matrix is {lyap.obstruction}; certificate not applicable")
@@ -374,6 +390,7 @@ def _lyapunov(cfg, spectrum, verdict, record):
 def _chetaev_negative(cfg, spectrum, verdict, record):
     if not (found := _strongest(spectrum, verdict, spectral.EigenvalueClass.NEGATIVE_REAL)):
         return {}, {}
+    _derived_at_r3(cfg)  # W, its cone and t0_required
     cls, w = found
     che = analysis.chetaev_negative(record, w, cls.rate)
     if che.xi[-1] < 0.0:
@@ -397,7 +414,7 @@ def _chetaev_complex(cfg, spectrum, verdict, record):
             raise NotApplicable("spectrum has no unstable eigenvalue")
         return {}, {}
     cls, w = found
-    che = analysis.chetaev_complex(record, w)
+    che = analysis.chetaev_complex(record, w, cfg.integrator.damping_exponent)
     entry = {"beta_predicted": cls.rate, "beta_measured": che.fit.slope, "r_squared": che.fit.r_squared}
     return {"rho": che.rho}, {"chetaev_complex": entry}
 
@@ -415,21 +432,21 @@ def _energy(cfg, spectrum, verdict, record):
         raise NotApplicable("spectrum has no strictly complex eigenvalue")
     cls, w = found
     y, ydot = analysis.modal_project(record, w)
-    return {}, {"energy_identity_residual": analysis.energy_identity_residual(record.times, y, ydot, cls.value)}
+    resid = analysis.energy_identity_residual(record.times, y, ydot, cls.value, cfg.integrator.damping_exponent)
+    return {}, {"energy_identity_residual": resid}
 
 
 def _rates(cfg, spectrum, verdict, record):
     growing = verdict.dominant_growth_rate > 0.0
     window = analysis._fit_window(record.times, analysis.EXPONENTIAL_WINDOW if growing else analysis.ALGEBRAIC_WINDOW)
     norm_q = np.linalg.norm(record.q, axis=1)
-    fit = analysis.fit_rate(
-        record.times, norm_q, window=window, **(analysis._EXPONENTIAL_FIT if growing else analysis._ALGEBRAIC_FIT)
-    )
-    # a norm that tends to its null-space limit is predicted as a Zero mode,
-    # any other that does not grow as a PositiveReal one
+    # fitted as a growing or else an oscillating mode; predicted as a Zero mode where it tends to a null-space limit
+    cls = spectral.EigenvalueClass.NEGATIVE_REAL if growing else spectral.EigenvalueClass.POSITIVE_REAL
+    recipe = spectral.fit_recipe(cls, cfg.integrator.damping_exponent)
+    fit = analysis.fit_rate(record.times, norm_q, window=window, **recipe)
     limit = verdict.nagd is spectral.NagdVerdict.STABLE_TO_NULLSPACE
-    cls = spectral.EigenvalueClass.ZERO if limit else spectral.EigenvalueClass.POSITIVE_REAL
-    predicted = float(spectral.predicted_rate(spectral.CLASSES.index(cls), verdict.dominant_growth_rate))
+    code = spectral.CLASSES.index(spectral.EigenvalueClass.ZERO if limit else cls)
+    predicted = float(spectral.predicted_rate(code, verdict.dominant_growth_rate, cfg.integrator.damping_exponent))
     return {}, {
         "rate_fit": {
             "kind": fit.kind,
@@ -467,7 +484,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dynamics.TrajectoryRecord, di
     """
     system = cfg.system
     spectrum = spectral.eigendecompose(system.matrix)
-    verdict = spectral.classify_matrix(spectrum, t0=cfg.integrator.t0)
+    r = cfg.integrator.damping_exponent
+    verdict = spectral.classify_matrix(spectrum, t0=cfg.integrator.t0, r=r)
     record = dynamics.simulate_nagd(system.matrix, system.offset, cfg.q0, cfg.v0, cfg.integrator)
 
     header = ["t"]
@@ -483,6 +501,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dynamics.TrajectoryRecord, di
     cols.append(np.linalg.norm(record.q, axis=1))
 
     notes: list[str] = []
+    if r <= 1.0:
+        notes.append(f"integrator.damping_exponent: {r!r} <= 1 is outside the guaranteed-convergence regime")
     summary: dict = {
         "label": cfg.label,
         "spectrum": _verdict_report(spectrum, verdict),
@@ -565,8 +585,9 @@ def _fig2_checks(runs, out_dir):
 
 def _fig3_checks(runs, out_dir):
     [(_, rec, _)] = runs
-    x1_fit = analysis.fit_rate(rec.times, rec.q[:, 0], window=(20.0, 60.0), **analysis._ALGEBRAIC_FIT)
-    x2_fit = analysis.fit_rate(rec.times, np.abs(rec.q[:, 1]), window=(20.0, 60.0), **analysis._EXPONENTIAL_FIT)
+    oscillating, _, growing, _ = map(spectral.fit_recipe, spectral.CLASSES)  # the studies are at r = 3
+    x1_fit = analysis.fit_rate(rec.times, rec.q[:, 0], window=(20.0, 60.0), **oscillating)
+    x2_fit = analysis.fit_rate(rec.times, np.abs(rec.q[:, 1]), window=(20.0, 60.0), **growing)
     return {
         **_envelope_slope("x1_envelope_slope", x1_fit.slope),
         "x2_rate": x2_fit.slope,
@@ -577,9 +598,10 @@ def _fig3_checks(runs, out_dir):
 def _fig4_checks(runs, out_dir):
     [(cfg, rec, _)] = runs
     dist = analysis.distance_to_nullspace(rec, cfg.system.matrix)
-    d_fit = analysis.fit_rate(rec.times, dist.distance, window=(20.0, 100.0), **analysis._ALGEBRAIC_FIT)
+    oscillating = spectral.fit_recipe(spectral.EigenvalueClass.POSITIVE_REAL)  # the studies are at r = 3
+    d_fit = analysis.fit_rate(rec.times, dist.distance, window=(20.0, 100.0), **oscillating)
     w = dist.basis[:, 0]
-    limit = analysis.nullspace_limit(rec.times[0], float(cfg.q0 @ w), float(cfg.v0 @ w))
+    limit = spectral.nullspace_limit(rec.times[0], float(cfg.q0 @ w), float(cfg.v0 @ w))
     error = abs(float(rec.q[-1] @ w) - limit)
     return {
         **_envelope_slope("dist_null_slope", d_fit.slope),
@@ -805,12 +827,13 @@ class SweepResult:
 
 
 def _measure_rates(lam: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Fitted envelope rate of y'' + (3/t) y' + lam y = 0 from y(1) = 1, y'(1) = 0.
+    """Fitted envelope rate of y'' + (r/t) y' + lam y = 0, r = 3, from y(1) = 1, y'(1) = 0.
 
-    ``codes`` are the class codes of ``lam``.  NaN where the fit has too
-    few usable samples, e.g. after saturation.
+    ``codes`` are the class codes of ``lam``, each fitted by its class's
+    recipe.  NaN where the fit has too few usable samples, e.g. after saturation.
     """
     cfg = dynamics.IntegratorConfig(t0=1.0, t_end=_SWEEP_T_END, dt=0.01)
+    recipes = [spectral.fit_recipe(tag, cfg.damping_exponent) for tag in spectral.CLASSES]
     measured = np.full(lam.shape, math.nan)
     for lo in range(0, lam.shape[0], _SWEEP_BATCH):
         times, q, _, rows, _ = dynamics._modal_rk4(lam[lo : lo + _SWEEP_BATCH], 1.0, 0.0, cfg)
@@ -818,7 +841,7 @@ def _measure_rates(lam: np.ndarray, codes: np.ndarray) -> np.ndarray:
             t = times[:n]
             window = (max(20.0, t[0]), t[-1])
             try:
-                fit = analysis.fit_rate(t, np.abs(q[:n, p]), window=window, **analysis._MODE_FITS[code])
+                fit = analysis.fit_rate(t, np.abs(q[:n, p]), window=window, **recipes[code])
             except (InsufficientPoints, NonPositiveSeries):
                 continue
             measured[lo + p] = fit.slope
@@ -1009,9 +1032,9 @@ def run_invariant_checks(dt: float = 0.01) -> list[CheckResult]:
     worst = float(np.max(np.abs(rec_inhom.q - (rec_hom.q + x_star))))
     checks.append(_check("translation_invariance", worst, 1e-10))
 
-    # zero-mode limit: y(t) -> y0 + (t0/2) ydot0
+    # a zero mode tends to its limit
     rec = dynamics.simulate_nagd([[0.0]], [0.0], [0.2], [0.8], grids["t60"])
-    lim = analysis.nullspace_limit(1.0, 0.2, 0.8)
+    lim = spectral.nullspace_limit(1.0, 0.2, 0.8)
     err = abs(float(rec.q[-1, 0]) - lim)
     checks.append(_check("nullspace_limit", err, 1e-3))
 

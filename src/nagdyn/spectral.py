@@ -2,7 +2,7 @@
 
 The accelerated flow
 
-    x''(t) + (3/t) x'(t) + G x(t) = 0
+    x''(t) + (r/t) x'(t) + G x(t) = 0
 
 decouples along the eigenvectors of ``G``, so everything the package
 predicts about long-time behaviour is a function of the spectrum.  This
@@ -14,19 +14,19 @@ verdicts into a stability verdict for the matrix.
 Eigenvalue classes, in the order of their codes (``CLASSES``), and their
 mode-wise envelope rates:
 
-====  =================  =============================  =======================
+====  =================  =============================  ===========================
 code  class              region                         envelope of |y(t)|
-====  =================  =============================  =======================
-0     PositiveReal       Re > tol, |Im| <= tol          t^{-3/2} (oscillatory)
+====  =================  =============================  ===========================
+0     PositiveReal       Re > tol, |Im| <= tol          t^{-r/2} (oscillatory)
 1     Zero               |lam| <= tol                   constant (finite limit)
-2     NegativeReal       Re < -tol, |Im| <= tol         exp(+sqrt(-Re) t)
-3     StrictlyComplex    |Im| > tol                     exp(+beta t) t^{-3/2}
-====  =================  =============================  =======================
+2     NegativeReal       Re < -tol, |Im| <= tol         exp(+sqrt(-Re) t) t^{-r/2}
+3     StrictlyComplex    |Im| > tol                     exp(+beta t) t^{-r/2}
+====  =================  =============================  ===========================
 
-with ``beta = sqrt((|lam| - Re lam)/2)``, the imaginary part of the
-principal square root of ``lam``.  Classification snaps to the real axis
-first, then to zero, so a value within tolerance of 0 in both parts is
-reported as Zero.
+with ``beta = sqrt((|lam| - Re lam)/2)``, the imaginary part of the principal
+square root of ``lam``, for y'' + (r/t) y' + lam y = 0 (Su, Boyd & Candes, JMLR
+17 (2016), sec. 4).  Classification snaps to the real axis first, then to
+zero, so a value within tolerance of 0 in both parts is reported as Zero.
 
 ``|lam|`` comes from ``_hypot``, an array port of the two-argument
 ``math.hypot`` of CPython 3.11 (``vector_norm`` in
@@ -42,6 +42,7 @@ time, so no temporary is the size of a large grid.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -51,7 +52,6 @@ import numpy as np
 from .errors import EigensolverNoConvergence, NotApplicable
 
 __all__ = [
-    "ALGEBRAIC_DECAY_EXPONENT",
     "DEFAULT_SCALAR_TOL",
     "DIAGONALIZABLE_KAPPA_MAX",
     "EigenvalueClass",
@@ -66,13 +66,13 @@ __all__ = [
     "eigendecompose",
     "classify_eigenvalue",
     "classify_eigenvalues",
+    "envelope_power",
     "predicted_rate",
+    "fit_recipe",
+    "nullspace_limit",
     "classify_matrix",
     "boundedness_bound",
 ]
-
-#: Envelope exponent of every stable oscillatory mode: |y| ~ t**(-3/2).
-ALGEBRAIC_DECAY_EXPONENT = -1.5
 
 #: Snap tolerance for classifying a bare scalar eigenvalue.
 DEFAULT_SCALAR_TOL = 1e-12
@@ -113,7 +113,7 @@ class ClassifiedEigenvalue:
 
     ``rate`` is the exponential growth rate of the mode envelope: 0.0 for
     PositiveReal and Zero classes (decay there is algebraic, see
-    ``ALGEBRAIC_DECAY_EXPONENT``), sqrt(-Re lam) for NegativeReal and
+    :func:`predicted_rate`), sqrt(-Re lam) for NegativeReal and
     beta(lam) for StrictlyComplex.
     """
 
@@ -166,11 +166,11 @@ class Spectrum:
 class StabilityVerdict:
     """Joint verdict for the accelerated flow and the first-order flow.
 
-    ``bound_constant`` is the constant C = max(t0/2, min_i lam_i^{-1/2})
-    (minimum over strictly positive eigenvalues, t0/2 alone when there are
-    none) entering the trajectory bound; it is None when the accelerated
-    verdict is unstable or indeterminate.  ``dominant_growth_rate`` is the
-    largest per-mode envelope rate, 0.0 for stable verdicts, and the
+    ``bound_constant`` is the constant C = max(t0/(r-1), min_i lam_i^{-1/2})
+    (minimum over strictly positive eigenvalues, t0/(r-1) alone when there
+    are none) entering the trajectory bound; it is None when the accelerated
+    verdict is unstable or indeterminate, or at r <= 1.  ``dominant_growth_rate``
+    is the largest per-mode envelope rate, 0.0 for stable verdicts, and the
     offending eigenvalue is recorded in ``dominant_eigenvalue``.
     """
 
@@ -335,17 +335,38 @@ def _classify_block(a, b, codes, rates, tol, hypot) -> None:
     rates[cplx] = beta
 
 
-def predicted_rate(codes, rates) -> np.ndarray:
+def envelope_power(r: float = 3.0) -> float:
+    """The power -r/2 of the algebraic factor of every envelope but a Zero mode's, at damping r/t."""
+    return -0.5 * r
+
+
+def predicted_rate(codes, rates, r: float = 3.0) -> np.ndarray:
     """The envelope rate predicted for modes of class codes ``codes`` and growth rates ``rates``.
 
     The growth rate where it is positive (the slope of log |y| against t),
     0 for Zero (the mode tends to a finite limit) and
-    ``ALGEBRAIC_DECAY_EXPONENT`` otherwise (the slope of log |y| against
+    :func:`envelope_power` of ``r`` otherwise (the slope of log |y| against
     log t).  ``codes`` and ``rates`` are as :func:`_classify_codes` returns
     them, or scalars, which give a 0-d array.
     """
     zero = codes == CLASSES.index(EigenvalueClass.ZERO)
-    return np.where(rates > 0.0, rates, np.where(zero, 0.0, ALGEBRAIC_DECAY_EXPONENT))
+    return np.where(rates > 0.0, rates, np.where(zero, 0.0, envelope_power(r)))
+
+
+def fit_recipe(tag: EigenvalueClass, r: float = 3.0) -> dict:
+    """``analysis.fit_rate`` keywords for the envelope (module table) of a ``tag`` mode, on maxima if it oscillates."""
+    if tag in (EigenvalueClass.NEGATIVE_REAL, EigenvalueClass.STRICTLY_COMPLEX):
+        return {"kind": "exponential", "detrend_log_power": envelope_power(r)}
+    return {"kind": "algebraic", "envelope": tag is EigenvalueClass.POSITIVE_REAL}
+
+
+def nullspace_limit(t0: float, y0: float, ydot0: float, r: float = 3.0) -> float:
+    """Finite limit y0 + t0 ydot0 / (r - 1) of a zero-eigenvalue mode; NotApplicable at r <= 1, where it drifts."""
+    if t0 <= 0.0:
+        raise ValueError("t0 must be positive")
+    if not r > 1.0:
+        raise NotApplicable(f"a zero mode has no finite limit at damping exponent r = {r!r} <= 1")
+    return y0 + t0 / (r - 1.0) * ydot0
 
 
 # --------------------------------------------------------------------------
@@ -429,7 +450,7 @@ def eigendecompose(matrix: np.ndarray) -> Spectrum:
 # matrix-level verdicts
 
 
-def classify_matrix(spectrum: Spectrum, t0: float = 1.0) -> StabilityVerdict:
+def classify_matrix(spectrum: Spectrum, t0: float = 1.0, r: float = 3.0) -> StabilityVerdict:
     """Fold per-eigenvalue classes into a stability verdict.
 
     Instability wins regardless of conditioning; the Jordan caveat only
@@ -461,7 +482,8 @@ def classify_matrix(spectrum: Spectrum, t0: float = 1.0) -> StabilityVerdict:
         pos = [c.value.real for c in classes if c.tag is EigenvalueClass.POSITIVE_REAL]
         verdict = NagdVerdict.STABLE_TO_NULLSPACE if zeros else NagdVerdict.STABLE_CONVERGENT
         growth = 0.0
-        bound_c = max(t0 / 2.0, min(pos) ** -0.5) if pos else t0 / 2.0
+        with contextlib.suppress(NotApplicable):  # none at r <= 1; t0/(r-1) is the limit's coefficient of ydot0
+            bound_c = max(nullspace_limit(t0, 0.0, 1.0, r), min(pos, default=math.inf) ** -0.5)
 
     re = spectrum.eigenvalues.real
     if np.all(re > spectrum.tol):
@@ -483,18 +505,18 @@ def classify_matrix(spectrum: Spectrum, t0: float = 1.0) -> StabilityVerdict:
     )
 
 
-def boundedness_bound(spectrum: Spectrum, t0: float, q0_norm: float, v0_norm: float) -> float:
+def boundedness_bound(spectrum: Spectrum, t0: float, q0_norm: float, v0_norm: float, r: float = 3.0) -> float:
     """A-priori sup-norm bound kappa(P) (||q0|| + C ||v0||) on ||q(t) - q*||.
 
     Mode-wise the energy E = lam |y|^2 / 2 + |y'|^2 / 2 is nonincreasing,
     which gives sup |y| <= |y0| + lam^{-1/2} |y0'| for lam > 0 and the exact
-    t0/2 coefficient for lam = 0; conjugating by the eigenbasis costs a
-    factor kappa(P).  Raises :class:`~nagdyn.errors.NotApplicable` for
-    unstable or indeterminate spectra.
+    t0/(r-1) coefficient of :func:`nullspace_limit` for lam = 0; conjugating
+    by the eigenbasis costs a factor kappa(P).  Raises
+    :class:`~nagdyn.errors.NotApplicable` where ``bound_constant`` is None.
     """
     if q0_norm < 0.0 or v0_norm < 0.0:
         raise ValueError("norms must be nonnegative")
-    verdict = classify_matrix(spectrum, t0)
+    verdict = classify_matrix(spectrum, t0, r)
     if verdict.bound_constant is None:
         raise NotApplicable(f"no boundedness guarantee for verdict {verdict.nagd.value}")
     return spectrum.kappa_P * (q0_norm + verdict.bound_constant * v0_norm)

@@ -98,7 +98,7 @@ def test_02_complex_reversal(rotational_run):
         norm_q,
         kind="exponential",
         window=(20.0, 60.0),
-        detrend_log_power=spectral.ALGEBRAIC_DECAY_EXPONENT,
+        detrend_log_power=-1.5,
     )
     rate_ok = abs(fit.slope - 0.3041) <= 0.1 * 0.3041
     fo_cfg = IntegratorConfig(t0=1.0, t_end=6.0, dt=0.002)
@@ -122,7 +122,7 @@ def test_03_negative_eigenvalue_escape():
         np.abs(rec.q[:, 1]),
         kind="exponential",
         window=(20.0, 60.0),
-        detrend_log_power=spectral.ALGEBRAIC_DECAY_EXPONENT,
+        detrend_log_power=-1.5,
     )
     x1_fit = analysis.fit_rate(rec.times, rec.q[:, 0], window=(20.0, 60.0), envelope=True)
     rate_ok = abs(x2_fit.slope - 0.7071) <= 0.05 * 0.7071
@@ -141,7 +141,7 @@ def test_04_semidefinite_nullspace_limit():
     fit = analysis.fit_rate(rec.times, dist.distance, window=(20.0, 100.0), envelope=True)
     slope_ok = -1.7 <= fit.slope <= -1.3
     w = dist.basis[:, 0]
-    target = analysis.nullspace_limit(1.0, float(q0 @ w), float(v0 @ w))
+    target = spectral.nullspace_limit(1.0, float(q0 @ w), float(v0 @ w))
     err = abs(float(rec.q[-1] @ w) - target)
     _crit(
         4,
@@ -177,7 +177,7 @@ def test_06_purely_imaginary_pair():
         norm_q,
         kind="exponential",
         window=(20.0, 60.0),
-        detrend_log_power=spectral.ALGEBRAIC_DECAY_EXPONENT,
+        detrend_log_power=-1.5,
     )
     beta = math.sqrt(0.5)
     rate_ok = abs(fit.slope - 0.7071) <= 0.05 * 0.7071
@@ -329,7 +329,7 @@ def test_13_smooth_game_instability():
         np.linalg.norm(rec.q, axis=1),
         kind="exponential",
         window=(10.0, 35.0),
-        detrend_log_power=spectral.ALGEBRAIC_DECAY_EXPONENT,
+        detrend_log_power=-1.5,
     )
     _crit(
         13,

@@ -305,6 +305,16 @@ def test_energy_identity_on_closed_form(lam):
     assert analysis.energy_identity_residual(t, y, yd, lam) <= 1e-5
 
 
+@pytest.mark.parametrize("r", [2.0, 4.0, 5.0])
+def test_energy_identity_honours_the_damping_exponent(r):
+    # d/dt (t^r Q) = 2i Im(lam) t^r |y|^2 holds at damping r/t; the r = 3
+    # factor t^3 leaves a residual of order 0.1 on the same run
+    lam = 6.0 + 1.5j
+    rec = simulate_modal(lam, 1.0, 0.5j, IntegratorConfig(t0=1.0, t_end=30.0, dt=0.01, damping_exponent=r))
+    assert analysis.energy_identity_residual(rec.times, rec.q, rec.v, lam, r) <= 1e-5
+    assert analysis.energy_identity_residual(rec.times, rec.q, rec.v, lam) > 0.1
+
+
 def test_energy_identity_real_is_not_applicable():
     t, y, yd = _modal_series(1.0j)
     with pytest.raises(NotApplicable):
@@ -360,14 +370,18 @@ def test_modal_project_validation(potential_record):
         analysis.modal_project(potential_record, np.array([1.0, 0.0, 0.0]))
 
 
-def test_nullspace_limit_matches_long_run():
+@pytest.mark.parametrize("r", [3.0, 5.0])
+def test_nullspace_limit_matches_long_run(r):
     t0, y0, yd0 = 1.0, 0.4, -0.6
-    target = analysis.nullspace_limit(t0, y0, yd0)
-    assert target == pytest.approx(y0 + 0.5 * t0 * yd0, abs=0.0)
-    rec = simulate_modal(0.0, y0, yd0, IntegratorConfig(t0=t0, t_end=200.0, dt=0.01))
-    assert abs(rec.q[-1].real - target) <= 1e-4  # tail decays like t^-2
+    target = spectral.nullspace_limit(t0, y0, yd0, r)
+    assert target == pytest.approx({3.0: 0.1, 5.0: 0.25}[r], abs=1e-15)  # y0 + t0 yd0 / (r - 1)
+    rec = simulate_modal(0.0, y0, yd0, IntegratorConfig(t0=t0, t_end=200.0, dt=0.01, damping_exponent=r))
+    assert abs(rec.q[-1].real - target) <= 1e-4  # tail decays like t^(1 - r)
     with pytest.raises(ValueError):
-        analysis.nullspace_limit(0.0, 1.0, 1.0)
+        spectral.nullspace_limit(0.0, 1.0, 1.0, r)
+    # at r <= 1 the velocity ydot0 (t0/t)^r is not integrable: the mode drifts
+    with pytest.raises(NotApplicable, match="r = 1.0 <= 1"):
+        spectral.nullspace_limit(t0, y0, yd0, 1.0)
 
 
 def test_distance_to_nullspace_rank_one():

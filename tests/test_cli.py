@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -103,8 +104,14 @@ def test_config_errors_name_the_key(tmp_path, capsys, mutate, key):
         (lambda p: p["integrator"].update(t_end=10**400), "integrator.t_end: int too large to convert to float"),
         (lambda p: p["source"]["matrix"][0].__setitem__(0, 10**400), "source.matrix: int too large to convert to float"),
         (lambda p: p["integrator"].update(record_stride=10**30), "integrator: record_stride must be an integer from 1 to 1e8"),
+        # numpy would read a JSON boolean as 0 or 1
+        (lambda p: p["source"]["matrix"][0].__setitem__(0, True), "source.matrix: expected numbers, not booleans"),
+        (lambda p: p["initial"].update(q0=[0.5, False]), "initial.q0: expected numbers, not booleans"),
     ],
-    ids=["output", "boolean_stride", "overflowing_t_end", "overflowing_matrix_entry", "huge_stride"],
+    ids=[
+        "output", "boolean_stride", "overflowing_t_end", "overflowing_matrix_entry", "huge_stride",
+        "boolean_matrix_entry", "boolean_q0_entry",
+    ],
 )
 def test_config_refuses_ignored_output_and_boolean_stride(tmp_path, capsys, mutate, message):
     payload = json.loads(json.dumps(FIG1))
@@ -370,6 +377,57 @@ def test_out_dir_env_fallback(tmp_path, monkeypatch):
 
 
 # --------------------------------------------------------------------------
+# the damping exponent r of the integrator
+
+
+def _simulate_at_r(tmp_path, matrix, r, diagnostics, t_end=100.0):
+    payload = {
+        "label": "damped",
+        "source": {"matrix": matrix},
+        "initial": {"q0": [1.0, 1.0]},
+        "integrator": {"t0": 1.0, "t_end": t_end, "dt": 0.01, "damping_exponent": r},
+        "diagnostics": diagnostics,
+    }
+    rc = cli.main(["simulate", "--config", _write_config(tmp_path, payload), "--out", str(tmp_path)])
+    header, _ = _read_csv(tmp_path / "damped.csv")
+    return rc, header, json.loads((tmp_path / "damped.json").read_text())
+
+
+def test_rates_predict_and_measure_the_envelope_at_r(tmp_path):
+    # |q| ~ t^{-r/2}: the r = 3 constant -1.5 was predicted at every r
+    rc, _, summary = _simulate_at_r(tmp_path, [[1.0, 0.0], [0.0, 2.0]], 5.0, ["rates"])
+    assert rc == cli.EXIT_OK
+    fit = summary["rate_fit"]
+    assert fit["predicted"] == -2.5
+    assert abs(fit["slope"] - fit["predicted"]) <= 0.2
+
+
+def test_certificates_derived_at_r3_refuse_another_r_by_name(tmp_path):
+    rc, header, summary = _simulate_at_r(tmp_path, [[1.0, 0.0], [0.0, -0.5]], 5.0, ["lyapunov", "chetaev"], 30.0)
+    assert rc == cli.EXIT_OK
+    assert "V" not in header and "W" not in header
+    assert summary["notes"] == [
+        f"{name}: derived for integrator.damping_exponent 3 only, not 5.0" for name in ("lyapunov", "chetaev")
+    ]
+
+
+def test_chetaev_complex_detrends_the_envelope_at_r(tmp_path):
+    rc, header, summary = _simulate_at_r(tmp_path, [[6.0, 1.5], [-1.5, 6.0]], 5.0, ["chetaev"], 60.0)
+    assert rc == cli.EXIT_OK and "rho" in header and summary["notes"] == []
+    entry = summary["chetaev_complex"]
+    assert entry["beta_measured"] == pytest.approx(entry["beta_predicted"], rel=0.05)
+
+
+def test_low_damping_is_a_summary_note_not_a_warning(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, _, summary = _simulate_at_r(tmp_path, [[1.0, 0.0], [0.0, 2.0]], 0.5, [], 10.0)
+    assert rc == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert summary["notes"] == ["integrator.damping_exponent: 0.5 <= 1 is outside the guaranteed-convergence regime"]
+
+
+# --------------------------------------------------------------------------
 # classify
 
 
@@ -397,6 +455,23 @@ def test_classify_jordan_warning(tmp_path, capsys):
     rc = cli.main(["classify", "--config", _write_config(tmp_path, nilpotent)])
     assert rc == cli.EXIT_OK
     assert "IndeterminateJordan" in capsys.readouterr().out
+
+
+def test_classify_at_r_one_has_no_bound_with_a_zero_mode(tmp_path, capsys):
+    # eigenvalues 0 and 2: at r = 1 the zero mode drifts, so there is no
+    # bound constant (max(t0/2, 2^-1/2) = 0.7071 was reported for r = 3)
+    payload = {
+        "label": "drift",
+        "source": {"matrix": [[1.0, 1.0], [1.0, 1.0]]},
+        "initial": {"q0": [1.0, 0.0]},
+        "integrator": {"damping_exponent": 1.0},
+    }
+    rc = cli.main(["classify", "--config", _write_config(tmp_path, payload), "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert rc == cli.EXIT_OK
+    assert "StableToNullSpace (envelope ~ t^-0.5)" in out
+    assert "bound constant" not in out
+    assert json.loads((tmp_path / "drift_classify.json").read_text())["bound_constant"] is None
 
 
 def test_classify_overflowing_matrix_is_config_error(tmp_path, capsys):

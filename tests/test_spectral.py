@@ -363,7 +363,16 @@ def test_class_table_is_in_code_order():
     lam = np.array(list(points.values()), dtype=complex)
     codes, rates = spectral._classify_codes(lam.real, lam.imag)
     assert [spectral.CLASSES[k] for k in codes] == list(points)
-    assert predicted_rate(codes, rates).tolist() == [spectral.ALGEBRAIC_DECAY_EXPONENT, 0.0, SQRT2, rates[3]]
+    assert predicted_rate(codes, rates).tolist() == [-1.5, 0.0, SQRT2, rates[3]]
+    # the envelope model at damping r/t: t^{-r/2}, and the fit recipe of each class
+    for r, power in ((2.0, -1.0), (3.0, -1.5), (5.0, -2.5)):
+        assert predicted_rate(codes, rates, r).tolist() == [power, 0.0, SQRT2, rates[3]]
+        assert [spectral.fit_recipe(c, r) for c in spectral.CLASSES] == [
+            {"kind": "algebraic", "envelope": True},
+            {"kind": "algebraic", "envelope": False},
+            {"kind": "exponential", "detrend_log_power": power},
+            {"kind": "exponential", "detrend_log_power": power},
+        ]
 
 
 CPYTHON_311 = pytest.mark.skipif(
