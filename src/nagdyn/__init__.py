@@ -11,8 +11,6 @@ rates from trajectories.
 """
 
 from .analysis import (
-    ALGEBRAIC_WINDOW,
-    EXPONENTIAL_WINDOW,
     ChetaevComplex,
     ChetaevNegative,
     LyapunovSeries,

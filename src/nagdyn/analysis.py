@@ -20,8 +20,6 @@ from .errors import InsufficientPoints, NonPositiveSeries, NotApplicable, Trivia
 from .spectral import EigenvalueClass, fit_recipe, matrix_tolerance
 
 __all__ = [
-    "ALGEBRAIC_WINDOW",
-    "EXPONENTIAL_WINDOW",
     "RateFit",
     "LyapunovSeries",
     "ChetaevNegative",
@@ -36,11 +34,8 @@ __all__ = [
     "distance_to_nullspace",
 ]
 
-#: Default fit window for algebraic (log-log) envelope rates.
-ALGEBRAIC_WINDOW = (30.0, 100.0)
-
-#: Default fit window for exponential (semilog) rates.
-EXPONENTIAL_WINDOW = (20.0, 60.0)
+#: The time from which an envelope fit runs, once the transient has died out.
+FIT_START = 20.0
 
 
 def _fd_derivative(times: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -106,18 +101,6 @@ class RateFit:
     detrend_log_power: float
 
 
-def _fit_window(times: np.ndarray, window: tuple[float, float]) -> tuple[float, float]:
-    """``window`` clamped to the span of ``times``.
-
-    Raises :class:`~nagdyn.errors.InsufficientPoints` when the record ends
-    before the window opens, as a saturated record can.
-    """
-    lo, hi = max(window[0], float(times[0])), min(window[1], float(times[-1]))
-    if hi < lo:
-        raise InsufficientPoints(f"the record ends at t = {hi:g}, before the fit window starts at {lo:g}")
-    return lo, hi
-
-
 def fit_rate(
     times,
     values,
@@ -133,6 +116,12 @@ def fit_rate(
     ``envelope=True`` the fit uses the strict local maxima of |values|,
     which is how oscillatory series must be measured.  A nonzero
     ``detrend_log_power`` p divides the series by t^p first; ``spectral.fit_recipe`` has the keywords of each class.
+
+    The rates are asymptotic, so by default a fit runs from ``FIT_START``
+    (t = 20), or from the record's first time if that is later, to the
+    record's last time.  An explicit ``window`` is clamped to the record in
+    the same way.  A record that ends before the window opens, as a
+    saturated one can, raises :class:`~nagdyn.errors.InsufficientPoints`.
     """
     if kind not in ("algebraic", "exponential"):
         raise ValueError("kind must be 'algebraic' or 'exponential'")
@@ -140,9 +129,12 @@ def fit_rate(
     y = np.asarray(values, dtype=float)
     if t.shape != y.shape or t.ndim != 1:
         raise ValueError("times and values must be 1-d arrays of equal length")
-    if window is None:
-        window = ALGEBRAIC_WINDOW if kind == "algebraic" else EXPONENTIAL_WINDOW
-    lo, hi = float(window[0]), float(window[1])
+    if t.shape[0] == 0:
+        raise InsufficientPoints("the record is empty")
+    lo, hi = (FIT_START, t[-1]) if window is None else window
+    lo, hi = max(float(lo), float(t[0])), min(float(hi), float(t[-1]))
+    if t[-1] < lo:
+        raise InsufficientPoints(f"the record ends at t = {t[-1]:g}, before the fit window starts at {lo:g}")
     mask = (t >= lo) & (t <= hi)
     if int(mask.sum()) < 5:
         raise InsufficientPoints(f"window [{lo:g}, {hi:g}] contains {int(mask.sum())} samples")
@@ -310,8 +302,8 @@ class ChetaevComplex:
     xi and eta are the projections onto the real and imaginary parts of
     the left eigenvector w = u + i v; rho = |w^* q| = hypot(xi, eta)
     grows like exp(beta t) t^{-r/2} at damping r/t, with beta = Im sqrt(lam),
-    and ``fit`` measures beta on the default exponential window, clamped to
-    the record, with the envelope power detrended.
+    and ``fit`` measures beta on ``fit_rate``'s default window, from t = 20
+    to the end of the record, with the envelope power detrended.
     """
 
     times: np.ndarray
@@ -329,7 +321,7 @@ def chetaev_complex(record: TrajectoryRecord, left_vector, r: float = 3.0) -> Ch
     xi = record.q @ w.real
     eta = record.q @ w.imag
     rho = np.hypot(xi, eta)
-    fit = fit_rate(t, rho, window=_fit_window(t, EXPONENTIAL_WINDOW), **fit_recipe(EigenvalueClass.STRICTLY_COMPLEX, r))
+    fit = fit_rate(t, rho, **fit_recipe(EigenvalueClass.STRICTLY_COMPLEX, r))
     return ChetaevComplex(times=t, xi=xi, eta=eta, rho=rho, fit=fit)
 
 

@@ -9,7 +9,8 @@ sweep       classify / measure modal rates over a grid in the lam-plane
 check       run the cross-cutting invariant self-checks
 
 Exit codes: 0 success, 2 configuration error, 3 trajectory saturated
-(overflow truncation), 4 invariant-check failure, 5 output error (an
+(overflow truncation), 4 invariant-check failure (``check``) or a failed
+figure check (``reproduce``, ahead of 3), 5 output error (an
 artifact could not be written, e.g. ``--out`` names a path under a
 regular file), 6 numerical error (an exponential factor overflowed, or
 the eigensolver did not converge).
@@ -114,6 +115,8 @@ def cmd_reproduce(figure: str, out_dir: str) -> int:
     status = "pass" if summary["pass"] else "FAIL"
     print(f"checks: {status} " + json.dumps(summary["checks"], sort_keys=True, default=experiments._json_default))
     print(f"wrote {os.path.join(out_dir, figure + '_summary.json')}")
+    if not summary["pass"]:
+        return EXIT_INVARIANT
     return EXIT_SATURATED if summary["saturated"] else EXIT_OK
 
 

@@ -408,6 +408,11 @@ def _chetaev_negative(cfg, spectrum, verdict, record):
     }
 
 
+def _fitted(fit: analysis.RateFit) -> dict:
+    """What a summary says of the fit it reports: its r², window and number of fitted points."""
+    return {"r_squared": fit.r_squared, "window": list(fit.window), "n_points": fit.n_points}
+
+
 def _chetaev_complex(cfg, spectrum, verdict, record):
     if not (found := _strongest(spectrum, verdict, spectral.EigenvalueClass.STRICTLY_COMPLEX)):
         if not _strongest(spectrum, verdict, spectral.EigenvalueClass.NEGATIVE_REAL):
@@ -415,7 +420,7 @@ def _chetaev_complex(cfg, spectrum, verdict, record):
         return {}, {}
     cls, w = found
     che = analysis.chetaev_complex(record, w, cfg.integrator.damping_exponent)
-    entry = {"beta_predicted": cls.rate, "beta_measured": che.fit.slope, "r_squared": che.fit.r_squared}
+    entry = {"beta_predicted": cls.rate, "beta_measured": che.fit.slope, **_fitted(che.fit)}
     return {"rho": che.rho}, {"chetaev_complex": entry}
 
 
@@ -438,12 +443,11 @@ def _energy(cfg, spectrum, verdict, record):
 
 def _rates(cfg, spectrum, verdict, record):
     growing = verdict.dominant_growth_rate > 0.0
-    window = analysis._fit_window(record.times, analysis.EXPONENTIAL_WINDOW if growing else analysis.ALGEBRAIC_WINDOW)
     norm_q = np.linalg.norm(record.q, axis=1)
     # fitted as a growing or else an oscillating mode; predicted as a Zero mode where it tends to a null-space limit
     cls = spectral.EigenvalueClass.NEGATIVE_REAL if growing else spectral.EigenvalueClass.POSITIVE_REAL
     recipe = spectral.fit_recipe(cls, cfg.integrator.damping_exponent)
-    fit = analysis.fit_rate(record.times, norm_q, window=window, **recipe)
+    fit = analysis.fit_rate(record.times, norm_q, **recipe)
     limit = verdict.nagd is spectral.NagdVerdict.STABLE_TO_NULLSPACE
     code = spectral.CLASSES.index(spectral.EigenvalueClass.ZERO if limit else cls)
     predicted = float(spectral.predicted_rate(code, verdict.dominant_growth_rate, cfg.integrator.damping_exponent))
@@ -451,8 +455,7 @@ def _rates(cfg, spectrum, verdict, record):
         "rate_fit": {
             "kind": fit.kind,
             "slope": fit.slope,
-            "r_squared": fit.r_squared,
-            "window": list(fit.window),
+            **_fitted(fit),
             "predicted": predicted,
         }
     }
@@ -586,8 +589,8 @@ def _fig2_checks(runs, out_dir):
 def _fig3_checks(runs, out_dir):
     [(_, rec, _)] = runs
     oscillating, _, growing, _ = map(spectral.fit_recipe, spectral.CLASSES)  # the studies are at r = 3
-    x1_fit = analysis.fit_rate(rec.times, rec.q[:, 0], window=(20.0, 60.0), **oscillating)
-    x2_fit = analysis.fit_rate(rec.times, np.abs(rec.q[:, 1]), window=(20.0, 60.0), **growing)
+    x1_fit = analysis.fit_rate(rec.times, rec.q[:, 0], **oscillating)
+    x2_fit = analysis.fit_rate(rec.times, np.abs(rec.q[:, 1]), **growing)
     return {
         **_envelope_slope("x1_envelope_slope", x1_fit.slope),
         "x2_rate": x2_fit.slope,
@@ -599,7 +602,7 @@ def _fig4_checks(runs, out_dir):
     [(cfg, rec, _)] = runs
     dist = analysis.distance_to_nullspace(rec, cfg.system.matrix)
     oscillating = spectral.fit_recipe(spectral.EigenvalueClass.POSITIVE_REAL)  # the studies are at r = 3
-    d_fit = analysis.fit_rate(rec.times, dist.distance, window=(20.0, 100.0), **oscillating)
+    d_fit = analysis.fit_rate(rec.times, dist.distance, **oscillating)
     w = dist.basis[:, 0]
     limit = spectral.nullspace_limit(rec.times[0], float(cfg.q0 @ w), float(cfg.v0 @ w))
     error = abs(float(rec.q[-1] @ w) - limit)
@@ -830,7 +833,8 @@ def _measure_rates(lam: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Fitted envelope rate of y'' + (r/t) y' + lam y = 0, r = 3, from y(1) = 1, y'(1) = 0.
 
     ``codes`` are the class codes of ``lam``, each fitted by its class's
-    recipe.  NaN where the fit has too few usable samples, e.g. after saturation.
+    recipe on ``analysis.fit_rate``'s default window, from t = 20 to the end
+    of the run.  NaN where the fit has too few usable samples, e.g. after saturation.
     """
     cfg = dynamics.IntegratorConfig(t0=1.0, t_end=_SWEEP_T_END, dt=0.01)
     recipes = [spectral.fit_recipe(tag, cfg.damping_exponent) for tag in spectral.CLASSES]
@@ -838,10 +842,8 @@ def _measure_rates(lam: np.ndarray, codes: np.ndarray) -> np.ndarray:
     for lo in range(0, lam.shape[0], _SWEEP_BATCH):
         times, q, _, rows, _ = dynamics._modal_rk4(lam[lo : lo + _SWEEP_BATCH], 1.0, 0.0, cfg)
         for p, (n, code) in enumerate(zip(rows.tolist(), codes[lo : lo + _SWEEP_BATCH].tolist())):
-            t = times[:n]
-            window = (max(20.0, t[0]), t[-1])
             try:
-                fit = analysis.fit_rate(t, np.abs(q[:n, p]), window=window, **recipes[code])
+                fit = analysis.fit_rate(times[:n], np.abs(q[:n, p]), **recipes[code])
             except (InsufficientPoints, NonPositiveSeries):
                 continue
             measured[lo + p] = fit.slope

@@ -29,13 +29,18 @@ def test_fit_algebraic_exact_power_law():
     assert abs(fit.slope + 1.5) <= 1e-10
     assert abs(fit.intercept - math.log(3.0)) <= 1e-10
     assert fit.r_squared > 0.999999
+    # the default window runs from t = 20 to the end of the record
+    assert fit.window == (pytest.approx(20.0, abs=0.03), t[-1])
+    assert fit.n_points == int(np.sum(t >= 20.0))
 
 
 def test_fit_exponential_exact():
     t = np.linspace(1.0, 60.0, 6000)
     fit = fit_rate(t, 0.2 * np.exp(0.707 * t), kind="exponential")
     assert abs(fit.slope - 0.707) <= 1e-10
-    assert fit.window == (pytest.approx(20.0, abs=0.01), pytest.approx(60.0, abs=0.01))
+    # the same default window as an algebraic fit: t = 20 to the end of the record
+    assert fit.window == (pytest.approx(20.0, abs=0.01), t[-1])
+    assert fit.n_points == int(np.sum(t >= 20.0))
 
 
 def test_fit_envelope_oscillatory():
@@ -73,14 +78,22 @@ def test_fit_window_clipped_to_data():
     fit = fit_rate(t, t**-1.5, window=(20.0, 100.0))
     assert fit.window[0] >= 20.0
     assert fit.window[1] <= 50.0
+    # a record that starts after t = 20 is fitted from its first time
+    late = np.linspace(25.0, 100.0, 751)
+    assert fit_rate(late, late**-1.5).window == (25.0, 100.0)
+    assert fit_rate(late, late**-1.5, window=(20.0, 60.0)).window == (25.0, pytest.approx(60.0))
 
 
 def test_fit_errors():
     t = np.linspace(1.0, 10.0, 100)
     with pytest.raises(ValueError):
         fit_rate(t, t, kind="loglinear")
-    with pytest.raises(InsufficientPoints):
+    with pytest.raises(InsufficientPoints, match=r"the record ends at t = 10, before the fit window starts at 20$"):
+        fit_rate(t, t**-1.0, kind="exponential")
+    with pytest.raises(InsufficientPoints, match=r"the record ends at t = 10, before the fit window starts at 80$"):
         fit_rate(t, t**-1.0, window=(80.0, 90.0))
+    with pytest.raises(InsufficientPoints, match="empty"):
+        fit_rate([], [])
     with pytest.raises(NonPositiveSeries):
         fit_rate(t, np.sin(t), window=(1.0, 10.0))
     with pytest.raises(InsufficientPoints):

@@ -240,7 +240,7 @@ def test_lyapunov_note_names_the_failed_hypothesis(tmp_path):
 
 def test_rate_fit_note_on_a_record_that_ends_early(tmp_path):
     # RK4 is unstable at this step on the stiff mode, so the record
-    # saturates at t = 1.57, long before the algebraic window opens at 30
+    # saturates at t = 1.57, long before the fit window opens at 20
     payload = {
         "label": "stiff",
         "source": {"matrix": [[1e6, 0.0], [0.0, 0.5]]},
@@ -254,12 +254,12 @@ def test_rate_fit_note_on_a_record_that_ends_early(tmp_path):
     assert summary["rows"] == 58
     assert "rate_fit" not in summary
     assert summary["notes"] == [
-        "rates: fit unavailable (the record ends at t = 1.57, before the fit window starts at 30)"
+        "rates: fit unavailable (the record ends at t = 1.57, before the fit window starts at 20)"
     ]
 
 
 def test_fit_notes_on_a_record_that_ends_before_the_exponential_window(tmp_path):
-    # both exponential fits clamp the window [20, 60] to a 10 s record the same way
+    # both exponential fits clamp the window to a 10 s record the same way
     payload = {
         "label": "rotational",
         "source": {"matrix": [[6.0, 1.5], [-1.5, 6.0]]},
@@ -274,6 +274,38 @@ def test_fit_notes_on_a_record_that_ends_before_the_exponential_window(tmp_path)
         "chetaev: complex projection not fitted (the record ends at t = 10, before the fit window starts at 20)",
         "rates: fit unavailable (the record ends at t = 10, before the fit window starts at 20)",
     ]
+
+
+@pytest.mark.parametrize(
+    "matrix, t0, diagnostics",
+    [
+        ([[0.4, 0.2], [0.2, 0.8]], 1.0, ["rates"]),
+        ([[6.0, 1.5], [-1.5, 6.0]], 1.0, ["chetaev", "rates"]),
+        ([[0.4, 0.2], [0.2, 0.8]], 25.0, ["rates"]),
+    ],
+    ids=["stable", "rotational", "late-start"],
+)
+def test_every_fit_runs_from_t20_to_the_end_of_the_record(tmp_path, matrix, t0, diagnostics):
+    # decaying and growing modes share one window, which runs to the end of the record
+    payload = {
+        "label": "window",
+        "source": {"matrix": matrix},
+        "initial": {"q0": [1.0, 0.0]},
+        "integrator": {"t0": t0, "t_end": 100.0, "dt": 0.01},
+        "diagnostics": diagnostics,
+    }
+    assert cli.main(["simulate", "--config", _write_config(tmp_path, payload), "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "window.json").read_text())
+    start = max(20.0, t0)
+    samples = int(round((100.0 - start) / 0.01)) + 1
+    fits = [summary[key] for key in ("rate_fit", "chetaev_complex") if key in summary]
+    assert len(fits) == len(diagnostics)
+    for fit in fits:
+        assert fit["window"] == [start, 100.0]
+        # maxima of the oscillating envelope, or every sample of a growing one
+        assert 5 <= fit["n_points"] <= samples
+    if "chetaev" in diagnostics:
+        assert summary["rate_fit"]["n_points"] == summary["chetaev_complex"]["n_points"] == samples
 
 
 @pytest.mark.parametrize(
@@ -645,6 +677,13 @@ def test_reproduce_every_figure(tmp_path, figure):
     if figure == "fig4":
         # the norm tends to the null-space limit, so its predicted log-log slope is 0
         assert summary["runs"][0]["rate_fit"]["predicted"] == 0.0
+
+
+def test_reproduce_exits_4_when_a_figure_check_fails(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(experiments.FIGURES["fig1"], "checks", lambda runs, out_dir: {"forced_ok": False})
+    assert cli.main(["reproduce", "--figure", "fig1", "--out", str(tmp_path)]) == cli.EXIT_INVARIANT
+    assert 'checks: FAIL {"forced_ok": false}' in capsys.readouterr().out
+    assert json.loads((tmp_path / "fig1_summary.json").read_text())["pass"] is False
 
 
 def test_reproduce_fig2(tmp_path, capsys):
