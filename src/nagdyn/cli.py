@@ -12,8 +12,10 @@ Exit codes: 0 success, 2 configuration error, 3 trajectory saturated
 (overflow truncation), 4 invariant-check failure (``check``) or a failed
 figure check (``reproduce``, ahead of 3), 5 output error (an
 artifact could not be written, e.g. ``--out`` names a path under a
-regular file), 6 numerical error (an exponential factor overflowed, or
-the eigensolver did not converge).
+regular file, or the reader of stdout went away, as in
+``nagdyn classify ... | head -n 1``, which ends silently), 6 numerical
+error (an exponential factor overflowed, or the eigensolver did not
+converge).
 
 A ``--grid`` value that starts with a minus sign may follow ``--grid``
 as its own argument (``--grid -2:6:8,-3:3:8``) or be joined to it
@@ -274,7 +276,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_join_grid_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         with _one_blas_thread():
-            return _COMMANDS[args.command](args)
+            code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # so that a reader gone before the end is seen here
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone (``| head -n 1``): the rest of the
+        # output, and its flush at exit, go to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OUTPUT
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

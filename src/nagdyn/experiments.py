@@ -261,10 +261,6 @@ def _atomic_write(path: str, chunks: Iterable[bytes | np.ndarray]) -> None:
         raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-#: Rows formatted and written at a time by :func:`write_csv`.
-_CSV_CHUNK_ROWS = 1024
-
-
 def write_csv(
     path: str,
     header: list[str],
@@ -283,7 +279,13 @@ def write_csv(
     a decade boundary, outside that range, or every value where long
     double is no wider than double) is formatted by ``%.17g`` itself.
     Rows are formatted and written in chunks, so memory does not grow with
-    the row count.
+    the row count.  A chunk holds ``max(1024, 4096 // max(p, 1))`` rows for
+    ``p`` plain (not coded) columns: about 4096 values, enough to repay the
+    array formatter's fixed cost per chunk, and never more than 4096 rows,
+    which would raise the peak memory.  A simulate table has at least four
+    plain columns, so 1024 rows; a classify-only sweep has one, so 4096.
+    :func:`nagdyn._csvformat.csv_chunks` gives the measurements.  The
+    bytes written do not depend on the chunk size.
 
     A column may be a :class:`CodedColumn`, and ``labels`` is one with a
     table of str: the same bytes as ``values[index]`` passed plainly, but
@@ -298,7 +300,7 @@ def write_csv(
     when the index of a coded column is not an integer array within its
     table.
     """
-    _atomic_write(path, _csvformat.csv_chunks(header, columns, labels, _CSV_CHUNK_ROWS))
+    _atomic_write(path, _csvformat.csv_chunks(header, columns, labels))
 
 
 def _json_default(obj):
@@ -483,12 +485,19 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dynamics.TrajectoryRecord, di
     Returns (record, summary, header, columns).  Diagnostic columns follow
     the fixed order V, Vdot, W, rho, dist_null; diagnostics that do not
     apply to the system, or that the record has too few rows for, are
-    skipped with a note in the summary.
+    skipped with a note in the summary.  A step past RK4's stability limit
+    on a PositiveReal mode is refused with :class:`ConfigError` before any
+    integration.
     """
     system = cfg.system
     spectrum = spectral.eigendecompose(system.matrix)
     r = cfg.integrator.damping_exponent
     verdict = spectral.classify_matrix(spectrum, t0=cfg.integrator.t0, r=r)
+    positive = [c.value.real for c in verdict.per_eigenvalue if c.tag is spectral.EigenvalueClass.POSITIVE_REAL]
+    try:
+        dynamics.check_rk4_step(cfg.integrator.dt, positive)
+    except ValueError as exc:
+        raise ConfigError(f"integrator.dt: {exc}") from exc
     record = dynamics.simulate_nagd(system.matrix, system.offset, cfg.q0, cfg.v0, cfg.integrator)
 
     header = ["t"]

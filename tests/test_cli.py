@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nagdyn import cli, experiments, special, spectral
+from nagdyn import _csvformat, cli, experiments, special, spectral
 from nagdyn.errors import ConfigError, OutputError, OverflowSaturation
 
 FIG1 = {
@@ -219,6 +219,33 @@ def test_simulate_saturation_exit_code(tmp_path):
     assert float(rows[-1][0]) < 100.0  # truncated before the horizon
 
 
+def test_simulate_refuses_a_step_past_the_rk4_stability_limit(tmp_path, capsys):
+    # the spectrum calls diag(1e6, 0.5) StableConvergent, but at dt = 0.01
+    # h sqrt(1e6) = 10 > 2 sqrt(2): RK4 blew the stiff mode up to a
+    # "saturated" record and exit 3
+    payload = {
+        "label": "stiff",
+        "source": {"matrix": [[1e6, 0.0], [0.0, 0.5]]},
+        "initial": {"q0": [1.0, 1.0]},
+        "integrator": {"t0": 1.0, "t_end": 20.0, "dt": 0.01},
+    }
+    config = _write_config(tmp_path, payload)
+    rc = cli.main(["simulate", "--config", config, "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: integrator.dt: 0.01 ") and err.count("\n") == 1
+    assert "choose dt <= 0.0028" in err
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["cfg.json"]
+    assert cli.main(["classify", "--config", config]) == cli.EXIT_OK
+    assert "StableConvergent" in capsys.readouterr().out
+    # the suggested step runs, and the record does not saturate
+    payload["integrator"]["dt"] = 0.0028
+    config = _write_config(tmp_path, payload)
+    assert cli.main(["simulate", "--config", config, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    summary = json.loads((tmp_path / "out" / "stiff.json").read_text())
+    assert summary["saturated"] is False and summary["notes"] == []
+
+
 def test_lyapunov_note_names_the_failed_hypothesis(tmp_path):
     for label, matrix, why in (
         ("skew", [[0.0, 1.0], [-1.0, 0.0]], "not symmetric"),
@@ -239,22 +266,22 @@ def test_lyapunov_note_names_the_failed_hypothesis(tmp_path):
 
 
 def test_rate_fit_note_on_a_record_that_ends_early(tmp_path):
-    # RK4 is unstable at this step on the stiff mode, so the record
-    # saturates at t = 1.57, long before the fit window opens at 20
+    # the mode at lam = -160^2 grows like e^{160 t} and passes 1e150 near
+    # t = 3.2, long before the fit window opens at 20
     payload = {
-        "label": "stiff",
-        "source": {"matrix": [[1e6, 0.0], [0.0, 0.5]]},
+        "label": "escape",
+        "source": {"matrix": [[1.0, 0.0], [0.0, -25600.0]]},
         "initial": {"q0": [1.0, 1.0]},
         "integrator": {"t0": 1.0, "t_end": 100.0, "dt": 0.01},
         "diagnostics": ["rates"],
     }
     rc = cli.main(["simulate", "--config", _write_config(tmp_path, payload), "--out", str(tmp_path)])
     assert rc == cli.EXIT_SATURATED
-    summary = json.loads((tmp_path / "stiff.json").read_text())
-    assert summary["rows"] == 58
+    summary = json.loads((tmp_path / "escape.json").read_text())
+    assert summary["rows"] == 221
     assert "rate_fit" not in summary
     assert summary["notes"] == [
-        "rates: fit unavailable (the record ends at t = 1.57, before the fit window starts at 20)"
+        "rates: fit unavailable (the record ends at t = 3.2, before the fit window starts at 20)"
     ]
 
 
@@ -563,14 +590,15 @@ def test_sweep_negative_grid_as_separate_argument(tmp_path):
 
 def test_sweep_csv_matches_per_cell_format(tmp_path, monkeypatch):
     # every cell is format(x, ".17g") of the classifier's own value, also
-    # with chunks that straddle the blocks of equal re, and with a measured
-    # column, which is written plainly
-    for grid, measure, chunk in (
-        ("-3:5:17,-2:2:9", False, experiments._CSV_CHUNK_ROWS),
-        ("-3:5:17,-2:2:9", False, 7),
-        ("-1:1:3,-1:1:3", True, 7),
+    # with 7-row chunks (no value budget) that straddle the blocks of equal
+    # re, and with a measured column, which is written plainly
+    for grid, measure, chunk, values in (
+        ("-3:5:17,-2:2:9", False, _csvformat._CHUNK_ROWS, _csvformat._CHUNK_VALUES),
+        ("-3:5:17,-2:2:9", False, 7, 0),
+        ("-1:1:3,-1:1:3", True, 7, 0),
     ):
-        monkeypatch.setattr(experiments, "_CSV_CHUNK_ROWS", chunk)
+        monkeypatch.setattr(_csvformat, "_CHUNK_ROWS", chunk)
+        monkeypatch.setattr(_csvformat, "_CHUNK_VALUES", values)
         out = tmp_path / f"{measure}_{chunk}"
         rc = cli.main(["sweep", f"--grid={grid}", "--out", str(out)] + ["--measure"] * measure)
         assert rc == cli.EXIT_OK
@@ -865,6 +893,30 @@ def test_unwritable_out_is_output_error(tmp_path, capsys, argv):
     assert not list(tmp_path.glob("**/.tmp-*"))
 
 
+def test_closed_stdout_pipe_ends_silently_with_the_output_code(tmp_path, capsys, monkeypatch):
+    # ``nagdyn classify ... | head -n 1``: the reader is gone, every write raises
+    sink = open(tmp_path / "sink", "w")
+
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return sink.fileno()
+
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    rc = cli.main(["classify", "--config", _write_config(tmp_path, FIG1)])
+    assert rc == cli.EXIT_OUTPUT
+    # the rest of the output goes to the null device
+    sink.write("dropped")
+    sink.close()
+    assert (tmp_path / "sink").read_text() == ""
+    assert capsys.readouterr().err == ""
+
+
 def test_write_json_converts_numpy_and_complex_values(tmp_path):
     path = tmp_path / "a.json"
     payload = {
@@ -907,7 +959,8 @@ def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
 
 
 def test_write_csv_rows_and_labels_across_chunks(tmp_path, monkeypatch):
-    monkeypatch.setattr(experiments, "_CSV_CHUNK_ROWS", 4)
+    monkeypatch.setattr(_csvformat, "_CHUNK_ROWS", 4)
+    monkeypatch.setattr(_csvformat, "_CHUNK_VALUES", 0)
     a = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 1 / 3, 5e-324, 1e300, -2.5, 7.0])
     b = np.arange(10)
     names = [f"L{i}" for i in range(10)]

@@ -114,8 +114,10 @@ def _values(col):
 @pytest.mark.parametrize("rows", [0, 1, 2, 3, 4, 7])
 def test_write_csv_matches_oracle_across_chunks(tmp_path, monkeypatch, chunk, rows):
     # each column and the labels, plain and coded: a coded column writes
-    # the bytes of its values passed plainly
-    monkeypatch.setattr(experiments, "_CSV_CHUNK_ROWS", chunk)
+    # the bytes of its values passed plainly; with no value budget every
+    # chunk holds _CHUNK_ROWS rows
+    monkeypatch.setattr(_csvformat, "_CHUNK_ROWS", chunk)
+    monkeypatch.setattr(_csvformat, "_CHUNK_VALUES", 0)
     k = np.arange(rows)
     wide = np.concatenate([1.0 + 0.01 * np.arange(200), _TABLE])  # enough values for the array formatter
     a = experiments.CodedColumn(_TABLE, k % _TABLE.size)
@@ -139,6 +141,70 @@ def test_write_csv_matches_oracle_across_chunks(tmp_path, monkeypatch, chunk, ro
             path = tmp_path / "t.csv"
             experiments.write_csv(str(path), header, given, labels=None if coded_labels is None else given_labels)
             assert path.read_bytes() == want
+
+
+def _chunk_rows(monkeypatch, tmp_path, header, columns, labels=None):
+    """The rows of each chunk that ``write_csv`` formats, and the bytes it writes."""
+    rows = []
+    format_rows = _csvformat.format_rows
+
+    def spy(cols, labels=None, buf=None):
+        rows.append(len(cols[0]) if isinstance(cols[0], np.ndarray) else cols[0][1].shape[0])
+        return format_rows(cols, labels, buf)
+
+    path = tmp_path / "t.csv"
+    with monkeypatch.context() as m:
+        m.setattr(_csvformat, "format_rows", spy)
+        experiments.write_csv(str(path), header, columns, labels=labels)
+    return rows, path.read_bytes()
+
+
+def _sweep_like(n):
+    """A classify-only sweep table of ``n`` rows: coded axes, one plain column, coded nan and labels."""
+    k = np.arange(n)
+    columns = [
+        experiments.CodedColumn(np.linspace(-2.0, 6.0, 97), k // 89 % 97),
+        experiments.CodedColumn(np.linspace(-3.0, 3.0, 89), k % 89),
+        np.where(k % 3 == 0, -1.5, np.sqrt(k) / 7.0),
+        experiments.CodedColumn(np.array([math.nan]), np.zeros(n, np.int64)),
+    ]
+    return ["re", "im", "predicted_rate", "measured_rate", "class"], columns, experiments.CodedColumn(
+        ("PositiveReal", "Zero", "NegativeReal", "StrictlyComplex"), k % 4
+    )
+
+
+def _plain_table(n, ncols):
+    rng = np.random.default_rng(ncols)
+    columns = [rng.standard_normal(n) * 10.0 ** rng.integers(-12, 17, n) for _ in range(ncols)]
+    return [f"c{j}" for j in range(ncols)], columns
+
+
+def test_write_csv_chunks_hold_about_4096_plain_values(tmp_path, monkeypatch):
+    # max(1024, 4096 // plain columns) rows, never more than 4096
+    header, columns, labels = _sweep_like(9000)
+    assert _chunk_rows(monkeypatch, tmp_path, header, columns, labels)[0] == [4096, 4096, 808]
+    for ncols, rows in ((1, 4096), (2, 2048), (3, 1365), (4, 1024), (5, 1024), (9, 1024)):
+        header, columns = _plain_table(5000, ncols)
+        assert set(_chunk_rows(monkeypatch, tmp_path, header, columns)[0][:-1]) == {rows}
+    # no plain column at all: the budget is still 4096 rows
+    coded = [experiments.CodedColumn(np.array([0.5, 2.0]), np.arange(5000) % 2)]
+    assert _chunk_rows(monkeypatch, tmp_path, ["a"], coded)[0] == [4096, 904]
+
+
+@pytest.mark.parametrize("table", ["narrow_coded", "wide_plain"])
+def test_write_csv_bytes_do_not_depend_on_the_chunk_budget(tmp_path, monkeypatch, table):
+    if table == "narrow_coded":
+        header, columns, labels = _sweep_like(5000)
+    else:
+        (header, columns), labels = _plain_table(3000, 7), None
+    names = None if labels is None else [labels.values[j] for j in labels.index]
+    want = _oracle(header, [_values(col) for col in columns], names)
+    for rows, values in ((1024, 4096), (1, 0), (333, 0), (1024, 10**6), (5000, 0)):
+        monkeypatch.setattr(_csvformat, "_CHUNK_ROWS", rows)
+        monkeypatch.setattr(_csvformat, "_CHUNK_VALUES", values)
+        chunks, got = _chunk_rows(monkeypatch, tmp_path, header, columns, labels)
+        assert got == want
+        assert sum(chunks) == len(columns[0])
 
 
 def test_write_csv_refuses_ragged_input(tmp_path):

@@ -281,6 +281,32 @@ def test_batched_modal_chunk_edges_and_strides(monkeypatch, stride):
     assert saturated.tolist() == [False, True, False]
 
 
+@pytest.mark.parametrize("lanes, steps", [(1, 1024), (6, 682), (9, 455)])
+def test_modal_chunk_is_capped_at_1024_steps(monkeypatch, lanes, steps):
+    # a lone lane would get 2**12 steps a chunk and as many slot views
+    chunks = []
+    drive = dynamics._drive
+
+    def spy(advance, s0, config, chunk, lane_sq):
+        chunks.append(chunk)
+        return drive(advance, s0, config, chunk, lane_sq)
+
+    monkeypatch.setattr(dynamics, "_drive", spy)
+    cfg = IntegratorConfig(t0=1.0, t_end=60.0, dt=0.01)
+    dynamics._modal_rk4(np.linspace(0.5, 2.0, lanes), 1.0, 0.0, cfg)
+    assert chunks == [steps]
+
+
+def test_check_rk4_step_refuses_a_step_past_the_imaginary_axis_limit():
+    limit = 2.0 * math.sqrt(2.0)
+    dynamics.check_rk4_step(limit, [1.0, 0.25])  # the limit itself is stable
+    dynamics.check_rk4_step(1e3, [])
+    with pytest.raises(ValueError, match=r"eigenvalue 1 .* choose dt <= 2\.8$"):
+        dynamics.check_rk4_step(np.nextafter(limit, 3.0), [1.0, 0.25])
+    with pytest.raises(ValueError, match=r"choose dt <= 0\.0028$"):
+        dynamics.check_rk4_step(0.01, [0.5, 1e6])
+
+
 def test_simulate_modal_is_one_lane_of_the_batch():
     cfg = IntegratorConfig(t0=1.0, t_end=10.0, dt=0.01, record_stride=4)
     rec = simulate_modal(6 + 1.5j, 0.25, -1.0, cfg)
