@@ -30,17 +30,31 @@ of x'' + (r/t) x' + G x = 0.  The four ``advance`` functions are:
   trajectory that saturates is reported as saturated, not as a field
   that overflowed past it.
 
-Each integrator steps through a buffer allocated once per run, one slot per
-step of a chunk: the three linear loops through a ring with one more slot,
-in which step k reads slot k and writes its state straight into slot k + 1
-through lists of slot views built with the ring.  ``advance`` returns a
-view of the states it took, and ``_drive`` records straight from that view,
-so a state is copied only into the record.  The augmented entries of the
-state [x; 1], [x'; 0] are set once when the ring is allocated: every step
-reproduces them exactly, so the view and the record hold only x and x'.
-The products are ``ndarray.dot`` and ufunc calls with ``out=``, which skip
-the Python-level ``__array_function__`` dispatch of ``np.dot``, so a step
-costs little more than its BLAS calls.
+Each integrator steps through buffers allocated once per run and sized by
+one rule, ``_chunk_steps``: a chunk holds at most ``_CHUNK_STEPS`` steps
+and at most ``_CHUNK_CELLS`` numbers of state, steps x state width, so a
+wide system or a large batch of modes takes shorter chunks.  The three
+linear loops step through a ring with one more slot than the chunk has
+steps: step k reads slot k and writes its state straight into slot k + 1.
+Beside the ring lie the chunk's step coefficients (``simulate_nagd``) or
+step maps (``_modal_rk4``), which each chunk fills in place, and a list,
+built with the ring, of one tuple of views per step: its coefficients or
+map and its ring slots.  ``advance`` returns a view of the states it took,
+and ``_drive`` records straight from that view, so a state is copied only
+into the record.  The augmented entries of the state [x; 1], [x'; 0] are
+set once when the ring is allocated: every step reproduces them exactly,
+so the view and the record hold only x and x'.
+
+A step is its products and nothing else: ``np.ndarray.dot``,
+``np.multiply`` and ``np.add``, bound to names once and called with
+positional outputs.  On a shared 2-vCPU Xeon VM, ``np.ndarray.dot(a, g, o)``
+on a 2x5 state took 0.43 us against 0.47 us for ``a.dot(g, out=o)``,
+``np.multiply(m, c, p)`` on a 9-lane modal step 1.19 us against 1.29 us
+with ``out=p``, and taking the next step's views from the prebuilt list
+7 ns against 70 ns for a fresh view of a chunk array.  The fastest of 30
+whole runs took 1.9 us a step for ``simulate_nagd`` at n = 4 (50 000
+steps, recording included) and 3.0 us for a 9-lane ``_modal_rk4`` batch
+(5 900 steps).
 """
 
 from __future__ import annotations
@@ -76,8 +90,9 @@ class IntegratorConfig:
     a run of n_steps steps records n_steps // record_stride + 1 rows.
     ``n_steps`` rounds (t_end - t0) / dt to the nearest integer, so the
     last grid time t0 + n_steps dt can miss t_end by up to dt/2:
-    ``t0=0.001, t_end=50`` ends at 50.001.  A ``damping_exponent`` <= 1,
-    outside the guaranteed-convergence regime, is accepted; a run of
+    ``t0=0.001, t_end=50`` ends at 50.001.  A ``damping_exponent`` <= 0,
+    where the spectral verdicts do not hold, is refused; one in (0, 1],
+    outside the guaranteed-convergence regime, is accepted, and a run of
     ``experiments.run_experiment`` notes it in its summary.
     """
 
@@ -98,8 +113,9 @@ class IntegratorConfig:
         # cannot be rounded to an int
         if not (self.t_end - self.t0) / self.dt <= 1e8:
             raise ValueError("more than 1e8 steps requested; coarsen dt")
-        if not math.isfinite(self.damping_exponent):
-            raise ValueError("damping_exponent must be finite")
+        # the verdicts assume damping: at r <= 0 a positive mode does not decay
+        if not (math.isfinite(self.damping_exponent) and self.damping_exponent > 0.0):
+            raise ValueError("damping_exponent must be finite and positive; the verdicts assume r > 0")
         # bool is an int subclass, and True would silently mean stride 1; the
         # bound on the steps also bounds the stride, whose multiples index
         # the grid in C integers
@@ -149,12 +165,35 @@ def _check_system(matrix, offset, q0, v0):
     return g, b, q, v
 
 
-#: Steps per chunk of :func:`simulate_nagd`, :func:`simulate_first_order`
-#: and :func:`simulate_smooth_nagd`, which keeps the chunk's coefficients
-#: and the ring that holds its states at tens of KiB for small systems (about
-#: 0.5 MiB of ring at n = 40).  On a 2-vCPU VM, 4096-step chunks raised the
-#: simulate benchmark's peak RSS by about 0.45 MiB and ran no faster.
-_LINEAR_STEP_CHUNK = 256
+#: Each RK4 loop runs in chunks of at most ``_CHUNK_STEPS`` steps and at
+#: most ``_CHUNK_CELLS`` numbers of state, steps x state width (see
+#: :func:`_chunk_steps`).  A chunk pays a fixed cost, its step coefficients
+#: (about 45 us at 256 steps) and ``_drive``'s guard and record, and each
+#: step a tuple of prebuilt views, which the cap in steps bounds.  In 25 s
+#: runs of the simulate benchmark on a shared 2-vCPU VM (seeds 21 and 22),
+#: peak RSS read 60.63-60.76 MiB at a 512-step cap, 59.75-59.90 at 384 and
+#: 59.81-59.89 at 256, and ``run_s`` 0.484-0.493, 0.489 and 0.495-0.497 s;
+#: the check benchmark's peak RSS read 45.75-45.87 MiB at 512 and
+#: 45.34-45.50 at 384.
+#:
+#: The cells bind only wide runs, none of the benchmark's: accelerated
+#: games of more than 41 players and modal batches of more than 42 lanes,
+#: such as a measured sweep's 128-lane batches.  On the same VM, fastest
+#: of 21-41 interleaved calls in three sets, at 2**13, 2**14 and 2**15
+#: cells: a 128-lane batch of 5 900 steps took 46.7-53.2, 43.0-44.1 and
+#: 41.0-44.3 ms (32-, 64- and 128-step chunks); ``simulate_nagd`` at
+#: n = 60 (20 000 steps) 63.8-79.2, 54.2-71.2 and 50.6-66.4 ms (67, 134
+#: and 268 steps), and at n = 40 48.9-52.1, 44.6-45.2 and 42.8-43.3 ms
+#: (99, 199 and 384 steps).  The price is memory on large measured sweeps:
+#: in a fresh process, ``sweep --grid=-2:6:41,-3:3:61 --measure`` peaked
+#: at 82.4-82.5, 82.8-82.9 and 83.8-83.9 MiB (traced: 47.0, 47.4 and
+#: 48.2 MiB).
+_CHUNK_CELLS = 2**15
+_CHUNK_STEPS = 384
+
+#: The step's products, bound once: called with positional outputs, they
+#: skip the keyword parsing of ``out=``.
+_dot, _multiply, _add = np.ndarray.dot, np.multiply, np.add
 
 
 def _step_coefficients(t: np.ndarray, h: float, r: float) -> np.ndarray:
@@ -205,10 +244,11 @@ def _position_sq(x: np.ndarray) -> np.ndarray:
     return np.einsum("ki,ki->k", x[:, 0], x[:, 0])[:, None]
 
 
-def _chunk_steps(config: IntegratorConfig, cap: int) -> int:
-    """Steps per chunk of one run, which sizes its buffer: ``cap``, or fewer
-    when the run is shorter."""
-    return min(cap, config.n_steps)
+def _chunk_steps(config: IntegratorConfig, width: int) -> int:
+    """Steps per chunk of one run whose state holds ``width`` numbers, which
+    sizes its buffers: steps x width up to ``_CHUNK_CELLS``, at most
+    ``_CHUNK_STEPS`` steps and at least one, and no more than the run takes."""
+    return min(max(1, min(_CHUNK_STEPS, _CHUNK_CELLS // max(width, 1))), config.n_steps)
 
 
 def _drive(advance: Callable, s0: np.ndarray, config: IntegratorConfig, chunk: int, lane_sq: Callable):
@@ -282,21 +322,22 @@ def simulate_nagd(matrix, offset, q0, v0=None, config: IntegratorConfig = Integr
     powers = np.array([1.0, h * h, h**4])[:, None, None]
     # slot k holds [s; s G~^T; s (G~^T)^2] for the state s after k steps of
     # the chunk; step k reads slot k and writes its state into slot k + 1
-    chunk = _chunk_steps(config, _LINEAR_STEP_CHUNK)
+    chunk = _chunk_steps(config, 2 * (n + 1))
     ring = np.empty((chunk + 1, 3, 2, n + 1))
     ring[:, 0, :, n] = 1.0, 0.0
-    a_all, ag_all, agg_all = (list(ring[:, i]) for i in range(3))
-    slots = list(zip(a_all, ag_all, agg_all, ring.reshape(chunk + 1, 6, n + 1), a_all[1:]))
+    # coef[k, i, p, j]: the coefficient of Z^p in block (i, j) of step k's map
+    coef = np.empty((chunk, 2, 3, 2))
+    coef_p = coef.transpose(0, 2, 1, 3)
+    a_all = list(ring[:, 0])
+    steps = list(zip(coef.reshape(chunk, 2, 6), a_all, ring[:, 1], ring[:, 2], ring.reshape(chunk + 1, 6, n + 1), a_all[1:]))
 
     def advance(t, s):
-        coef = _step_coefficients(t, h, r)
-        coef *= powers
-        coef = coef.transpose(0, 2, 1, 3).reshape(-1, 2, 6)
+        _multiply(_step_coefficients(t, h, r), powers, coef_p[: t.shape[0]])
         ring[0, 0, :, :n] = s
-        for ck, (a, ag, agg, a6, nxt) in zip(coef, slots):
-            a.dot(gt_t, out=ag)
-            ag.dot(gt_t, out=agg)
-            ck.dot(a6, out=nxt)
+        for ck, a, ag, agg, a6, nxt in steps[: t.shape[0]]:
+            _dot(a, gt_t, ag)
+            _dot(ag, gt_t, agg)
+            _dot(ck, a6, nxt)
         return ring[1 : t.shape[0] + 1, 0, :, :n]
 
     times, states, _, saturated = _drive(advance, np.stack([q, v]), config, chunk, _position_sq)
@@ -318,20 +359,21 @@ def simulate_first_order(matrix, offset, x0, config: IntegratorConfig = Integrat
         term = (term @ a) / k
         incr += term
     et = incr.T.copy()
-    chunk = _chunk_steps(config, _LINEAR_STEP_CHUNK)
+    chunk = _chunk_steps(config, n + 1)
     ring = np.empty((chunk + 1, 1, n + 1))  # slot k: the state after k steps of the chunk
     ring[:, 0, n] = 1.0
-    slots = list(zip(ring[:-1], ring[1:]))
+    slots = list(ring)
+    steps = list(zip(slots, slots[1:]))
 
     def advance(t, s):
         ring[0, :, :n] = s
-        for a, nxt in slots[: t.shape[0]]:
-            a.dot(et, out=nxt)
-            np.add(nxt, a, out=nxt)
+        for a, nxt in steps[: t.shape[0]]:
+            _dot(a, et, nxt)
+            _add(nxt, a, nxt)
         return ring[1 : t.shape[0] + 1, :, :n]
 
     times, states, _, saturated = _drive(advance, x[None, :], config, chunk, _position_sq)
-    del ring, slots, advance  # so the ring does not add to the peak of computing v
+    del ring, slots, steps, advance  # so the ring does not add to the peak of computing v
     q = states[:, 0]
     return _record("first-order", times, q, -(q @ g.T) - b, saturated[0], config)
 
@@ -361,35 +403,22 @@ def check_rk4_step(h: float, lams) -> None:
     )
 
 
-#: Steps x points per chunk of step maps in :func:`_modal_rk4`.  The maps,
-#: the state history and their temporaries are about a dozen complex
-#: arrays of this size, so the working set stays near 0.75 MiB.  At 2**16
-#: (12 MiB) the step maps of the six-lane batch in ``run_invariant_checks``
-#: took its traced allocation peak from 1.7 to 3.6 MiB; 2**12 holds it at
-#: 1.9 MiB, lowers a 9-point measured sweep's from 7.8 to 2.5 MiB, and runs
-#: no slower.
-_MODAL_CHUNK_CELLS = 2**12
-
-#: At most this many steps per chunk of :func:`_modal_rk4`, which caps the
-#: ring of a batch of few lanes: one lane would otherwise get a 4096-step
-#: chunk and 4097 slot views.  On a 2-vCPU VM the cap took a 5900-step
-#: :func:`simulate_modal` from 11.6-11.9 to 11.1-11.2 ms (fastest of 200)
-#: and its traced allocation peak from 1.89 to 0.71 MiB.  The sweep's
-#: 9-lane and the checks' 6-lane batches keep their 455- and 682-step chunks.
-_MODAL_CHUNK_STEPS = 1024
-
-
-def _modal_step_maps(lam: np.ndarray, t: np.ndarray, h: float, r: float) -> np.ndarray:
-    """RK4 step maps [y, y']_{k+1} = M_k [y, y']_k of y'' + (r/t) y' + lam y = 0.
+def _modal_step_maps(lam: np.ndarray, t: np.ndarray, h: float, r: float, out: np.ndarray) -> np.ndarray:
+    """RK4 step maps [y, y']_{k+1} = M_k [y, y']_k of y'' + (r/t) y' + lam y = 0, written into ``out``.
 
     ``t`` holds the step start times (T,) and ``lam`` the points (P,).
-    The result has shape (T, 2, 2, P) and is stored by columns: entry
+    ``out`` has shape (T, 2, 2, P) and is stored by columns: entry
     [k, j, i, p] is M_k[i, j] of point p, the quadratic of
     :func:`_step_coefficients` evaluated at z = h^2 lam.
     """
     c = _step_coefficients(t, h, r).transpose(1, 0, 3, 2)[..., None]
     z = (h * h) * lam
-    return c[0] + z * (c[1] + z * c[2])
+    # c[0] + z (c[1] + z c[2]), evaluated in place
+    _multiply(z, c[2], out)
+    _add(c[1], out, out)
+    _multiply(z, out, out)
+    _add(c[0], out, out)
+    return out
 
 
 def _modal_rk4(lams, y0, ydot0, config: IntegratorConfig):
@@ -405,20 +434,21 @@ def _modal_rk4(lams, y0, ydot0, config: IntegratorConfig):
     """
     lam = np.asarray(lams, dtype=complex).ravel()
     h, r = config.dt, config.damping_exponent
-    chunk = _chunk_steps(config, max(1, min(_MODAL_CHUNK_STEPS, _MODAL_CHUNK_CELLS // max(lam.shape[0], 1))))
+    chunk = _chunk_steps(config, 2 * lam.shape[0])
     # slot k: the state after k steps of the chunk, as a column [y; y'] per lane
     ring = np.empty((chunk + 1, 2, 1, lam.shape[0]), dtype=complex)
-    slots = list(ring)
-    nexts = slots[1:]
+    maps = np.empty((chunk, 2, 2, lam.shape[0]), dtype=complex)
     prod = np.empty((2, 2, lam.shape[0]), dtype=complex)  # [j, i, p]: M[i, j] s[j] of lane p
     p0, p1 = prod[:, :, None]
+    slots = list(ring)
+    steps = list(zip(maps, slots, slots[1:]))
 
     def advance(t, s):
-        m = _modal_step_maps(lam, t, h, r)
+        _modal_step_maps(lam, t, h, r, maps[: t.shape[0]])
         ring[0, :, 0] = s
-        for m_k, col, nxt in zip(m, slots, nexts):
-            np.multiply(m_k, col, out=prod)
-            np.add(p0, p1, out=nxt)
+        for m_k, col, nxt in steps[: t.shape[0]]:
+            _multiply(m_k, col, prod)
+            _add(p0, p1, nxt)
         return ring[1 : t.shape[0] + 1, :, 0]
 
     s0 = np.empty((2, lam.shape[0]), dtype=complex)
@@ -463,7 +493,7 @@ def simulate_smooth_nagd(field: Callable, x0, v0=None, config: IntegratorConfig 
         out[1] = -fx - (r / t) * s[1]
 
     k1, k2, k3, k4 = np.empty((4, 2, n))  # the stage derivatives, reused by every step
-    chunk = _chunk_steps(config, _LINEAR_STEP_CHUNK)
+    chunk = _chunk_steps(config, 2 * n)
     out = np.empty((chunk, 2, n))
 
     def advance(t, s):

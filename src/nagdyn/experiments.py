@@ -235,10 +235,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 # deterministic writers
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _atomic_write(path: str, chunks: Iterable[bytes | np.ndarray]) -> None:
     """Write the concatenated byte ``chunks`` to ``path`` through a temporary file.
 
@@ -272,7 +268,8 @@ def write_csv(
     Every float cell holds exactly the bytes of ``"%.17g" % x``, 17
     significant digits; ``labels``, when given, is the last column and the
     last name in ``header``.  The columns of a chunk are formatted one
-    after another in one pass of array operations (:mod:`nagdyn._csvformat`):
+    after another by array operations, in passes of at most 16 384 values
+    (:mod:`nagdyn._csvformat`):
     for finite 1e-11 <= |x| < 1e16 the correctly rounded 17-digit
     significand comes from a long-double product whose rounding error is
     bounded, and a value that bound cannot settle (near a rounding tie or
@@ -324,10 +321,13 @@ def write_json(path: str, payload: dict) -> None:
 
 
 def _fingerprint(system: game.PseudoGradientSystem) -> str:
-    blob = ";".join(_fmt(x) for x in system.matrix.ravel()) + "|" + ";".join(
-        _fmt(x) for x in system.offset
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    """The first 16 hex digits of the SHA-256 of G's entries and then b's, each ``"%.17g" % x``,
+    joined by ``;`` within G and b and by ``|`` between them."""
+    matrix = system.matrix.ravel()
+    cells = np.ascontiguousarray(_csvformat.cell_table(np.concatenate([matrix, system.offset])))
+    text = cells.view(f"S{_csvformat._CELL}").ravel().tolist()  # bytes drop their NUL padding
+    blob = b";".join(text[: matrix.size]) + b"|" + b";".join(text[matrix.size :])
+    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 # --------------------------------------------------------------------------

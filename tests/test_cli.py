@@ -1,6 +1,7 @@
 """End-to-end CLI contract: configs, artifacts, exit codes, determinism."""
 
 import filecmp
+import hashlib
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nagdyn import _csvformat, cli, experiments, special, spectral
+from nagdyn import _csvformat, cli, experiments, game, special, spectral
 from nagdyn.errors import ConfigError, OutputError, OverflowSaturation
 
 FIG1 = {
@@ -148,6 +149,22 @@ def test_config_refuses_non_finite_damping_exponent(tmp_path, capsys, value):
     err = capsys.readouterr().err
     assert "integrator: damping_exponent must be finite" in err
     assert "Traceback" not in err
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("value", [-1.0, -1e-300, 0.0])
+def test_config_refuses_a_damping_exponent_that_is_not_positive(tmp_path, capsys, value):
+    # the verdicts assume damping: at r = -1 diag(1, 2) would read
+    # StableConvergent while its |q| grows like t^0.5
+    payload = json.loads(json.dumps(FIG1))
+    payload["integrator"]["damping_exponent"] = value
+    config = _write_config(tmp_path, payload)
+    for command in ("simulate", "classify"):
+        rc = cli.main([command, "--config", config, "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "integrator: damping_exponent must be finite and positive" in err
+        assert "Traceback" not in err
     assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["cfg.json"]
 
 
@@ -973,3 +990,30 @@ def test_write_csv_rows_and_labels_across_chunks(tmp_path, monkeypatch):
     assert path.read_text() == "\n".join(want) + "\n"
     with pytest.raises(ValueError):
         experiments.write_csv(str(path), ["a", "b"], [a, b], labels=labels)
+
+
+# --------------------------------------------------------------------------
+# system fingerprint
+
+
+def _fingerprint_by_format(system):
+    """The summary's system fingerprint, one ``format(x, ".17g")`` per entry."""
+    blob = ";".join(format(float(x), ".17g") for x in system.matrix.ravel()) + "|" + ";".join(
+        format(float(x), ".17g") for x in system.offset
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 40])
+def test_system_fingerprint_formats_each_entry_to_17_digits(n):
+    # 156 and 1640 entries take cell_table's array path, 1 and 6 its
+    # per-value one; the edge values go into G where its norm stays finite,
+    # and all of them into b
+    rng = np.random.RandomState(n)
+    g = rng.randn(n, n) * 10.0 ** rng.randint(-20, 20, (n, n))
+    b = rng.randn(n)
+    edges = [-0.0, 5e-324, 1e16, 1e-11, 1 / 3, 1.7976931348623157e308, -1.7976931348623157e308]
+    g.ravel()[:5] = edges[: min(5, g.size)]
+    b[:7] = edges[::-1][: min(7, n)]
+    system = game.PseudoGradientSystem(matrix=g, offset=b)
+    assert experiments._fingerprint(system) == _fingerprint_by_format(system)

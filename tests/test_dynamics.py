@@ -161,7 +161,7 @@ def test_config_validation():
     for t_end, dt in ((1e308, 1e-10), (30.0, 1e-320)):
         with pytest.raises(ValueError, match="more than 1e8 steps"):
             IntegratorConfig(t0=1.0, t_end=t_end, dt=dt)
-    for r in (math.nan, math.inf, -math.inf):
+    for r in (math.nan, math.inf, -math.inf, 0.0, -1.0):
         with pytest.raises(ValueError, match="damping_exponent"):
             IntegratorConfig(damping_exponent=r)
     # r <= 1 is accepted without a warning; a run's summary notes it
@@ -259,17 +259,32 @@ def test_batched_modal_saturating_lane_is_truncated_alone():
         assert _sup_rel(q[:, p], ref_q) <= 1e-12
 
 
+def _spy_chunks(monkeypatch):
+    """The list to which every later ``_drive`` call appends its chunk length."""
+    chunks = []
+    drive = dynamics._drive
+
+    def spy(advance, s0, config, chunk, lane_sq):
+        chunks.append(chunk)
+        return drive(advance, s0, config, chunk, lane_sq)
+
+    monkeypatch.setattr(dynamics, "_drive", spy)
+    return chunks
+
+
 @pytest.mark.parametrize("stride", [1, 3, 7, 100])
 def test_batched_modal_chunk_edges_and_strides(monkeypatch, stride):
-    # 10 steps per chunk (30 cells over 3 lanes) against 293 steps, so the
-    # last chunk is partial; lam = -160^2 passes 1e150 near t = 3.2, inside
-    # a chunk and, at stride 100, after the last recorded row: only a guard
-    # checked at every step flags it
-    monkeypatch.setattr(dynamics, "_MODAL_CHUNK_CELLS", 30)
+    # 10 steps per chunk (60 cells over 3 lanes of 2 numbers) against 293
+    # steps, so the last chunk is partial; lam = -160^2 passes 1e150 near
+    # t = 3.2, inside a chunk and, at stride 100, after the last recorded
+    # row: only a guard checked at every step flags it
+    monkeypatch.setattr(dynamics, "_CHUNK_CELLS", 60)
+    chunks = _spy_chunks(monkeypatch)
     lams = [1.0, -25600.0, 2j]
     cfg = IntegratorConfig(t0=1.0, t_end=3.93, dt=0.01, record_stride=stride)
     assert cfg.n_steps == 293
     times, q, v, rows, saturated = dynamics._modal_rk4(lams, 1.0, 0.0, cfg)
+    assert chunks == [10]
     assert times.shape[0] == cfg.n_steps // stride + 1
     for p, lam in enumerate(lams):
         ref_t, ref_q, ref_v, ref_sat = _reference_modal_rk4(lam, 1.0, 0.0, cfg)
@@ -279,22 +294,6 @@ def test_batched_modal_chunk_edges_and_strides(monkeypatch, stride):
         assert _sup_rel(q[: rows[p], p], ref_q) <= 1e-12
         assert _sup_rel(v[: rows[p], p], ref_v) <= 1e-12
     assert saturated.tolist() == [False, True, False]
-
-
-@pytest.mark.parametrize("lanes, steps", [(1, 1024), (6, 682), (9, 455)])
-def test_modal_chunk_is_capped_at_1024_steps(monkeypatch, lanes, steps):
-    # a lone lane would get 2**12 steps a chunk and as many slot views
-    chunks = []
-    drive = dynamics._drive
-
-    def spy(advance, s0, config, chunk, lane_sq):
-        chunks.append(chunk)
-        return drive(advance, s0, config, chunk, lane_sq)
-
-    monkeypatch.setattr(dynamics, "_drive", spy)
-    cfg = IntegratorConfig(t0=1.0, t_end=60.0, dt=0.01)
-    dynamics._modal_rk4(np.linspace(0.5, 2.0, lanes), 1.0, 0.0, cfg)
-    assert chunks == [steps]
 
 
 def test_check_rk4_step_refuses_a_step_past_the_imaginary_axis_limit():
@@ -460,7 +459,10 @@ def _plain_modal(lams, y0, ydot0, cfg):
     buf = np.empty((_PLAIN_CHUNK, 2, lam.shape[0]), dtype=complex)
 
     def advance(t, s):
-        m = dynamics._modal_step_maps(lam, t, h, r)
+        # the step maps as the quadratic c0 + z (c1 + z c2) of array operators
+        c = dynamics._step_coefficients(t, h, r).transpose(1, 0, 3, 2)[..., None]
+        z = (h * h) * lam
+        m = c[0] + z * (c[1] + z * c[2])
         out = buf[: t.shape[0]]
         for m_k, o in zip(m, out):
             np.multiply(m_k, s[:, None], out=prod)
@@ -500,11 +502,13 @@ def test_step_map_core_matches_stage_form(monkeypatch, n, kind, stride):
     # 10 steps per chunk against 293 steps, so the last chunk is partial;
     # the saturating system fails the guard inside a chunk and, at stride
     # 50, after the last recorded row
-    monkeypatch.setattr(dynamics, "_LINEAR_STEP_CHUNK", 10)
+    monkeypatch.setattr(dynamics, "_CHUNK_STEPS", 10)
+    chunks = _spy_chunks(monkeypatch)
     g, b, q0, v0 = _vector_system(n, kind)
     cfg = IntegratorConfig(t0=1.0, t_end=3.93, dt=0.01, record_stride=stride)
     assert cfg.n_steps == 293
     rec = simulate_nagd(g, b, q0, v0, cfg)
+    assert chunks[0] == 10
     ref_t, ref_q, ref_v, ref_sat = _reference_nagd(g, b, q0, v0, cfg)
     assert rec.saturated == ref_sat == (kind == "saturating")
     assert np.array_equal(rec.times, ref_t)
@@ -590,11 +594,14 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("dt", [0.01, 0.5])
 def test_modal_lanes_equal_single_runs_bit_for_bit(monkeypatch, cells, dt):
     # the check modes, a saturating lane and the zero mode; a batch and a
-    # single lane cut the grid into different chunks
-    monkeypatch.setattr(dynamics, "_MODAL_CHUNK_CELLS", cells)
+    # single lane cut the grid into different chunks (at 2**12 cells, 256
+    # and 384 steps), and the 2900 steps at dt = 0.01 into several
+    monkeypatch.setattr(dynamics, "_CHUNK_CELLS", cells)
+    chunks = _spy_chunks(monkeypatch)
     lams = [0.317, 0.883, 1.0, -0.5, 6 + 1.5j, 1j, -1e4, 0.0]
     cfg = IntegratorConfig(t0=1.0, t_end=30.0, dt=dt)
     times, q, v, rows, saturated = dynamics._modal_rk4(lams, 1.0, 0.0, cfg)
+    assert (chunks[0] < cfg.n_steps) == (dt == 0.01)
     assert saturated.tolist() == [False] * 6 + [True, False]
     plain = _plain_modal(lams, 1.0, 0.0, cfg)
     assert np.array_equal(plain[3], rows) and np.array_equal(plain[4], saturated)
@@ -661,7 +668,8 @@ def test_integrator_config_bounds_the_stride_like_the_steps():
 def test_smooth_flow_field_sees_only_guarded_states(monkeypatch, chunk):
     # passes 1e150 near t = 3.2: about 220 steps, so 10-step chunks put the
     # failing step inside a later chunk and 256-step chunks inside the first
-    monkeypatch.setattr(dynamics, "_LINEAR_STEP_CHUNK", chunk)
+    monkeypatch.setattr(dynamics, "_CHUNK_STEPS", chunk)
+    chunks = _spy_chunks(monkeypatch)
     g = np.diag([1.0, -25600.0])
     seen = []
 
@@ -671,6 +679,7 @@ def test_smooth_flow_field_sees_only_guarded_states(monkeypatch, chunk):
 
     cfg = IntegratorConfig(t0=1.0, t_end=3.93, dt=0.01)
     rec = simulate_smooth_nagd(field, np.array([1.0, 1.0]), np.zeros(2), cfg)
+    assert chunks == [chunk] and chunk < cfg.n_steps
     assert rec.saturated and 1 < rec.n_samples < cfg.n_steps + 1
     # one probe, then four stages for every step taken: the n_samples - 1
     # recorded steps and the step that failed the guard
@@ -680,3 +689,77 @@ def test_smooth_flow_field_sees_only_guarded_states(monkeypatch, chunk):
     starts = np.array(seen[1::4])
     assert _same_bits(starts, rec.q)
     assert np.all(np.linalg.norm(starts, axis=1) <= dynamics.OVERFLOW_NORM)
+
+
+# --------------------------------------------------------------------------
+# the step loops at the edges of their chunks
+
+
+def _linear_system(n):
+    rng = np.random.RandomState(n + 100)
+    a = rng.randn(n, n)
+    return a @ a.T / n + 0.2 * np.eye(n), rng.randn(n), rng.randn(n), rng.randn(n)
+
+
+def _records(loop, size, cfg, system=None):
+    """One run of ``loop`` and one of its plain reference, each as (saturated, arrays):
+    whether a lane saturated, and each lane's recorded times, q and v (x alone for first order).
+
+    ``system`` is G, or the eigenvalues of the modal lanes; by default a seeded one of ``size``.
+    """
+    if loop == "modal":
+        lams = np.linspace(-0.5, 6.0, size) + 0.75j * (np.arange(size) % 2) if system is None else system
+
+        def lanes(t, q, v, rows, sat):
+            return bool(sat.any()), [a for p, n in enumerate(rows) for a in (t[:n], q[:n, p], v[:n, p])]
+
+        return lanes(*dynamics._modal_rk4(lams, 1.0, 0.5, cfg)), lanes(*_plain_modal(lams, 1.0, 0.5, cfg))
+    g, b, q0, v0 = _linear_system(size)
+    g = g if system is None else system
+    if loop == "nagd":
+        rec = simulate_nagd(g, b, q0, v0, cfg)
+        t, q, v, sat = _plain_nagd(g, b, q0, v0, cfg)
+        return (rec.saturated, [rec.times, rec.q, rec.v]), (sat, [t, q, v])
+    rec = simulate_first_order(g, b, q0, cfg)
+    t, x, sat = _plain_first_order(g, b, q0, cfg)
+    return (rec.saturated, [rec.times, rec.q]), (sat, [t, x])
+
+
+def _same_records(run, plain):
+    return run[0] == plain[0] and len(run[1]) == len(plain[1]) and all(map(_same_bits, run[1], plain[1]))
+
+
+# (loop, n or lanes, steps per chunk): 384 steps, or 2**15 numbers of state
+# over the 122 of [x; 1], [x'; 0] at n = 60, or the 256 of 128 lanes
+CHUNKS = [("nagd", 1, 384), ("nagd", 4, 384), ("nagd", 40, 384), ("nagd", 60, 268),
+          ("first-order", 1, 384), ("first-order", 4, 384), ("first-order", 40, 384),
+          ("modal", 1, 384), ("modal", 6, 384), ("modal", 9, 384), ("modal", 128, 128)]
+
+
+@pytest.mark.parametrize("length", ["short", "multiple", "tail"])
+@pytest.mark.parametrize("loop, size, chunk", CHUNKS)
+def test_loops_match_plain_references_at_chunk_edges(monkeypatch, loop, size, chunk, length):
+    # one step short of a chunk, two whole chunks, and two and a 3-step tail
+    steps = {"short": chunk - 1, "multiple": 2 * chunk, "tail": 2 * chunk + 3}[length]
+    chunks = _spy_chunks(monkeypatch)
+    cfg = IntegratorConfig(t0=1.0, t_end=1.0 + 0.01 * steps, dt=0.01, record_stride=3)
+    assert cfg.n_steps == steps
+    run, plain = _records(loop, size, cfg)
+    assert chunks[0] == min(chunk, steps)
+    assert not run[0] and _same_records(run, plain)
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("loop", ["nagd", "first-order", "modal"])
+def test_loops_match_plain_references_when_saturating_mid_chunk(monkeypatch, loop, stride):
+    # growth about e^{49 t} (nagd, modal) or e^{50 t} (first order) passes
+    # 1e150 some 690-710 steps in, inside the second 384-step chunk
+    chunks = _spy_chunks(monkeypatch)
+    cfg = IntegratorConfig(t0=1.0, t_end=11.0, dt=0.01, record_stride=stride)
+    system = {"nagd": np.diag([1.0, -2400.0]), "first-order": np.diag([1.0, -50.0]),
+              "modal": np.array([0.883, -2400.0, 6 + 1.5j])}[loop]
+    run, plain = _records(loop, len(system), cfg, system)
+    assert chunks[0] == 384
+    rows = min(a.shape[0] for a in run[1])  # of the saturating lane
+    assert run[0] and 384 // stride + 1 < rows < 768 // stride
+    assert _same_records(run, plain)
