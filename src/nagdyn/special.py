@@ -20,11 +20,16 @@ SIAM Review 9 (1967); Gil, Segura & Temme 2007, section 4.6).  The f_n are
 proportional to J_n(z) and are normalised by 1 = J0 + 2 sum J_2k on the
 real axis and by e^{sz} = J0 + 2 sum s^n J_n, |e^{sz}| = e^{|Im z|},
 elsewhere, so neither sum cancels; Y0 and Y1 come from the same sweep by
-Neumann's series (A&S 9.1.88) and its derivative.  Below |z| = 1e-6 two
-terms of the ascending series (DLMF 10.2.2, 10.8.1) are exact to rounding,
-and the sweep, whose 2n/z overflows as z -> 0, is not run.  Beyond
-|z| = 20 the Hankel-type asymptotic expansion (DLMF 10.17.3) is used; J/Y
-with Re z < 0 there come from -z by the reflection formulas DLMF 10.11.1-2.
+Neumann's series (A&S 9.1.88) and its derivative.  The sweep tests for
+rescaling on every fourth step, and on the positive real axis it runs in
+float64, with the normalisation written to give the bits of numpy's
+complex arithmetic there; against a complex sweep that tests on every
+step, neither changes an output bit.  Below
+|z| = 1e-6 two terms of the ascending series (DLMF 10.2.2, 10.8.1) are
+exact to rounding, and the sweep, whose 2n/z overflows as z -> 0, is not
+run.  Beyond |z| = 20 the Hankel-type asymptotic expansion (DLMF 10.17.3)
+is used; J/Y with Re z < 0 there come from -z by the reflection formulas
+DLMF 10.11.1-2.
 
 I and K use ascending series (DLMF 10.25.2, 10.31.1) for x <= 20, where
 their terms do not cancel, and the asymptotic expansions (DLMF 10.40.1,
@@ -32,12 +37,16 @@ their terms do not cancel, and the asymptotic expansions (DLMF 10.40.1,
 K_nu(x) = int_0^inf exp(-x cosh u) cosh(nu u) du on 2 < x <= 20, where
 neither the logarithmic series nor the asymptotic expansion reaches full
 precision; the even, super-exponentially decaying integrand makes the
-trapezoid rule spectrally accurate there.
+trapezoid rule spectrally accurate there, on one fixed grid for every x.
 
 One private dispatcher picks the regime for J/Y, I and K alike, so
 scalars and arrays take the same path: an array is split by regime mask,
 and a single argument (what the public ``bessel_*`` functions pass) runs
-its one regime directly on a numpy scalar.
+its one regime directly on a numpy scalar.  No value depends on the
+other entries of its array.  A scalar and an array entry agree bit for bit
+wherever the arithmetic is real: for I, K and J/Y on the positive real
+axis.  Off it numpy rounds complex products of scalars and of arrays
+differently, in the last bit.
 """
 
 from __future__ import annotations
@@ -80,14 +89,24 @@ _GAMMA = 0.5772156649015329  # Euler-Mascheroni
 _SERIES_MAX_TERMS = 220
 _ASYM_TERMS = 26
 _K_QUAD_STEP = 0.15
+#: cosh u at the trapezoid nodes of K on 2 < x <= 20: they reach
+#: u = arccosh(1 + 60/2), where exp(-x cosh u) has fallen by e^60 at x = 2.
+_K_QUAD_COSH = np.cosh(_K_QUAD_STEP * np.arange(math.ceil(math.acosh(31.0) / _K_QUAD_STEP) + 1))
 
 #: J/Y below this |z| come from the leading terms of the ascending series.
 _JY_TINY_RADIUS = 1e-6
-#: Start order of Miller's recurrence, fixed so every |z| <= 20 sweeps alike.
+#: Start order of Miller's recurrence, fixed so every |z| <= 20 sweeps alike:
+#: a scalar and an array, and the float64 positive real axis and the complex
+#: plane, all take the same 100 steps.
 _MILLER_START = 100
-#: The sweep rescales once |f_n| exceeds _MILLER_RESCALE_AT, by an exact
-#: power of two; 2n/|z| < 2e8 above the tiny band, so nothing overflows.
+#: Every _MILLER_RESCALE_EVERY steps the sweep rescales the entries with
+#: |f_n| > _MILLER_RESCALE_AT by _MILLER_RESCALE_BY.  Above the tiny band
+#: 2n/|z| < 2e8, so four steps grow |f| by at most about 1.6e33 and it stays
+#: below 1.6e283 between tests.  The factor is an exact power of two, which
+#: commutes with every + - * / of the sweep and of its normalisation, so when
+#: an entry is rescaled changes no output bit.
 _MILLER_RESCALE_AT = 1e250
+_MILLER_RESCALE_EVERY = 4
 _MILLER_RESCALE_BY = 2.0**-830
 
 
@@ -131,25 +150,16 @@ def _miller_weights(start: int) -> list:
 _MILLER_WEIGHTS = _miller_weights(_MILLER_START)
 
 
-def _jy01_series(z):
-    """J0, J1, Y0, Y1 for _JY_TINY_RADIUS < |z| <= SERIES_RADIUS by Miller's
-    backward recurrence (Gil, Segura & Temme 2007, section 4.6).
+def _miller_sweep(two_over_z):
+    """Miller's backward sweep at 2/z: (f_0, f_1, even, alt_even, alt_odd, y0_sum, y1_sum).
 
     f_{n-1} = (2n/z) f_n - f_{n+1} runs down from f_N = 1, f_{N+1} = 0 with
-    the same N for every z, so a scalar and an array take the same steps.
-    The f_n are proportional to J_n(z); the same sweep accumulates
-
-    * the normalisation: 1 = J0 + 2 sum J_2k on the real axis, which keeps
-      Im J = Im Y = 0 there, and e^{sz} = J0 + 2 sum s^n J_n elsewhere, with
-      s = -i sign(Im z) so that |e^{sz}| = e^{|Im z|} and the sum does not
-      cancel;
-    * Neumann's series (A&S 9.1.88)
-      Y0 = (2/pi)(ln(z/2) + gamma) J0 - (4/pi) sum (-1)^k J_2k / k
-      and its derivative, Y1 = -Y0' =
-      -(2/(pi z)) J0 + (2/pi)(ln(z/2) + gamma) J1 + (2/pi) sum (-1)^k (J_2k-1 - J_2k+1) / k,
-      which, unlike the Wronskian, keep full accuracy near the zeros of J0.
+    the same N for every z.  The f_n are proportional to J_n(z); ``even``,
+    ``alt_even`` and ``alt_odd`` are sum f_2k, sum (-1)^k f_2k and
+    sum (-1)^j f_2j+1, and ``y0_sum`` and ``y1_sum`` the Neumann sums of
+    :func:`_jy01_series`, all in one common scale.  The same loop serves a
+    float64 and a complex128 ``two_over_z``.
     """
-    two_over_z = 2.0 / z
     f_above, f = 0.0, 1.0
     even = alt_even = alt_odd = y0_sum = y1_sum = 0.0
     for n, a, b in _MILLER_WEIGHTS:
@@ -161,12 +171,34 @@ def _jy01_series(z):
             even = even + f
             alt_even = alt_even + a * f
             y0_sum = y0_sum + b * f
-        big = abs(f) > _MILLER_RESCALE_AT
-        if big.any():
-            scale = np.where(big, _MILLER_RESCALE_BY, 1.0)
-            f, f_above, even, alt_even, alt_odd, y0_sum, y1_sum = (
-                v * scale for v in (f, f_above, even, alt_even, alt_odd, y0_sum, y1_sum)
-            )
+        if n % _MILLER_RESCALE_EVERY == 0:
+            big = abs(f) > _MILLER_RESCALE_AT
+            if big.any():
+                # only the big entries: a complex times 1 + 0i can flip a zero's sign
+                f, f_above, even, alt_even, alt_odd, y0_sum, y1_sum = (
+                    np.where(big, v * _MILLER_RESCALE_BY, v)[()]
+                    for v in (f, f_above, even, alt_even, alt_odd, y0_sum, y1_sum)
+                )
+    return f, f_above, even, alt_even, alt_odd, y0_sum, y1_sum
+
+
+def _jy01_series(z):
+    """J0, J1, Y0, Y1 for _JY_TINY_RADIUS < |z| <= SERIES_RADIUS by Miller's
+    backward recurrence (Gil, Segura & Temme 2007, section 4.6).
+
+    :func:`_miller_sweep` makes f_n proportional to J_n(z) and the sums that
+
+    * normalise them: 1 = J0 + 2 sum J_2k on the real axis, which keeps
+      Im J = Im Y = 0 there, and e^{sz} = J0 + 2 sum s^n J_n elsewhere, with
+      s = -i sign(Im z) so that |e^{sz}| = e^{|Im z|} and the sum does not
+      cancel;
+    * enter Neumann's series (A&S 9.1.88)
+      Y0 = (2/pi)(ln(z/2) + gamma) J0 - (4/pi) sum (-1)^k J_2k / k
+      and its derivative, Y1 = -Y0' =
+      -(2/(pi z)) J0 + (2/pi)(ln(z/2) + gamma) J1 + (2/pi) sum (-1)^k (J_2k-1 - J_2k+1) / k,
+      which, unlike the Wronskian, keep full accuracy near the zeros of J0.
+    """
+    f, f_above, even, alt_even, alt_odd, y0_sum, y1_sum = _miller_sweep(2.0 / z)
     s = np.where(z.imag > 0.0, -1j, 1j)
     norm = np.where(z.imag == 0.0, f + 2.0 * even, (f + 2.0 * (alt_even + s * alt_odd)) * np.exp(-s * z))
     j0, j1 = f / norm, f_above / norm
@@ -174,6 +206,27 @@ def _jy01_series(z):
     y0_ = (2.0 / math.pi) * (log_term * j0 - 2.0 * y0_sum / norm)
     y1_ = (2.0 / math.pi) * (log_term * j1 + y1_sum / norm - j0 / z)
     return j0, j1, y0_, y1_
+
+
+def _jy01_series_real(z):
+    """:func:`_jy01_series` for z = x + 0i, x > 0, swept in float64.
+
+    Every imaginary part of the complex sweep is a zero there, so its real
+    parts are float64 arithmetic, except that numpy divides complex numbers
+    by Smith's method: (a + 0i)/(c + 0i) is a * (1/c), not a/c.  The
+    normalisation multiplies by reciprocals to match, and the log stays
+    numpy's complex one, which is not np.log of a real near |z| = 1, so the
+    outputs are bit for bit those of the complex sweep.  The negative real
+    axis needs the log's i pi and stays complex.
+    """
+    inv_x = 1.0 / z.real
+    f, f_above, even, _, _, y0_sum, y1_sum = _miller_sweep(2.0 * inv_x)
+    inv = 1.0 / (f + 2.0 * even)
+    j0, j1 = f * inv, f_above * inv
+    log_term = np.log(0.5 * z).real + _GAMMA
+    y0_ = (2.0 / math.pi) * (log_term * j0 - 2.0 * y0_sum * inv)
+    y1_ = (2.0 / math.pi) * (log_term * j1 + y1_sum * inv - j0 * inv_x)
+    return tuple(np.complex128(v) for v in (j0, j1, y0_, y1_))
 
 
 def _asym_coeffs(nu: int) -> np.ndarray:
@@ -198,14 +251,15 @@ def _asym_sum(coeffs: np.ndarray, w):
     return total
 
 
-def _by_regime(x: np.ndarray, bounds: tuple, evaluators: tuple, n_out: int):
-    """Evaluate a family piecewise in |x|; evaluators[k] serves bounds[k-1] < |x| <= bounds[k].
+def _by_regime(x: np.ndarray, regime, evaluators: tuple, n_out: int):
+    """Evaluate a family piecewise; evaluators[k] serves the entries with regime == k.
 
-    A 0-d ``x`` runs only its own regime, on a numpy scalar.  An array is
-    split by mask and each regime fills its entries; NaN falls in the last
-    regime.  Each evaluator returns ``n_out`` values of ``x``'s dtype.
+    ``regime`` has the shape of ``x``; for regimes bounded in |x| it is
+    np.searchsorted(bounds, |x|), k where bounds[k-1] < |x| <= bounds[k], which
+    puts NaN in the last.  A 0-d ``x`` runs only its own regime, on a numpy scalar.
+    An array is split by mask and each regime fills its entries.  Each
+    evaluator returns ``n_out`` values of ``x``'s dtype.
     """
-    regime = np.searchsorted(bounds, np.abs(x))
     if x.ndim == 0:
         return evaluators[regime](x[()])
     out = [np.empty_like(x) for _ in range(n_out)]
@@ -253,13 +307,12 @@ def _jy01_asymptotic(z: np.ndarray):
 
 def _jy01(z):
     """All four J/Y values: tiny-argument series, Miller's recurrence up to
-    |z| = SERIES_RADIUS and the Hankel expansion beyond."""
-    return _by_regime(
-        np.asarray(z, dtype=complex),
-        (_JY_TINY_RADIUS, SERIES_RADIUS),
-        (_jy01_tiny, _jy01_series, _jy01_asymptotic),
-        4,
-    )
+    |z| = SERIES_RADIUS, in float64 on the positive real axis, and the Hankel
+    expansion beyond."""
+    z = np.asarray(z, dtype=complex)
+    regime = np.searchsorted((_JY_TINY_RADIUS, SERIES_RADIUS), np.abs(z))
+    regime = np.where((regime == 1) & (z.imag == 0.0) & (z.real > 0.0), 3, regime)
+    return _by_regime(z, regime, (_jy01_tiny, _jy01_series, _jy01_asymptotic, _jy01_series_real), 4)
 
 
 def _check_cut(z, allow_zero: bool) -> complex:
@@ -357,14 +410,17 @@ def _k01_quadrature(x: np.ndarray):
 
     The integrand exp(-x cosh u) cosh(nu u) is even and decays like a
     double exponential, so a uniform grid with step 0.15 is accurate to
-    machine precision once truncated where the exponent has fallen by 60."""
-    tmax = np.arccosh(1.0 + 60.0 / x)
-    nmax = int(np.max(np.ceil(tmax / _K_QUAD_STEP)))
-    u = _K_QUAD_STEP * np.arange(nmax + 1)
-    f = np.exp(-np.multiply.outer(x, np.cosh(u)))
+    machine precision once truncated where the exponent has fallen by 60.
+    Every x of the regime, x > 2, has fallen that far by the end of the
+    fixed grid _K_QUAD_COSH, so each x sums the same terms in the same
+    order whatever else is evaluated with it."""
+    f = np.multiply.outer(x, _K_QUAD_COSH)
+    np.negative(f, out=f)
+    np.exp(f, out=f)
     f[..., 0] *= 0.5
     k0 = _K_QUAD_STEP * f.sum(axis=-1)
-    k1 = _K_QUAD_STEP * (f * np.cosh(u)).sum(axis=-1)
+    f *= _K_QUAD_COSH
+    k1 = _K_QUAD_STEP * f.sum(axis=-1)
     return k0, k1
 
 
@@ -377,14 +433,15 @@ def _k01_asymptotic(x: np.ndarray):
 
 def _i01(x):
     """I0, I1 for 0 < x <= EXPONENT_CAP."""
-    return _by_regime(np.asarray(x, dtype=float), (SERIES_RADIUS,), (_i01_series, _i01_asymptotic), 2)
+    x = np.asarray(x, dtype=float)
+    return _by_regime(x, np.searchsorted((SERIES_RADIUS,), np.abs(x)), (_i01_series, _i01_asymptotic), 2)
 
 
 def _k01(x):
     """K0, K1 for x > 0 (three regimes: series, quadrature, asymptotic)."""
-    return _by_regime(
-        np.asarray(x, dtype=float), (2.0, SERIES_RADIUS), (_k01_series, _k01_quadrature, _k01_asymptotic), 2
-    )
+    x = np.asarray(x, dtype=float)
+    regime = np.searchsorted((2.0, SERIES_RADIUS), np.abs(x))
+    return _by_regime(x, regime, (_k01_series, _k01_quadrature, _k01_asymptotic), 2)
 
 
 def _check_positive(x) -> float:

@@ -5,6 +5,8 @@ digits and are frozen here; only the rays near the branch cut are
 compared with mpmath at run time.  The remaining checks are structural
 (Wronskians, connection formulas, quadrature cross-checks, ODE
 residuals) so they do not share code paths with the implementation.
+The bit-for-bit tests keep the plain complex Miller sweep, which tests
+for rescaling on every step, as the reference of the faster one.
 """
 
 import math
@@ -275,6 +277,149 @@ def test_tiny_arguments_are_finite_accurate_and_scalar_matches_array():
             assert abs(got - want) <= 1e-14 * abs(want), f"{fn.__name__}({point})"
             # numpy rounds a complex product of arrays and of scalars differently
             assert abs(fn(point) - got) <= 1e-15 * abs(got), f"{fn.__name__}({point})"
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _every_step_jy01_series(z):
+    # Miller's sweep in complex128 with the rescale test on every step: the
+    # plain form that special._miller_sweep must reproduce bit for bit
+    two_over_z = 2.0 / z
+    f_above, f = 0.0, 1.0
+    even = alt_even = alt_odd = y0_sum = y1_sum = 0.0
+    for n, a, b in special._MILLER_WEIGHTS:
+        f_above, f = f, (n * two_over_z) * f - f_above
+        if n % 2 == 0:
+            alt_odd = alt_odd + a * f
+            y1_sum = y1_sum + b * f
+        elif n > 1:
+            even = even + f
+            alt_even = alt_even + a * f
+            y0_sum = y0_sum + b * f
+        big = abs(f) > special._MILLER_RESCALE_AT
+        if big.any():
+            scale = np.where(big, special._MILLER_RESCALE_BY, 1.0)
+            f, f_above, even, alt_even, alt_odd, y0_sum, y1_sum = (
+                v * scale for v in (f, f_above, even, alt_even, alt_odd, y0_sum, y1_sum)
+            )
+    s = np.where(z.imag > 0.0, -1j, 1j)
+    norm = np.where(z.imag == 0.0, f + 2.0 * even, (f + 2.0 * (alt_even + s * alt_odd)) * np.exp(-s * z))
+    j0, j1 = f / norm, f_above / norm
+    log_term = np.log(0.5 * z) + special._GAMMA
+    y0_ = (2.0 / math.pi) * (log_term * j0 - 2.0 * y0_sum / norm)
+    y1_ = (2.0 / math.pi) * (log_term * j1 + y1_sum / norm - j0 / z)
+    return j0, j1, y0_, y1_
+
+
+def _every_step_jy01(z):
+    z = np.asarray(z, dtype=complex)
+    regime = np.searchsorted((special._JY_TINY_RADIUS, special.SERIES_RADIUS), np.abs(z))
+    evaluators = (special._jy01_tiny, _every_step_jy01_series, special._jy01_asymptotic)
+    return special._by_regime(z, regime, evaluators, 4)
+
+
+def _jy_bit_sample() -> np.ndarray:
+    # one mixed batch: all four quadrants with |z| in the band (1e-6, 1e-3]
+    # where the sweep rescales repeatedly and up to 20, |z| -> 20-, the tiny
+    # and Hankel regimes, x + 0j, x - 0j, both sides of the negative real
+    # axis and the imaginary axis
+    rng = np.random.default_rng(20261020)
+
+    def polar(r):
+        return r * np.exp(1j * rng.uniform(-math.pi, math.pi, r.size))
+
+    x = np.concatenate([10.0 ** rng.uniform(-6.0, math.log10(20.0), 120), [20.0, np.nextafter(1e-6, 1.0), 0.4]])
+    near_20 = 20.0 * (1.0 - 10.0 ** rng.uniform(-16.0, -2.0, 40))
+    z = np.concatenate(
+        [
+            polar(10.0 ** rng.uniform(-6.0, -3.0, 150)),
+            polar(10.0 ** rng.uniform(-3.0, math.log10(20.0), 150)),
+            polar(near_20),
+            polar(10.0 ** rng.uniform(-9.0, -6.0, 10)),
+            polar(rng.uniform(20.0, 30.0, 10)),
+            near_20 + 0j,
+            x + 0j,
+            np.conj(x + 0j),
+            -x + 0j,
+            np.conj(-x + 0j),
+            1j * x,
+            -1j * x,
+        ]
+    )
+    return z[rng.permutation(z.size)]
+
+
+def test_jy01_matches_the_every_step_complex_sweep_bit_for_bit():
+    # the float64 sweep of the positive real axis and the rescale test on
+    # every fourth step change no bit; each entry of a mixed batch reads what
+    # the every-step sweep gives it alone, and a scalar what it gives a scalar
+    z = _jy_bit_sample()
+    batch = special._jy01(z)
+    for i, point in enumerate(z):
+        alone = _every_step_jy01(z[i : i + 1])
+        for name, got, want in zip(("J0", "J1", "Y0", "Y1"), (v[i : i + 1] for v in batch), alone):
+            assert _same_bits(got, want), f"{name}({point!r})"
+    for point in z[::4]:
+        for name, got, want in zip(("J0", "J1", "Y0", "Y1"), special._jy01(point), _every_step_jy01(point)):
+            assert type(got) is type(want)
+            assert _same_bits(got, want), f"{name}({point!r})"
+
+
+def test_jy01_batch_without_rescaling_matches_the_every_step_batch():
+    # the Wronskian batch of `nagdyn check`: 24 real and 8 complex points,
+    # none small enough to rescale, routed to the two sweeps element by element
+    polar = [r * complex(math.cos(a), math.sin(a)) for r in (1.0, 8.0, 19.0, 23.0) for a in (0.7, -1.2)]
+    z = np.concatenate([np.linspace(0.5, 40.0, 24), polar])
+    for got, want in zip(special._jy01(z), _every_step_jy01(z)):
+        assert _same_bits(got, want)
+
+
+def test_jy01_entries_do_not_depend_on_their_batch_mates():
+    # axis points with |z| >= 0.5 never rescale; batched with points that
+    # do, they must keep their bits.  Multiplying them by 1 + 0i instead
+    # would set the sign of an exactly zero imaginary part from the real one.
+    rng = np.random.default_rng(11)
+    x = rng.uniform(0.5, 20.0, 400)
+    axes = np.concatenate([-x + 0j, np.conj(-x + 0j), 1j * x, -1j * x])
+    mates = 10.0 ** rng.uniform(-6.0, -1.0, 8) * np.exp(1j * rng.uniform(-math.pi, math.pi, 8))
+    for alone, batched in zip(special._jy01(axes), special._jy01(np.concatenate([mates, axes]))):
+        assert _same_bits(alone, batched[mates.size :])
+
+
+def test_jy01_keeps_the_log_branch_on_the_negative_real_axis():
+    # DLMF 10.11.1-2 on the Miller band: Y0(-x +- 0i) = Y0(x) +- 2i J0(x),
+    # Y1(-x +- 0i) = -(Y1(x) +- 2i J1(x)); a real sweep of -x would drop the i pi
+    x = np.array([1e-5, 0.3, 2.0, 7.5, 19.9])
+    j0, j1, y0, y1 = special._jy01(x)
+    for sign in (1.0, -1.0):
+        m0, m1, n0, n1 = special._jy01(-x + 0j if sign > 0 else np.conj(-x + 0j))
+        assert np.allclose(m0, j0, rtol=1e-14, atol=0.0)
+        assert np.allclose(m1, -j1, rtol=1e-14, atol=0.0)
+        assert np.allclose(n0, y0 + sign * 2j * j0, rtol=1e-13, atol=0.0)
+        assert np.allclose(n1, -(y1 + sign * 2j * j1), rtol=1e-13, atol=0.0)
+
+
+def _scalar_bits_match_batch(evaluator, points):
+    batch = evaluator(points)
+    for i, point in enumerate(points):
+        for k, got in enumerate(evaluator(point)):
+            assert _same_bits(np.asarray(got).reshape(1), batch[k][i : i + 1]), f"output {k} at {point!r}"
+
+
+def test_scalar_and_array_take_the_same_bits():
+    # numpy rounds complex products of scalars and of arrays differently,
+    # so J/Y are compared on the positive real axis, where both sweep in
+    # float64.  I and K span every regime; the K batch holds x = 2.0001,
+    # which must not lengthen the trapezoid of its batch-mates
+    rng = np.random.default_rng(7)
+    x = 10.0 ** rng.uniform(-6.0, math.log10(30.0), 300)
+    _scalar_bits_match_batch(special._jy01, x.astype(complex))
+    _scalar_bits_match_batch(special._i01, 10.0 ** rng.uniform(-3.0, math.log10(700.0), 300))
+    k_points = np.concatenate([[2.0001], rng.uniform(2.0, 20.0, 300), 10.0 ** rng.uniform(-3.0, 3.0, 100)])
+    _scalar_bits_match_batch(special._k01, k_points)
 
 
 def test_domain_errors():
