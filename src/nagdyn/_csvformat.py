@@ -23,17 +23,19 @@ The digits of n are packed four at a time from a ``%04d`` table into
 little-endian 64-bit words, and each cell is laid out as ``%g`` does
 (``ddd.ddd``, ``0.000ddd`` or ``d.ddde-XX``, trailing zeros and a bare
 point dropped) by masking and shifting those words with a per-layout
-record.  A row is a run of 25-byte slots, one cell and its separator
-each, padded with NUL; dropping the NUL bytes leaves the CSV text.  A
-cell fills all of its slot, so one row buffer, its separators set once,
-serves every chunk of a write.
+record.  A row is a run of slots, one cell and its separator each,
+padded with NUL; dropping the NUL bytes leaves the CSV text.  A cell
+fills all of its slot, so one row buffer serves every chunk of a write.
 
 A column may also be a :class:`CodedColumn`, a table of values and one
 index into it per row (dictionary encoding: Abadi, Madden & Ferreira,
 SIGMOD 2006).  :func:`csv_chunks` formats each table entry once per
-write, and each row of a chunk gathers its cell.  Up to ``_FEW_VALUES``
-values, ``%.17g`` one value at a time is faster than the array path and
-formats them.
+write into a slot table, whose entries are as wide as its longest cell
+and its separator, and each row of a chunk gathers its slot: text labels
+and coded floats alike.  A plain column's slot is 25 bytes, the longest
+``%.17g`` cell and its separator, set once per buffer.  Up to
+``_FEW_VALUES`` values, ``%.17g`` one value at a time is faster than the
+array path and formats them.
 """
 
 from __future__ import annotations
@@ -235,69 +237,118 @@ def cell_table(values: np.ndarray) -> np.ndarray:
     return cells
 
 
+#: At most this many values per :func:`cell_table` call of :func:`value_table`,
+#: whose temporaries take about 300 bytes a value.  On the 81 054-entry
+#: predicted-rate table of a 513x257 sweep (in process, 2-vCPU VM, best of
+#: five), passes of 2048, 4096, 8192 and 16 384 values took 9.4, 8.3, 7.5
+#: and 13.3 ms, and passes of 16 384 raised the command's traced peak from
+#: 6.0 to 9.5 MiB.
+_TABLE_PASS_VALUES = 4096
+
+
+def _slots(text: np.ndarray, used: int, sep: bytes) -> np.ndarray:
+    """The rows of ``text`` cut to ``used`` bytes and ended by ``sep``, one void entry each: a slot table; read-only.
+
+    A row of ``text`` holds one cell, left-aligned and NUL-padded, no longer
+    than ``used`` bytes.  The separator takes the first padding byte of each
+    row, so the table shares ``text``'s memory unless a cell fills its row.
+    """
+    rows, width = text.shape
+    if used == width:
+        text = np.concatenate([text, np.zeros((rows, 1), np.uint8)], axis=1)
+    text[:, used] = ord(sep)
+    table = np.ndarray((rows,), f"V{used + 1}", text, 0, (text.strides[0],))
+    table.flags.writeable = False
+    return table
+
+
 def label_table(names: Sequence[str]) -> np.ndarray:
-    """Row k is ``names[k]`` in UTF-8 and a newline, NUL-padded to the longest name; read-only.
+    """Entry k is ``names[k]`` in UTF-8, NUL-padded to the longest name, and a newline: a slot table.
 
     Raises ``ValueError`` when a name contains NUL.
     """
     encoded = [s.encode("utf-8") for s in names]
     if any(b"\0" in s for s in encoded):
         raise ValueError("labels must not contain NUL")
-    slot = max(map(len, encoded), default=0) + 1
-    return np.frombuffer(b"".join(s.ljust(slot - 1, b"\0") + b"\n" for s in encoded), np.uint8).reshape(-1, slot)
+    longest = max(map(len, encoded), default=0)
+    text = np.array(encoded, dtype=f"S{longest + 1}").view(np.uint8).reshape(-1, longest + 1)
+    return _slots(text, longest, b"\n")
 
 
-def row_buffer(rows: int, ncols: int, label_width: int) -> np.ndarray:
-    """A buffer for ``rows`` CSV rows of ``ncols`` float slots and a label ``label_width`` bytes wide, separators set.
+def value_table(values: np.ndarray, sep: bytes) -> np.ndarray:
+    """Entry k is ``"%.17g" % values[k]``, NUL-padded to the longest cell, and ``sep``: a slot table.
 
-    Every cell and label that :func:`format_rows` writes overwrites all the
-    bytes of its slot, so one buffer serves every chunk of a write.
+    The cells are formatted in passes of at most ``_TABLE_PASS_VALUES``
+    values and take ``_CELL`` bytes an entry, which the table shares.
     """
-    width = ncols * _SLOT + label_width
-    buf = np.zeros((rows, width), np.uint8)
-    seps = np.ndarray((rows, ncols), np.uint8, buf, _CELL, (width, _SLOT))
-    seps[:] = ord(",")
-    if not label_width:
-        seps[:, -1] = ord("\n")
+    words = np.empty((values.size, 3), np.uint64)
+    for lo in range(0, values.size, _TABLE_PASS_VALUES):
+        words[lo : lo + _TABLE_PASS_VALUES] = cell_table(values[lo : lo + _TABLE_PASS_VALUES])
+    # a cell is a prefix of its row, so the longest ends at the highest
+    # nonzero byte of the largest value of the last word any cell reaches
+    used = 0
+    for k in (2, 1, 0):
+        top = int(words[:, k].max(initial=0))
+        if top:
+            used = 8 * k + (top.bit_length() + 7) // 8
+            break
+    return _slots(words.view(np.uint8), used, sep)
+
+
+def row_buffer(rows: int, tables: Sequence[np.ndarray | None]) -> np.ndarray:
+    """A buffer for ``rows`` CSV rows, column j plain where ``tables[j]`` is None, else coded by that slot table.
+
+    A plain column takes a ``_SLOT``-byte slot whose separator is set here,
+    a coded one a slot as wide as its table's entries, which carry their
+    own.  Every cell that :func:`format_rows` writes overwrites all the bytes
+    of its slot, so one buffer serves every chunk of a write.
+    """
+    widths = [_SLOT if table is None else table.itemsize for table in tables]
+    buf = np.zeros((rows, sum(widths)), np.uint8)
+    for j, end in enumerate(itertools.accumulate(widths)):
+        if tables[j] is None:
+            buf[:, end - 1] = ord("\n" if j == len(tables) - 1 else ",")
     return buf
 
 
-def format_rows(
-    columns: list[np.ndarray | tuple[np.ndarray, np.ndarray]],
-    labels: tuple[np.ndarray, np.ndarray] | None = None,
-    buf: np.ndarray | None = None,
-) -> np.ndarray:
-    """The CSV rows of ``columns`` and an optional last text column ``labels``, as UTF-8 bytes.
+def format_rows(columns: list[np.ndarray | tuple[np.ndarray, np.ndarray]], buf: np.ndarray | None = None) -> np.ndarray:
+    """The CSV rows of ``columns``, as UTF-8 bytes.
 
     A column is either a float64 array, whose cells ``"%.17g" % x`` are
-    formatted here, or a pair ``(cells, index)`` of a :func:`cell_table`
-    and one row of it per CSV row.  ``labels`` is a pair ``(table, codes)``
-    of a :func:`label_table` and one row of it per CSV row.  Indices are
-    not checked.  All columns have the same number of rows.  ``buf`` is a
-    :func:`row_buffer` of these columns and labels with at least that many
-    rows, whose first rows are overwritten; by default one is made.
+    formatted here, or a pair ``(table, index)`` of a slot table
+    (:func:`value_table`, :func:`label_table`) and one entry of it per CSV
+    row; the last column's table must end its entries with a newline.
+    Indices are not checked.  All columns have the same number of rows.
+    ``buf`` is a :func:`row_buffer` of these columns with at least that
+    many rows, whose first rows are overwritten; by default one is made.
     """
+    tables = [None if isinstance(col, np.ndarray) else col[0] for col in columns]
     first = columns[0]
-    rows, ncols = (first if isinstance(first, np.ndarray) else first[1]).shape[0], len(columns)
+    rows = (first if tables[0] is None else first[1]).shape[0]
     if buf is None:
-        buf = row_buffer(rows, ncols, 0 if labels is None else labels[0].shape[1])
+        buf = row_buffer(rows, tables)
     buf = buf[:rows]
     width = buf.shape[1]
-    words = np.ndarray((rows, ncols, 3), "<u8", buf, 0, (width, _SLOT, 8))
-    if labels is not None:
-        buf[:, ncols * _SLOT :] = labels[0][labels[1]]
-
-    plain = []
-    for j, col in enumerate(columns):
-        if isinstance(col, np.ndarray):
-            plain.append(j)
+    plain, runs, at = [], [], 0  # runs: the offset and count of each run of adjacent plain columns
+    for j, (col, table) in enumerate(zip(columns, tables)):
+        if table is None:
+            if j and tables[j - 1] is None:
+                runs[-1][1] += 1
+            else:
+                runs.append([at, 1])
+            plain.append(col)
+            at += _SLOT
         else:
-            words[:, j] = col[0][col[1]]
+            np.ndarray((rows,), table.dtype, buf, at, (width,))[...] = table[col[1]]
+            at += table.itemsize
     if plain:
         # the plain columns one after another, in one call whatever their count
-        cells = cell_table(np.concatenate([columns[j] for j in plain]))
-        at = plain if len(plain) < ncols else slice(None)
-        words[:, at] = cells.T.reshape(3, len(plain), rows).transpose(2, 1, 0)
+        text = cell_table(np.concatenate(plain)).T.reshape(3, len(plain), rows)
+        k = 0
+        for at, count in runs:
+            words = np.ndarray((rows, count, 3), "<u8", buf, at, (width, _SLOT, 8))
+            words[...] = text[:, k : k + count].transpose(2, 1, 0)
+            k += count
     flat = buf.ravel()
     return flat[flat != 0]
 
@@ -342,9 +393,9 @@ def csv_chunks(
     :func:`_cells`, about 45 numpy calls, which 1024 values do not repay:
     on a 2-vCPU VM, :func:`cell_table` took 259 us on 1024 values, against
     133 us per 1024 values in one call of 4096 (and 184 us in one of 8192,
-    whose temporaries leave the cache).  So a classify-only sweep,
-    whose one plain column is the predicted rate, writes 4096-row chunks.
-    A simulate table has at least four plain columns and keeps 1024 rows:
+    whose temporaries leave the cache).  A sweep, whose columns are all
+    coded, writes 4096-row chunks; a coded table is itself formatted in
+    passes of 4096 values.  A simulate table has at least four plain columns and keeps 1024 rows:
     2048-row chunks ran no faster and raised the simulate benchmark's peak
     RSS by 1.2 MiB.  Past 4096 rows the sweep's peak RSS rose as well, by
     3.1 MiB at 8192.  The bytes do not depend on the chunk size.
@@ -363,29 +414,30 @@ def csv_chunks(
                 raise ValueError("the index of a coded column must be a 1-D integer array")
             if rows and (index.min() < 0 or index.max() >= len(col.values)):
                 raise ValueError("the index of a coded column must lie within its table")
-    label_cells = None if labels is None else label_table(labels.values)
-    # the cells of every table, in one pass
-    coded = [j for j, col in enumerate(columns) if isinstance(col, CodedColumn)]
-    chunk_rows = max(_CHUNK_ROWS, _CHUNK_VALUES // max(len(columns) - len(coded), 1))
-    cells: list[np.ndarray | None] = [None] * len(columns)
-    if coded:
-        tables = [np.asarray(columns[j].values, dtype=float) for j in coded]
-        table_cells, lo = np.ascontiguousarray(cell_table(np.concatenate(tables))), 0
-        for j, table in zip(coded, tables):
-            cells[j] = table_cells[lo : lo + table.size]
-            lo += table.size
+    # the slot table of every coded column, each entry formatted once
+    if labels is not None:
+        columns = [*columns, labels]
+    tables: list[np.ndarray | None] = [None] * len(columns)
+    for j, col in enumerate(columns):
+        if j == len(columns) - 1 and labels is not None:
+            tables[j] = label_table(col.values)
+        elif isinstance(col, CodedColumn):
+            tables[j] = value_table(np.asarray(col.values, dtype=float), b"\n" if j == len(columns) - 1 else b",")
+    chunk_rows = max(_CHUNK_ROWS, _CHUNK_VALUES // max(sum(table is None for table in tables), 1))
 
     def chunks():
         yield (",".join(header) + "\n").encode("utf-8")
         if not rows:
             return
-        buf = row_buffer(min(rows, chunk_rows), len(columns), 0 if labels is None else label_cells.shape[1])
+        buf = row_buffer(min(rows, chunk_rows), tables)
         for lo in range(0, rows, chunk_rows):
             hi = lo + chunk_rows
-            cols = [
-                np.asarray(col[lo:hi], dtype=float) if table is None else (table, col.index[lo:hi])
-                for col, table in zip(columns, cells)
-            ]
-            yield format_rows(cols, None if labels is None else (label_cells, labels.index[lo:hi]), buf)
+            yield format_rows(
+                [
+                    np.asarray(col[lo:hi], dtype=float) if table is None else (table, col.index[lo:hi])
+                    for col, table in zip(columns, tables)
+                ],
+                buf,
+            )
 
     return chunks()

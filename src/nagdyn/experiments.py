@@ -280,16 +280,16 @@ def write_csv(
     ``p`` plain (not coded) columns: about 4096 values, enough to repay the
     array formatter's fixed cost per chunk, and never more than 4096 rows,
     which would raise the peak memory.  A simulate table has at least four
-    plain columns, so 1024 rows; a classify-only sweep has one, so 4096.
+    plain columns, so 1024 rows; a sweep has none, so 4096.
     :func:`nagdyn._csvformat.csv_chunks` gives the measurements.  The
     bytes written do not depend on the chunk size.
 
     A column may be a :class:`CodedColumn`, and ``labels`` is one with a
     table of str: the same bytes as ``values[index]`` passed plainly, but
     each table entry is formatted once per call and each row only gathers
-    its cell.  A column that repeats few values, such as a grid axis, a
-    constant or a class name, then costs a gather per row in place of a
-    formatting.
+    its cell.  A column that repeats values, such as a grid axis, a
+    constant, a class name or a sweep point's rate, then costs a gather per
+    row in place of a formatting.
 
     Raises ``TypeError`` when ``labels`` is not a :class:`CodedColumn`, and
     ``ValueError`` when ``header`` does not name every column, when the
@@ -793,7 +793,7 @@ _SWEEP_T_END = 60.0
 #: 23 MiB.
 _SWEEP_BATCH = 128
 
-#: The cell table of a sweep that was not measured.
+#: The table of the measured-rate column of a sweep that was not measured.
 _UNMEASURED = np.array([math.nan])
 
 
@@ -802,40 +802,56 @@ class SweepResult:
     """A sweep over the grid ``re_axis`` x ``im_axis``, real axis outermost.
 
     Point k is ``re_axis[k // m] + i im_axis[k % m]``, with m the length
-    of ``im_axis``.  Per point it holds the predicted rate, the measured
-    rate (``None`` when the sweep was not measured) and the class code, an
-    index into ``spectral.CLASS_NAMES``.  The axes and codes are kept as
-    they are, so that :attr:`columns` and :attr:`labels` give the CSV
-    writer each distinct value once and an index per point.
+    of ``im_axis``, and ``fold[k]`` is its point of the folded grid (see
+    :func:`run_sweep`).  ``fold_rate``, ``fold_measured`` (``None`` when the
+    sweep was not measured) and ``fold_codes`` (indices into
+    ``spectral.CLASS_NAMES``) hold one entry per folded point; the
+    properties give them per point, and :attr:`columns` and :attr:`labels`
+    give the CSV writer each table once and an index per point.
     """
 
     re_axis: np.ndarray
     im_axis: np.ndarray
-    predicted_rate: np.ndarray
-    measured_rate: np.ndarray | None
-    class_codes: np.ndarray
+    fold: np.ndarray
+    fold_rate: np.ndarray
+    fold_measured: np.ndarray | None
+    fold_codes: np.ndarray
 
     def __len__(self) -> int:
-        return self.predicted_rate.shape[0]
+        return self.fold.shape[0]
 
     @property
-    def columns(self) -> list[np.ndarray | CodedColumn]:
-        """The numeric CSV columns, in ``SWEEP_HEADER`` order; the axes and an unmeasured column coded."""
-        re_index, im_index = np.indices((self.re_axis.shape[0], self.im_axis.shape[0])).reshape(2, -1)
-        measured = self.measured_rate
-        if measured is None:
-            measured = CodedColumn(_UNMEASURED, np.broadcast_to(np.intp(0), (len(self),)))
+    def predicted_rate(self) -> np.ndarray:
+        return self.fold_rate[self.fold]
+
+    @property
+    def measured_rate(self) -> np.ndarray | None:
+        return None if self.fold_measured is None else self.fold_measured[self.fold]
+
+    @property
+    def class_codes(self) -> np.ndarray:
+        return self.fold_codes[self.fold]
+
+    @property
+    def columns(self) -> list[CodedColumn]:
+        """The numeric CSV columns, in ``SWEEP_HEADER`` order, all coded."""
+        shape = (self.re_axis.shape[0], self.im_axis.shape[0])
+        re_index, im_index = np.indices(shape, np.min_scalar_type(max(shape))).reshape(2, -1)
+        if self.fold_measured is None:
+            measured = CodedColumn(_UNMEASURED, np.broadcast_to(np.int32(0), (len(self),)))
+        else:
+            measured = CodedColumn(self.fold_measured, self.fold)
         return [
             CodedColumn(self.re_axis, re_index),
             CodedColumn(self.im_axis, im_index),
-            self.predicted_rate,
+            CodedColumn(self.fold_rate, self.fold),
             measured,
         ]
 
     @property
     def labels(self) -> CodedColumn:
         """The class column of the CSV."""
-        return CodedColumn(spectral.CLASS_NAMES, self.class_codes)
+        return CodedColumn(spectral.CLASS_NAMES, self.fold_codes.astype(np.int8)[self.fold])
 
 
 def _measure_rates(lam: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -865,10 +881,18 @@ def run_sweep(grid_spec: str, measure: bool = False) -> SweepResult:
     The predicted rate of each point is :func:`nagdyn.spectral.predicted_rate`.
     With ``measure`` the measured points are integrated in batches by the
     batched modal RK4, so memory stays bounded for any grid size.
+
+    Each point of the folded grid, the distinct real values by the distinct
+    values of |Im|, is classified and measured once.  G is real, so a mode
+    from real data has y(conj lam) = conj y(lam), and the class, the rate
+    and |y| of a point are its mirror's, bit for bit; the sign of a zero
+    part moves only signs of zeros, so -0.0 and 0.0 fold together.
     """
     re_axis, im_axis = parse_grid(grid_spec)
-    re = np.repeat(re_axis, im_axis.shape[0])
-    im = np.tile(im_axis, re_axis.shape[0])
+    re_values, re_fold = np.unique(re_axis, return_inverse=True)
+    im_values, im_fold = np.unique(np.abs(im_axis), return_inverse=True)
+    re = np.repeat(re_values, im_values.shape[0])
+    im = np.tile(im_values, re_values.shape[0])
     codes, rates = spectral._classify_codes(re, im)
     predicted = spectral.predicted_rate(codes, rates)
     measured = None
@@ -876,8 +900,10 @@ def run_sweep(grid_spec: str, measure: bool = False) -> SweepResult:
         lam = re.astype(complex)
         lam.imag = im
         measured = _measure_rates(lam, codes)
+    # int32 from the start: an intp temporary of the grid raised the peak RSS
+    fold = np.add.outer(re_fold.astype(np.int32) * np.int32(im_values.shape[0]), im_fold.astype(np.int32)).ravel()
     return SweepResult(
-        re_axis=re_axis, im_axis=im_axis, predicted_rate=predicted, measured_rate=measured, class_codes=codes
+        re_axis=re_axis, im_axis=im_axis, fold=fold, fold_rate=predicted, fold_measured=measured, fold_codes=codes
     )
 
 

@@ -271,37 +271,42 @@ def _by_regime(x: np.ndarray, regime, evaluators: tuple, n_out: int):
     return tuple(out)
 
 
+def _hankel(z, zinv, w, coeffs: np.ndarray, phase: float, amp):
+    """J and Y of one order by its Hankel expansion P + iQ = sum coeffs[k] (i/z)^k, w = -1/z^2.
+
+    P is the even part of the sum and Q its odd part over i.  Each temporary
+    is dropped on return, so the caller holds only its arguments and results.
+    """
+    p, q = _asym_sum(coeffs[0::2], w), zinv * _asym_sum(coeffs[1::2], w)
+    x = z - phase
+    c, s = np.cos(x), np.sin(x)
+    return amp * (c * p - s * q), amp * (s * p + c * q)
+
+
 def _jy01_asymptotic(z: np.ndarray):
     """J0, J1, Y0, Y1 by the Hankel expansion, |z| > SERIES_RADIUS.
 
     Near the cut the expansion misses the subdominant exponential, so
     Re z < 0 is evaluated at -z and mapped back by DLMF 10.11.1-2:
     J0(z) = J0(-z), J1(z) = -J1(-z), Y0(z) = Y0(-z) + 2i s J0(-z) and
-    Y1(z) = -(Y1(-z) + 2i s J1(-z)), with s the sign of Im z.
+    Y1(z) = -(Y1(-z) + 2i s J1(-z)), with s the sign of Im z.  A numpy
+    scalar ``z`` gives numpy scalars in every case.
     """
     if np.any(np.abs(z.imag) > EXPONENT_CAP):
         raise OverflowSaturation("Bessel argument beyond the exp(700) range")
     left = z.real < 0.0
-    c = np.where(z.imag > 0.0, 2j, -2j)
     z = np.where(left, -z, z)[()]
     zinv = 1.0 / z
     w = -zinv * zinv
-    # P + iQ = sum a_k (i/z)^k: P is its even part, Q its odd part over i
-    p0, q0 = _asym_sum(_A0[0::2], w), zinv * _asym_sum(_A0[1::2], w)
-    p1, q1 = _asym_sum(_A1[0::2], w), zinv * _asym_sum(_A1[1::2], w)
     amp = np.sqrt((2.0 / math.pi) * zinv)
-    w0 = z - 0.25 * math.pi
-    w1 = z - 0.75 * math.pi
-    c0, s0 = np.cos(w0), np.sin(w0)
-    c1, s1 = np.cos(w1), np.sin(w1)
-    j0 = amp * (c0 * p0 - s0 * q0)
-    y0_ = amp * (s0 * p0 + c0 * q0)
-    j1 = amp * (c1 * p1 - s1 * q1)
-    y1_ = amp * (s1 * p1 + c1 * q1)
+    j0, y0_ = _hankel(z, zinv, w, _A0, 0.25 * math.pi, amp)
+    j1, y1_ = _hankel(z, zinv, w, _A1, 0.75 * math.pi, amp)
     if np.any(left):
-        y0_ = np.where(left, y0_ + c * j0, y0_)
-        y1_ = np.where(left, -(y1_ + c * j1), y1_)
-        j1 = np.where(left, -j1, j1)
+        # 2i s, s the sign of the argument's Im, which -z has flipped
+        c = np.where(z.imag < 0.0, 2j, -2j)
+        y0_ = np.where(left, y0_ + c * j0, y0_)[()]
+        y1_ = np.where(left, -(y1_ + c * j1), y1_)[()]
+        j1 = np.where(left, -j1, j1)[()]
     return j0, j1, y0_, y1_
 
 

@@ -1,15 +1,20 @@
 """End-to-end CLI contract: configs, artifacts, exit codes, determinism."""
 
+import contextlib
 import filecmp
 import hashlib
+import io
 import json
 import math
 import os
 import re
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nagdyn import _csvformat, cli, experiments, game, special, spectral
 from nagdyn.errors import ConfigError, OutputError, OverflowSaturation
@@ -608,7 +613,7 @@ def test_sweep_negative_grid_as_separate_argument(tmp_path):
 def test_sweep_csv_matches_per_cell_format(tmp_path, monkeypatch):
     # every cell is format(x, ".17g") of the classifier's own value, also
     # with 7-row chunks (no value budget) that straddle the blocks of equal
-    # re, and with a measured column, which is written plainly
+    # re, and with a measured column, coded over the folded points like the rest
     for grid, measure, chunk, values in (
         ("-3:5:17,-2:2:9", False, _csvformat._CHUNK_ROWS, _csvformat._CHUNK_VALUES),
         ("-3:5:17,-2:2:9", False, 7, 0),
@@ -637,6 +642,72 @@ def test_sweep_csv_matches_per_cell_format(tmp_path, monkeypatch):
             cells = [format(float(x), ".17g") for x in (a, b, predicted, measured[k])]
             want.append(",".join(cells + [cls.tag.value]))
         assert lines[1:-1] == want
+
+
+_NEXT_TENTH = math.nextafter(0.1, 1.0)
+#: Sweep axis values: signed zeros, dyadic and decimal values, 0.1 and the
+#: double after it with their mirrors, and -400, whose modes pass the
+#: saturation level before the fit window opens.
+_AXIS_VALUES = [-400.0, -2.5, -1.0, -0.0, 0.0, 0.25, 1.0, 2.0, 0.1, -0.1, _NEXT_TENTH, -_NEXT_TENTH]
+
+
+def _sweep_axes():
+    listed = st.lists(st.sampled_from(_AXIS_VALUES), min_size=1, max_size=4).map(np.array)
+    spaced = st.tuples(
+        st.sampled_from([-3.0, -2.9, -1.0, -0.0, 0.5]), st.sampled_from([0.0, 1.0, 2.9, 3.0]), st.integers(1, 7)
+    ).map(lambda bounds: np.linspace(*bounds))
+    return st.one_of(listed, spaced)
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+@given(
+    re_axis=_sweep_axes(),
+    im_axis=st.one_of(
+        _sweep_axes(),
+        _sweep_axes().map(np.abs),
+        st.lists(st.sampled_from([0.0, -0.0]), min_size=1, max_size=3).map(np.array),
+    ),
+    measure=st.booleans(),
+)
+@example(
+    re_axis=np.array([-1.0, 1.0, -0.0, 0.0, -400.0]),
+    im_axis=np.array([0.1, -_NEXT_TENTH, -0.0, 0.0, -0.1]),
+    measure=True,
+)
+@example(re_axis=np.linspace(-2.0, 6.0, 5), im_axis=np.linspace(-2.9, 2.9, 7), measure=False)
+@settings(max_examples=30, deadline=None)
+def test_sweep_fold_matches_a_sweep_of_every_point(re_axis, im_axis, measure):
+    # run_sweep classifies and measures each distinct (re, |im|) once; the
+    # fields and the CSV bytes must be those of classifying, measuring and
+    # formatting every point, mirrors one rounding apart and -0.0 included
+    re = np.repeat(re_axis, im_axis.size)
+    im = np.tile(im_axis, re_axis.size)
+    codes, rates = spectral._classify_codes(re, im)
+    predicted = spectral.predicted_rate(codes, rates)
+    lam = re.astype(complex)
+    lam.imag = im
+    measured = experiments._measure_rates(lam, codes) if measure else np.full(re.size, math.nan)
+    rows = b"".join(
+        b"%.17g,%.17g,%.17g,%.17g,%s\n" % (a, b, p, q, spectral.CLASS_NAMES[c].encode())
+        for a, b, p, q, c in zip(re.tolist(), im.tolist(), predicted.tolist(), measured.tolist(), codes.tolist())
+    )
+    with pytest.MonkeyPatch.context() as m, tempfile.TemporaryDirectory() as out:
+        m.setattr(experiments, "parse_grid", lambda spec: (re_axis, im_axis))
+        sweep = experiments.run_sweep("given", measure)
+        argv = ["sweep", "--grid=given", "--out", out] + ["--measure"] * measure
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == cli.EXIT_OK
+        with open(os.path.join(out, "sweep.csv"), "rb") as fh:
+            written = fh.read()
+    assert len(sweep) == re.size
+    assert _bits(sweep.predicted_rate) == _bits(predicted)
+    assert _bits(sweep.class_codes) == _bits(codes)
+    assert (sweep.measured_rate is None) if not measure else _bits(sweep.measured_rate) == _bits(measured)
+    assert written == b"re,im,predicted_rate,measured_rate,class\n" + rows
 
 
 @pytest.mark.parametrize(

@@ -100,9 +100,11 @@ def test_fig1_csv_values_take_the_fast_path(tmp_path, monkeypatch):
 # the writer against the row-at-a-time oracle
 
 
-#: A coded column's table: constants and values that ``_cells`` leaves to ``%.17g``.
+#: A coded column's table: constants, values that ``_cells`` leaves to
+#: ``%.17g``, and a cell of all 24 bytes, whose slot needs one more.
 _TABLE = np.array(
-    [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e17, np.nextafter(1e-4, 0.0), 1 / 3, -2.5e-7]
+    [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e17, np.nextafter(1e-4, 0.0), 1 / 3, -2.5e-7,
+     -1.2345678901234567e-100]
 )
 
 
@@ -148,9 +150,9 @@ def _chunk_rows(monkeypatch, tmp_path, header, columns, labels=None):
     rows = []
     format_rows = _csvformat.format_rows
 
-    def spy(cols, labels=None, buf=None):
+    def spy(cols, buf=None):
         rows.append(len(cols[0]) if isinstance(cols[0], np.ndarray) else cols[0][1].shape[0])
-        return format_rows(cols, labels, buf)
+        return format_rows(cols, buf)
 
     path = tmp_path / "t.csv"
     with monkeypatch.context() as m:

@@ -387,6 +387,32 @@ def _reference_nagd(g, b, q0, v0, cfg):
     return times, states[:, :n], states[:, n:], saturated
 
 
+def _step_map_coefficients(t, h, r):
+    """dynamics._step_coefficients, written out here so that the bit tests pin its arithmetic too.
+
+    c[k, p, i, j] is the Z^p coefficient of block (i, j) of step k's map,
+    with the damping d at the stage times t, t + h/2 and t + h.
+    """
+    d1 = h * (r / t)
+    d2 = h * (r / (t + 0.5 * h))
+    d3 = h * (r / (t + h))
+    sq = d2 * d2
+    p4 = sq - 2.0 * d2 + 4.0
+    p12 = sq - 4.0 * d2 + 12.0
+    c = np.zeros((t.shape[0], 3, 2, 2))
+    c[:, 0, 0, 0] = 1.0
+    c[:, 1, 0, 0] = -p12 / 24.0
+    c[:, 2, 0, 0] = 1.0 / 24.0
+    c[:, 0, 0, 1] = (h / 24.0) * (2.0 * p12 - d1 * p4)
+    c[:, 1, 0, 1] = (h / 24.0) * (d1 + d2 - 4.0)
+    c[:, 1, 1, 0] = (d3 * p4 - 2.0 * p12) / (24.0 * h)
+    c[:, 2, 1, 0] = -(d2 + d3 - 4.0) / (24.0 * h)
+    c[:, 0, 1, 1] = (d1 * d3 * sq - 2.0 * (d1 + d3) * (p4 - 2.0) + 4.0 * (p12 - 6.0)) / 24.0
+    c[:, 1, 1, 1] = -(d1 * d3 + (d1 + d3) * (d2 - 2.0) - 4.0 * d2 + 12.0) / 24.0
+    c[:, 2, 1, 1] = 1.0 / 24.0
+    return c
+
+
 # Plain step loops with one work buffer, the references of the workspace
 # rings: each step makes the same products in the same order, so the records
 # must agree bit for bit.  They run in chunks of their own length; a step does not
@@ -407,7 +433,7 @@ def _plain_nagd(g, b, q0, v0, cfg):
     buf = np.empty((_PLAIN_CHUNK, 2, n + 1))
 
     def advance(t, s):
-        coef = dynamics._step_coefficients(t, h, r)
+        coef = _step_map_coefficients(t, h, r)
         coef *= powers
         coef = coef.transpose(0, 2, 1, 3).reshape(-1, 2, 6)
         out = buf[: t.shape[0]]
@@ -460,7 +486,7 @@ def _plain_modal(lams, y0, ydot0, cfg):
 
     def advance(t, s):
         # the step maps as the quadratic c0 + z (c1 + z c2) of array operators
-        c = dynamics._step_coefficients(t, h, r).transpose(1, 0, 3, 2)[..., None]
+        c = _step_map_coefficients(t, h, r).transpose(1, 0, 3, 2)[..., None]
         z = (h * h) * lam
         m = c[0] + z * (c[1] + z * c[2])
         out = buf[: t.shape[0]]

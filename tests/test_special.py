@@ -402,6 +402,20 @@ def test_jy01_keeps_the_log_branch_on_the_negative_real_axis():
         assert np.allclose(n1, -(y1 + sign * 2j * j1), rtol=1e-13, atol=0.0)
 
 
+@pytest.mark.parametrize(
+    "z",
+    [1e-9 + 1e-9j, 0.5 + 0.5j, 3.0 + 0j, 25.0 + 3.0j, -10.42 + 17.14j, -25.0 - 3.0j],
+    ids=["tiny", "series", "series_real", "asymptotic", "asymptotic_reflected", "asymptotic_reflected_below"],
+)
+def test_jy01_of_one_argument_gives_numpy_scalars(z):
+    # _by_regime runs a single argument on a numpy scalar, and every
+    # evaluator returns values of its dtype, the reflected Hankel one too
+    values = special._jy01(z)
+    assert [type(v) for v in values] == [np.complex128] * 4
+    for got, batch in zip(values, special._jy01(np.array([z, z]))):
+        assert got == pytest.approx(batch[0], rel=1e-14)
+
+
 def _scalar_bits_match_batch(evaluator, points):
     batch = evaluator(points)
     for i, point in enumerate(points):
