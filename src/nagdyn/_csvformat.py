@@ -29,13 +29,15 @@ fills all of its slot, so one row buffer serves every chunk of a write.
 
 A column may also be a :class:`CodedColumn`, a table of values and one
 index into it per row (dictionary encoding: Abadi, Madden & Ferreira,
-SIGMOD 2006).  :func:`csv_chunks` formats each table entry once per
-write into a slot table, whose entries are as wide as its longest cell
-and its separator, and each row of a chunk gathers its slot: text labels
-and coded floats alike.  A plain column's slot is 25 bytes, the longest
-``%.17g`` cell and its separator, set once per buffer.  Up to
-``_FEW_VALUES`` values, ``%.17g`` one value at a time is faster than the
-array path and formats them.
+SIGMOD 2006); a table of ``str`` makes a text column.  :func:`csv_chunks`
+formats each table entry once per write into a slot table, whose entries
+are as wide as its longest cell and its separator, and each row of a
+chunk gathers its slot: text and coded numbers alike.  A plain column's
+slot is 25 bytes, the longest ``%.17g`` cell and its separator, set once
+per buffer.  :func:`_cells` formats at most ``_PASS_VALUES`` values a
+call, whether they fill a chunk or a table.  Up to ``_FEW_VALUES``
+values, ``%.17g`` one value at a time is faster than the array path and
+formats them.
 """
 
 from __future__ import annotations
@@ -129,7 +131,7 @@ _U1, _U8, _U32, _U56, _U63 = (np.uint64(b) for b in (1, 8, 32, 56, 63))
 
 
 def _cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The cells of the values ``v`` as three rows of words, and the indices left for ``%.17g``.
+    """The cells of the values ``v``, three words each (a transposed view), and the indices left for ``%.17g``.
 
     Only the fast-path and constant cells are filled in.
     """
@@ -189,7 +191,7 @@ def _cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     text = np.take(layout_text, key, axis=1)
     text |= u << shift
     text[1:] |= u[:-1] >> _U1 >> (_U63 - shift)  # never a shift by the full 64 bits
-    return text, rest
+    return text.T, rest
 
 
 def _percent_g(v: np.ndarray) -> np.ndarray:
@@ -201,49 +203,39 @@ def _percent_g(v: np.ndarray) -> np.ndarray:
 #: whose fixed cost is about that of 200 of them.
 _FEW_VALUES = 128
 
-#: At most this many values per :func:`_cells` pass, whose temporaries
-#: leave the cache on wide chunks.  On a shared 2-vCPU Xeon VM (medians of
-#: 150 interleaved calls, two sets), the 33 684 values of an 84-column,
-#: 401-row chunk took 8.7-9.6 ms in one pass, 6.7-7.5 ms in three passes of
-#: 11 228 and 6.0-6.7 ms in five of 6 737; 12 288 values (12 columns by
-#: 1024 rows) took 2.5-3.6 ms in one pass and 2.6-3.8 ms in two.  This
-#: bound keeps the second whole and splits the first in three.  One round
-#: of the simulate benchmark's commands, in a fresh process, peaked at
-#: 49.8-50.0 MiB against 55.2-55.3 MiB in one pass.
-_PASS_VALUES = 16384
+#: At most this many values per :func:`_cells` call, for :func:`format_rows`
+#: and :func:`value_table` alike, and about the plain values of a
+#: :func:`csv_chunks` chunk.  A call's temporaries take about 300 bytes a
+#: value, and where freed heap is reused, as after an integration, each call
+#: costs about 58 us more than its values (on a 12-column simulate chunk,
+#: one pass of 12 288 took 0.91-0.93 ms and three of 4096 1.03-1.09 ms).
+#: ``bench/run.py --seconds 25`` on a shared 2-vCPU VM, two runs each: with
+#: passes of 4096, simulate read ``run_s`` 0.519-0.527 s and
+#: ``peak_rss_mib`` 61.0, against 0.496-0.502 s and 60.1-60.3 at one pass
+#: per chunk; with 12 288 the sweep's peak rose from 49.7 to 50.1-50.2 MiB;
+#: with 8192 simulate read 0.514-0.518 s and 60.2 MiB, the sweep 49.8-50.0.
+_PASS_VALUES = 8192
 
 
 def cell_table(values: np.ndarray) -> np.ndarray:
-    """The cell of each float64 value, ``"%.17g" % x`` NUL-padded to three words: one row per value.
+    """The cell of each float64 value, ``"%.17g" % x`` NUL-padded to three words: one C-ordered row per value.
 
-    More than ``_PASS_VALUES`` values are formatted in passes of equal size,
-    as few as hold at most ``_PASS_VALUES`` each.
+    The values are formatted in passes of at most ``_PASS_VALUES``.
     """
     if values.size <= _FEW_VALUES:
         return _percent_g(values)
-    if values.size <= _PASS_VALUES:
-        text, rest = _cells(values)
-    else:
-        text = np.empty((3, values.size), np.uint64)
-        step = -(-values.size // -(-values.size // _PASS_VALUES))
-        rest = []
-        for lo in range(0, values.size, step):
-            text[:, lo : lo + step], r = _cells(values[lo : lo + step])
-            rest.append(lo + r)
-        rest = np.concatenate(rest)
-    cells = text.T
-    if rest.size:
-        cells[rest] = _percent_g(values[rest])
+    cells = np.empty((values.size, 3), np.uint64)
+    for lo in range(0, values.size, _PASS_VALUES):
+        part = values[lo : lo + _PASS_VALUES]
+        cells[lo : lo + part.size], rest = _cells(part)
+        if rest.size:
+            cells[lo + rest] = _percent_g(part[rest])
     return cells
 
 
-#: At most this many values per :func:`cell_table` call of :func:`value_table`,
-#: whose temporaries take about 300 bytes a value.  On the 81 054-entry
-#: predicted-rate table of a 513x257 sweep (in process, 2-vCPU VM, best of
-#: five), passes of 2048, 4096, 8192 and 16 384 values took 9.4, 8.3, 7.5
-#: and 13.3 ms, and passes of 16 384 raised the command's traced peak from
-#: 6.0 to 9.5 MiB.
-_TABLE_PASS_VALUES = 4096
+def cell_bytes(values: np.ndarray) -> list[bytes]:
+    """The cells ``b"%.17g" % x`` of the float64 ``values``, one bytes object each."""
+    return cell_table(values).view(f"S{_CELL}").ravel().tolist()  # bytes drop their NUL padding
 
 
 def _slots(text: np.ndarray, used: int, sep: bytes) -> np.ndarray:
@@ -262,28 +254,25 @@ def _slots(text: np.ndarray, used: int, sep: bytes) -> np.ndarray:
     return table
 
 
-def label_table(names: Sequence[str]) -> np.ndarray:
-    """Entry k is ``names[k]`` in UTF-8, NUL-padded to the longest name, and a newline: a slot table.
+def label_table(names: Sequence[str], sep: bytes) -> np.ndarray:
+    """Entry k is ``names[k]`` in UTF-8, NUL-padded to the longest name, and ``sep``: a slot table.
 
     Raises ``ValueError`` when a name contains NUL.
     """
     encoded = [s.encode("utf-8") for s in names]
     if any(b"\0" in s for s in encoded):
-        raise ValueError("labels must not contain NUL")
+        raise ValueError("a text column must not contain NUL")
     longest = max(map(len, encoded), default=0)
     text = np.array(encoded, dtype=f"S{longest + 1}").view(np.uint8).reshape(-1, longest + 1)
-    return _slots(text, longest, b"\n")
+    return _slots(text, longest, sep)
 
 
 def value_table(values: np.ndarray, sep: bytes) -> np.ndarray:
     """Entry k is ``"%.17g" % values[k]``, NUL-padded to the longest cell, and ``sep``: a slot table.
 
-    The cells are formatted in passes of at most ``_TABLE_PASS_VALUES``
-    values and take ``_CELL`` bytes an entry, which the table shares.
+    The cells take ``_CELL`` bytes an entry, which the table shares.
     """
-    words = np.empty((values.size, 3), np.uint64)
-    for lo in range(0, values.size, _TABLE_PASS_VALUES):
-        words[lo : lo + _TABLE_PASS_VALUES] = cell_table(values[lo : lo + _TABLE_PASS_VALUES])
+    words = cell_table(values)
     # a cell is a prefix of its row, so the longest ends at the highest
     # nonzero byte of the largest value of the last word any cell reaches
     used = 0
@@ -343,11 +332,11 @@ def format_rows(columns: list[np.ndarray | tuple[np.ndarray, np.ndarray]], buf: 
             at += table.itemsize
     if plain:
         # the plain columns one after another, in one call whatever their count
-        text = cell_table(np.concatenate(plain)).T.reshape(3, len(plain), rows)
+        cells = cell_table(np.concatenate(plain)).reshape(len(plain), rows, 3)
         k = 0
         for at, count in runs:
             words = np.ndarray((rows, count, 3), "<u8", buf, at, (width, _SLOT, 8))
-            words[...] = text[:, k : k + count].transpose(2, 1, 0)
+            words[...] = cells[k : k + count].transpose(1, 0, 2)
             k += count
     flat = buf.ravel()
     return flat[flat != 0]
@@ -371,59 +360,53 @@ class CodedColumn:
         return self.index.shape[0]
 
 
-#: A chunk of :func:`csv_chunks` holds about this many plain float cells,
-_CHUNK_VALUES = 4096
-#: in at least this many rows.
+#: A chunk of :func:`csv_chunks` holds about one pass of plain values, in at
+#: least this many rows.
 _CHUNK_ROWS = 1024
 
 
-def csv_chunks(
-    header: list[str],
-    columns: list[np.ndarray | CodedColumn],
-    labels: CodedColumn | None,
-) -> Iterator[bytes | np.ndarray]:
-    """The header line, then the rows of ``columns`` and ``labels``, a chunk of rows at a time.
+def csv_chunks(header: list[str], columns: list[np.ndarray | CodedColumn]) -> Iterator[bytes | np.ndarray]:
+    """The header line, then the rows of ``columns``, a chunk of rows at a time.
 
-    A column is a float array or a :class:`CodedColumn`, and ``labels`` a
-    :class:`CodedColumn` of str.  The input is checked, and each table
-    formatted once, here, before the first chunk is taken.
+    A column is an array of numbers or a :class:`CodedColumn`, whose table
+    holds numbers or, for a text column, ``str``.  The input is checked,
+    and each table formatted once, here, before the first chunk is taken.
 
-    A chunk holds ``max(1024, 4096 // max(p, 1))`` rows for ``p`` plain
-    columns, never more than 4096.  Each chunk pays the fixed cost of
-    :func:`_cells`, about 45 numpy calls, which 1024 values do not repay:
-    on a 2-vCPU VM, :func:`cell_table` took 259 us on 1024 values, against
-    133 us per 1024 values in one call of 4096 (and 184 us in one of 8192,
-    whose temporaries leave the cache).  A sweep, whose columns are all
-    coded, writes 4096-row chunks; a coded table is itself formatted in
-    passes of 4096 values.  A simulate table has at least four plain columns and keeps 1024 rows:
-    2048-row chunks ran no faster and raised the simulate benchmark's peak
-    RSS by 1.2 MiB.  Past 4096 rows the sweep's peak RSS rose as well, by
-    3.1 MiB at 8192.  The bytes do not depend on the chunk size.
+    A chunk holds ``max(_CHUNK_ROWS, _PASS_VALUES // max(p, 1))`` rows for
+    ``p`` plain columns, 1024 to 8192 rows: about one pass of
+    :func:`_cells`, whose fixed cost of about 45 numpy calls 1024 values do
+    not repay (on a 2-vCPU VM, :func:`cell_table` took 259 us on 1024
+    values, against 133 us per 1024 values in one call of 4096).  A sweep,
+    whose columns are all coded, writes 8192-row chunks; a simulate table
+    of 8 or more columns keeps 1024 rows, since 2048-row chunks ran no
+    faster and raised the simulate benchmark's peak RSS by 1.2 MiB.  The
+    bytes do not depend on the chunk size.
     """
-    if labels is not None and not isinstance(labels, CodedColumn):
-        raise TypeError("labels must be a CodedColumn")
-    if len(header) != len(columns) + (labels is not None):
+    if len(header) != len(columns):
         raise ValueError("header and column counts differ")
     rows = columns[0].shape[0]
-    if any(len(col) != rows for col in columns) or (labels is not None and len(labels) != rows):
-        raise ValueError("column and label lengths differ")
-    for col in (*columns, labels):
-        if isinstance(col, CodedColumn):
-            index = col.index
-            if not (isinstance(index, np.ndarray) and index.dtype.kind in "iu" and index.ndim == 1):
-                raise ValueError("the index of a coded column must be a 1-D integer array")
-            if rows and (index.min() < 0 or index.max() >= len(col.values)):
-                raise ValueError("the index of a coded column must lie within its table")
-    # the slot table of every coded column, each entry formatted once
-    if labels is not None:
-        columns = [*columns, labels]
+    if any(len(col) != rows for col in columns):
+        raise ValueError("column lengths differ")
+    columns = list(columns)
     tables: list[np.ndarray | None] = [None] * len(columns)
     for j, col in enumerate(columns):
-        if j == len(columns) - 1 and labels is not None:
-            tables[j] = label_table(col.values)
-        elif isinstance(col, CodedColumn):
-            tables[j] = value_table(np.asarray(col.values, dtype=float), b"\n" if j == len(columns) - 1 else b",")
-    chunk_rows = max(_CHUNK_ROWS, _CHUNK_VALUES // max(sum(table is None for table in tables), 1))
+        sep = b"\n" if j == len(columns) - 1 else b","
+        if not isinstance(col, CodedColumn):
+            columns[j] = np.asarray(col)
+            if columns[j].dtype.kind not in "biuf":
+                raise TypeError("a plain column holds real numbers; give text as a CodedColumn of str")
+            continue
+        index = col.index
+        if not (isinstance(index, np.ndarray) and index.dtype.kind in "iu" and index.ndim == 1):
+            raise ValueError("the index of a coded column must be a 1-D integer array")
+        if rows and (index.min() < 0 or index.max() >= len(col.values)):
+            raise ValueError("the index of a coded column must lie within its table")
+        # the slot table, each entry formatted once
+        if all(isinstance(v, str) for v in col.values):
+            tables[j] = label_table(col.values, sep)
+        else:
+            tables[j] = value_table(np.asarray(col.values, dtype=float), sep)
+    chunk_rows = max(_CHUNK_ROWS, _PASS_VALUES // max(sum(table is None for table in tables), 1))
 
     def chunks():
         yield (",".join(header) + "\n").encode("utf-8")

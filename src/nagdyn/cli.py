@@ -125,7 +125,7 @@ def cmd_reproduce(figure: str, out_dir: str) -> int:
 def cmd_sweep(grid: str, out_dir: str, measure: bool = False) -> int:
     sweep = experiments.run_sweep(grid, measure=measure)
     path = os.path.join(out_dir, "sweep.csv")
-    experiments.write_csv(path, experiments.SWEEP_HEADER, sweep.columns, labels=sweep.labels)
+    experiments.write_csv(path, experiments.SWEEP_HEADER, sweep.columns)
     print(f"wrote {path} ({len(sweep)} points)")
     return EXIT_OK
 

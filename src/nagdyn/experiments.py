@@ -119,23 +119,43 @@ def _cfg_number(value, key: str, kind: type):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
+def _refuse_unknown(obj: dict, key: str, known) -> None:
+    """Raise :class:`ConfigError`, naming ``key``, when ``obj`` holds a key outside ``known``."""
+    unknown = set(obj) - set(known)
+    if unknown:
+        raise ConfigError(f"{key}: unknown keys {sorted(unknown)}")
+
+
+def _utf8(text: str) -> bool:
+    """Whether UTF-8 can encode ``text``: not when it holds a lone surrogate."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def parse_config(raw: dict, label: str = "experiment") -> ExperimentConfig:
     """Build an :class:`ExperimentConfig` from a JSON-shaped dictionary."""
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected an object")
-    unknown = set(raw) - {"label", "source", "initial", "integrator", "diagnostics"}
-    if unknown:
-        raise ConfigError(f"top level: unknown keys {sorted(unknown)}")
+    _refuse_unknown(raw, "top level", ("label", "source", "initial", "integrator", "diagnostics"))
     label = raw.get("label", label)
     separators = ("/", os.sep, os.altsep, "\0")
-    if not isinstance(label, str) or label in ("", ".", "..") or any(c and c in label for c in separators):
-        raise ConfigError(f"label: expected a file-name stem without a path separator or NUL, got {label!r}")
+    if (
+        not isinstance(label, str)
+        or label in ("", ".", "..")
+        or any(c and c in label for c in separators)
+        or not _utf8(label)
+    ):
+        raise ConfigError(f"label: expected a UTF-8 file-name stem without a path separator or NUL, got {label!r}")
 
     source = raw.get("source")
     if not isinstance(source, dict):
         raise ConfigError("source: required object with 'matrix' or 'game'")
     if ("matrix" in source) == ("game" in source):
         raise ConfigError("source: provide exactly one of 'matrix' or 'game'")
+    _refuse_unknown(source, "source", ("matrix", "offset") if "matrix" in source else ("game",))
     if "matrix" in source:
         g = _cfg_array(source["matrix"], "source.matrix")
         n = g.shape[0]
@@ -152,6 +172,7 @@ def parse_config(raw: dict, label: str = "experiment") -> ExperimentConfig:
         spec_g = source["game"]
         if not isinstance(spec_g, dict) or "payoffs" not in spec_g:
             raise ConfigError("source.game: expected an object with 'payoffs'")
+        _refuse_unknown(spec_g, "source.game", ("payoffs", "offsets"))
         payoffs = spec_g["payoffs"]
         if not isinstance(payoffs, list) or not payoffs:
             raise ConfigError("source.game.payoffs: expected a nonempty list of matrices")
@@ -173,15 +194,14 @@ def parse_config(raw: dict, label: str = "experiment") -> ExperimentConfig:
     initial = raw.get("initial")
     if not isinstance(initial, dict) or "q0" not in initial:
         raise ConfigError("initial: required object with 'q0'")
+    _refuse_unknown(initial, "initial", ("q0", "v0"))
     q0 = _cfg_array(initial["q0"], "initial.q0", n)
     v0 = _cfg_array(initial["v0"], "initial.v0", n) if "v0" in initial else np.zeros(n)
 
     integ_raw = raw.get("integrator", {})
     if not isinstance(integ_raw, dict):
         raise ConfigError("integrator: expected an object")
-    unknown = set(integ_raw) - _INTEGRATOR_TYPES.keys()
-    if unknown:
-        raise ConfigError(f"integrator: unknown keys {sorted(unknown)}")
+    _refuse_unknown(integ_raw, "integrator", _INTEGRATOR_TYPES)
     kwargs = {k: _cfg_number(v, f"integrator.{k}", _INTEGRATOR_TYPES[k]) for k, v in integ_raw.items()}
     try:
         integ = dynamics.IntegratorConfig(**kwargs)
@@ -212,8 +232,12 @@ def load_config(path: str) -> ExperimentConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError("config nests too deeply") from exc
     base = os.path.splitext(os.path.basename(path))[0]
     return parse_config(raw, label=base)
 
@@ -257,47 +281,35 @@ def _atomic_write(path: str, chunks: Iterable[bytes | np.ndarray]) -> None:
         raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def write_csv(
-    path: str,
-    header: list[str],
-    columns: list[np.ndarray | CodedColumn],
-    labels: CodedColumn | None = None,
-) -> None:
-    """Write float columns, then an optional text column, as UTF-8 CSV.
+def write_csv(path: str, header: list[str], columns: list[np.ndarray | CodedColumn]) -> None:
+    """Write the columns named by ``header`` as UTF-8 CSV.
 
-    Every float cell holds exactly the bytes of ``"%.17g" % x``, 17
-    significant digits; ``labels``, when given, is the last column and the
-    last name in ``header``.  The columns of a chunk are formatted one
-    after another by array operations, in passes of at most 16 384 values
-    (:mod:`nagdyn._csvformat`):
-    for finite 1e-11 <= |x| < 1e16 the correctly rounded 17-digit
-    significand comes from a long-double product whose rounding error is
-    bounded, and a value that bound cannot settle (near a rounding tie or
-    a decade boundary, outside that range, or every value where long
-    double is no wider than double) is formatted by ``%.17g`` itself.
-    Rows are formatted and written in chunks, so memory does not grow with
-    the row count.  A chunk holds ``max(1024, 4096 // max(p, 1))`` rows for
-    ``p`` plain (not coded) columns: about 4096 values, enough to repay the
-    array formatter's fixed cost per chunk, and never more than 4096 rows,
-    which would raise the peak memory.  A simulate table has at least four
-    plain columns, so 1024 rows; a sweep has none, so 4096.
-    :func:`nagdyn._csvformat.csv_chunks` gives the measurements.  The
-    bytes written do not depend on the chunk size.
+    Every number cell holds exactly the bytes of ``"%.17g" % x``, 17
+    significant digits.  The cells of a chunk of rows are formatted one
+    column after another by array operations, in passes of at most 8192
+    values (:mod:`nagdyn._csvformat`): for finite 1e-11 <= |x| < 1e16 the
+    correctly rounded 17-digit significand comes from a long-double product
+    whose rounding error is bounded, and a value that bound cannot settle
+    (near a rounding tie or a decade boundary, outside that range, or every
+    value where long double is no wider than double) is formatted by
+    ``%.17g`` itself.  Rows are formatted and written in chunks, so memory
+    does not grow with the row count; :func:`nagdyn._csvformat.csv_chunks`
+    gives the chunk size.  The bytes written do not depend on it.
 
-    A column may be a :class:`CodedColumn`, and ``labels`` is one with a
-    table of str: the same bytes as ``values[index]`` passed plainly, but
-    each table entry is formatted once per call and each row only gathers
-    its cell.  A column that repeats values, such as a grid axis, a
-    constant, a class name or a sweep point's rate, then costs a gather per
-    row in place of a formatting.
+    A column is an array of numbers or a :class:`CodedColumn`: the same
+    bytes as ``values[index]`` passed plainly, but each table entry is
+    formatted once per call and each row only gathers its cell.  A column
+    that repeats values, such as a grid axis, a constant, a class name or a
+    sweep point's rate, then costs a gather per row in place of a
+    formatting.  A :class:`CodedColumn` whose table holds ``str`` is a text
+    column, written as UTF-8, at any position.
 
-    Raises ``TypeError`` when ``labels`` is not a :class:`CodedColumn`, and
+    Raises ``TypeError`` when a plain column does not hold numbers, and
     ``ValueError`` when ``header`` does not name every column, when the
-    columns and labels differ in length, when a label contains NUL, or
-    when the index of a coded column is not an integer array within its
-    table.
+    columns differ in length, when a text cell contains NUL, or when the
+    index of a coded column is not an integer array within its table.
     """
-    _atomic_write(path, _csvformat.csv_chunks(header, columns, labels))
+    _atomic_write(path, _csvformat.csv_chunks(header, columns))
 
 
 def _json_default(obj):
@@ -324,8 +336,7 @@ def _fingerprint(system: game.PseudoGradientSystem) -> str:
     """The first 16 hex digits of the SHA-256 of G's entries and then b's, each ``"%.17g" % x``,
     joined by ``;`` within G and b and by ``|`` between them."""
     matrix = system.matrix.ravel()
-    cells = np.ascontiguousarray(_csvformat.cell_table(np.concatenate([matrix, system.offset])))
-    text = cells.view(f"S{_csvformat._CELL}").ravel().tolist()  # bytes drop their NUL padding
+    text = _csvformat.cell_bytes(np.concatenate([matrix, system.offset]))
     blob = b";".join(text[: matrix.size]) + b"|" + b";".join(text[matrix.size :])
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -806,8 +817,8 @@ class SweepResult:
     :func:`run_sweep`).  ``fold_rate``, ``fold_measured`` (``None`` when the
     sweep was not measured) and ``fold_codes`` (indices into
     ``spectral.CLASS_NAMES``) hold one entry per folded point; the
-    properties give them per point, and :attr:`columns` and :attr:`labels`
-    give the CSV writer each table once and an index per point.
+    properties give them per point, and :attr:`columns` gives the CSV
+    writer each table once and an index per point.
     """
 
     re_axis: np.ndarray
@@ -834,7 +845,7 @@ class SweepResult:
 
     @property
     def columns(self) -> list[CodedColumn]:
-        """The numeric CSV columns, in ``SWEEP_HEADER`` order, all coded."""
+        """The CSV columns, in ``SWEEP_HEADER`` order, all coded; the class column is text."""
         shape = (self.re_axis.shape[0], self.im_axis.shape[0])
         re_index, im_index = np.indices(shape, np.min_scalar_type(max(shape))).reshape(2, -1)
         if self.fold_measured is None:
@@ -846,12 +857,8 @@ class SweepResult:
             CodedColumn(self.im_axis, im_index),
             CodedColumn(self.fold_rate, self.fold),
             measured,
+            CodedColumn(spectral.CLASS_NAMES, self.fold_codes.astype(np.int8)[self.fold]),
         ]
-
-    @property
-    def labels(self) -> CodedColumn:
-        """The class column of the CSV."""
-        return CodedColumn(spectral.CLASS_NAMES, self.fold_codes.astype(np.int8)[self.fold])
 
 
 def _measure_rates(lam: np.ndarray, codes: np.ndarray) -> np.ndarray:

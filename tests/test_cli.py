@@ -27,6 +27,10 @@ FIG1 = {
 }
 
 
+#: Two players' payoffs whose pseudo-gradient is FIG1's matrix.
+PAYOFFS = [[[0.2, 0.1], [0.1, 0.5]], [[0.3, 0.1], [0.1, 0.4]]]
+
+
 def _write_config(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -113,10 +117,15 @@ def test_config_errors_name_the_key(tmp_path, capsys, mutate, key):
         # numpy would read a JSON boolean as 0 or 1
         (lambda p: p["source"]["matrix"][0].__setitem__(0, True), "source.matrix: expected numbers, not booleans"),
         (lambda p: p["initial"].update(q0=[0.5, False]), "initial.q0: expected numbers, not booleans"),
+        # a misspelt key under source, source.game or initial, and a matrix key beside a game
+        (lambda p: p["source"].update(ofset=[1.0, 1.0]), "source: unknown keys ['ofset']"),
+        (lambda p: p.update(source={"game": {"payoffs": PAYOFFS, "ofsets": [[1.0, 0.0]] * 2}}), "source.game: unknown keys ['ofsets']"),
+        (lambda p: p.update(source={"game": {"payoffs": PAYOFFS}, "offset": [1.0, 1.0]}), "source: unknown keys ['offset']"),
+        (lambda p: p["initial"].update(vo=[0.0, 0.0]), "initial: unknown keys ['vo']"),
     ],
     ids=[
         "output", "boolean_stride", "overflowing_t_end", "overflowing_matrix_entry", "huge_stride",
-        "boolean_matrix_entry", "boolean_q0_entry",
+        "boolean_matrix_entry", "boolean_q0_entry", "source_key", "game_key", "offset_beside_game", "initial_key",
     ],
 )
 def test_config_refuses_ignored_output_and_boolean_stride(tmp_path, capsys, mutate, message):
@@ -130,7 +139,7 @@ def test_config_refuses_ignored_output_and_boolean_stride(tmp_path, capsys, muta
     assert not list(tmp_path.glob("*.csv"))
 
 
-@pytest.mark.parametrize("label", ["../../x", "a/b", "", ".", "..", "a\0b", 5, None], ids=repr)
+@pytest.mark.parametrize("label", ["../../x", "a/b", "", ".", "..", "a\0b", 5, None, "a\ud800"], ids=repr)
 def test_config_label_must_be_a_file_name_stem(tmp_path, capsys, label):
     # the label names the artifacts, so it must not lead outside --out
     payload = dict(FIG1, label=label, integrator={"t0": 1.0, "t_end": 2.0, "dt": 0.01})
@@ -177,6 +186,24 @@ def test_config_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (json.dumps(FIG1).encode()[:-1] + b', "diagnostics": ["\xff"]}', "config is not valid UTF-8"),
+        (b"[" * 200_000 + b"]" * 200_000, "config nests too deeply"),
+    ],
+    ids=["byte_0xff", "deep_nesting"],
+)
+def test_config_bytes_that_json_cannot_read_are_config_errors(tmp_path, capsys, text, message):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(text)
+    for command in ("simulate", "classify"):
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["cfg.json"]
 
 
 # --------------------------------------------------------------------------
@@ -612,15 +639,16 @@ def test_sweep_negative_grid_as_separate_argument(tmp_path):
 
 def test_sweep_csv_matches_per_cell_format(tmp_path, monkeypatch):
     # every cell is format(x, ".17g") of the classifier's own value, also
-    # with 7-row chunks (no value budget) that straddle the blocks of equal
-    # re, and with a measured column, coded over the folded points like the rest
+    # with 7-row chunks (passes of 7 values) that straddle the blocks of
+    # equal re, and with a measured column, coded over the folded points
+    # like the rest
     for grid, measure, chunk, values in (
-        ("-3:5:17,-2:2:9", False, _csvformat._CHUNK_ROWS, _csvformat._CHUNK_VALUES),
-        ("-3:5:17,-2:2:9", False, 7, 0),
-        ("-1:1:3,-1:1:3", True, 7, 0),
+        ("-3:5:17,-2:2:9", False, _csvformat._CHUNK_ROWS, _csvformat._PASS_VALUES),
+        ("-3:5:17,-2:2:9", False, 7, 7),
+        ("-1:1:3,-1:1:3", True, 7, 7),
     ):
         monkeypatch.setattr(_csvformat, "_CHUNK_ROWS", chunk)
-        monkeypatch.setattr(_csvformat, "_CHUNK_VALUES", values)
+        monkeypatch.setattr(_csvformat, "_PASS_VALUES", values)
         out = tmp_path / f"{measure}_{chunk}"
         rc = cli.main(["sweep", f"--grid={grid}", "--out", str(out)] + ["--measure"] * measure)
         assert rc == cli.EXIT_OK
@@ -1046,21 +1074,21 @@ def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
 # CSV writer
 
 
-def test_write_csv_rows_and_labels_across_chunks(tmp_path, monkeypatch):
+def test_write_csv_rows_and_text_across_chunks(tmp_path, monkeypatch):
     monkeypatch.setattr(_csvformat, "_CHUNK_ROWS", 4)
-    monkeypatch.setattr(_csvformat, "_CHUNK_VALUES", 0)
+    monkeypatch.setattr(_csvformat, "_PASS_VALUES", 4)
     a = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 1 / 3, 5e-324, 1e300, -2.5, 7.0])
     b = np.arange(10)
     names = [f"L{i}" for i in range(10)]
-    labels = experiments.CodedColumn(names, np.arange(10))
+    tags = experiments.CodedColumn(names, np.arange(10))
     path = tmp_path / "t.csv"
-    experiments.write_csv(str(path), ["a", "b", "tag"], [a, b], labels=labels)
+    experiments.write_csv(str(path), ["a", "b", "tag"], [a, b, tags])
     want = ["a,b,tag"] + [
         f"{format(float(x), '.17g')},{format(float(y), '.17g')},{t}" for x, y, t in zip(a, b, names)
     ]
     assert path.read_text() == "\n".join(want) + "\n"
     with pytest.raises(ValueError):
-        experiments.write_csv(str(path), ["a", "b"], [a, b], labels=labels)
+        experiments.write_csv(str(path), ["a", "b"], [a, b, tags])
 
 
 # --------------------------------------------------------------------------

@@ -8,12 +8,11 @@ import pytest
 from nagdyn import _csvformat, experiments
 
 
-def _oracle(header, columns, labels=None):
-    """The bytes the writer produced when it formatted one row at a time."""
-    line = ",".join(["%.17g"] * len(columns) + ["%s"] * (labels is not None)) + "\n"
-    cells = [np.asarray(col, dtype=float).tolist() for col in columns]
-    if labels is not None:
-        cells.append(labels)
+def _oracle(header, columns):
+    """The bytes the writer produced when it formatted one row at a time; a list of str is a text column."""
+    text = [isinstance(col, list) and all(isinstance(x, str) for x in col) for col in columns]
+    line = ",".join("%s" if t else "%.17g" for t in text) + "\n"
+    cells = [col if t else np.asarray(col, dtype=float).tolist() for col, t in zip(columns, text)]
     return (",".join(header) + "\n" + "".join(line % row for row in zip(*cells))).encode("utf-8")
 
 
@@ -85,9 +84,9 @@ def test_fig1_csv_values_take_the_fast_path(tmp_path, monkeypatch):
     written = []
     write_csv = experiments.write_csv
 
-    def capture(path, header, columns, labels=None):
+    def capture(path, header, columns):
         written.extend(np.asarray(col, dtype=float) for col in columns)
-        write_csv(path, header, columns, labels)
+        write_csv(path, header, columns)
 
     monkeypatch.setattr(experiments, "write_csv", capture)
     experiments.reproduce_figure("fig1", str(tmp_path))
@@ -109,17 +108,23 @@ _TABLE = np.array(
 
 
 def _values(col):
-    return np.asarray(col.values)[col.index] if isinstance(col, experiments.CodedColumn) else col
+    """The cells of ``col`` passed plainly: an array of numbers, or a list of str for a text column."""
+    if not isinstance(col, experiments.CodedColumn):
+        return col
+    if all(isinstance(x, str) for x in col.values):
+        return [col.values[j] for j in col.index]
+    return np.asarray(col.values)[col.index]
 
 
 @pytest.mark.parametrize("chunk", [1, 3])
 @pytest.mark.parametrize("rows", [0, 1, 2, 3, 4, 7])
 def test_write_csv_matches_oracle_across_chunks(tmp_path, monkeypatch, chunk, rows):
-    # each column and the labels, plain and coded: a coded column writes
-    # the bytes of its values passed plainly; with no value budget every
-    # chunk holds _CHUNK_ROWS rows
+    # each column, numbers and text, plain and coded: a coded number column
+    # writes the bytes of its values passed plainly, and a text column those
+    # of its cells in another table; with passes of _CHUNK_ROWS values every
+    # chunk holds _CHUNK_ROWS rows, and a coded table is formatted in many passes
     monkeypatch.setattr(_csvformat, "_CHUNK_ROWS", chunk)
-    monkeypatch.setattr(_csvformat, "_CHUNK_VALUES", 0)
+    monkeypatch.setattr(_csvformat, "_PASS_VALUES", chunk)
     k = np.arange(rows)
     wide = np.concatenate([1.0 + 0.01 * np.arange(200), _TABLE])  # enough values for the array formatter
     a = experiments.CodedColumn(_TABLE, k % _TABLE.size)
@@ -127,25 +132,43 @@ def test_write_csv_matches_oracle_across_chunks(tmp_path, monkeypatch, chunk, ro
     c = experiments.CodedColumn(_TABLE, (_TABLE.size - 1 - k) % _TABLE.size)
     names = ("Zero", "ü", "", "PositiveReal", "λ·x", "Negative")
     tags = experiments.CodedColumn(names, k % len(names))
-    labels = [names[j] for j in tags.index]
-    # the same labels in another table: sorted, holding only the names in use
-    table, index = np.unique(np.asarray(labels, dtype=object), return_inverse=True)
+    # the same text in another table: sorted, holding only the names in use
+    table, index = np.unique(np.asarray(_values(tags), dtype=object), return_inverse=True)
     used = experiments.CodedColumn(tuple(table), index)
-    for header, columns, coded_labels in (
-        (["a", "c"], [a, c], None),  # tables that %.17g formats one value at a time
-        (["λ", "a", "tag"], [b, a], tags),  # tables that take the array formatter
-        (["b", "c", "tag"], [np.asarray(_values(b)), c], tags),
+    for header, columns in (
+        (["a", "c"], [a, c]),  # tables that %.17g formats one value at a time
+        (["λ", "a", "tag"], [b, a, tags]),  # tables that take the array formatter
+        (["b", "c", "tag"], [np.asarray(_values(b)), c, tags]),
+        (["tag", "b", "c"], [tags, b, np.asarray(_values(c))]),  # text first
     ):
         assert columns[0].shape[0] == len(columns[0]) == rows
-        plain = [_values(col) for col in columns]
-        want = _oracle(header, plain, None if coded_labels is None else labels)
-        for given, given_labels in ((plain, used), (columns, coded_labels)):
+        want = _oracle(header, [_values(col) for col in columns])
+        for given in ([used if col is tags else _values(col) for col in columns], columns):
             path = tmp_path / "t.csv"
-            experiments.write_csv(str(path), header, given, labels=None if coded_labels is None else given_labels)
+            experiments.write_csv(str(path), header, given)
             assert path.read_bytes() == want
 
 
-def _chunk_rows(monkeypatch, tmp_path, header, columns, labels=None):
+@pytest.mark.parametrize("rows", [0, 5, 5000])
+def test_write_csv_text_column_in_the_middle_matches_oracle(tmp_path, rows):
+    # a text column between number columns takes ',' as its separator; the
+    # last column, a coded number column, ends the row
+    k = np.arange(rows)
+    names = ("StrictlyComplex", "ü", "", "Zero")
+    columns = [
+        np.sqrt(k) / 7.0,
+        experiments.CodedColumn(names, k % len(names)),
+        -np.cbrt(k) * 1e-3,
+        experiments.CodedColumn(names[::-1], (k // 3) % len(names)),
+        experiments.CodedColumn(np.linspace(-2.0, 6.0, 300), k % 300),
+    ]
+    header = ["x", "tag", "y", "other", "re"]
+    path = tmp_path / "t.csv"
+    experiments.write_csv(str(path), header, columns)
+    assert path.read_bytes() == _oracle(header, [_values(col) for col in columns])
+
+
+def _chunk_rows(monkeypatch, tmp_path, header, columns):
     """The rows of each chunk that ``write_csv`` formats, and the bytes it writes."""
     rows = []
     format_rows = _csvformat.format_rows
@@ -157,22 +180,21 @@ def _chunk_rows(monkeypatch, tmp_path, header, columns, labels=None):
     path = tmp_path / "t.csv"
     with monkeypatch.context() as m:
         m.setattr(_csvformat, "format_rows", spy)
-        experiments.write_csv(str(path), header, columns, labels=labels)
+        experiments.write_csv(str(path), header, columns)
     return rows, path.read_bytes()
 
 
 def _sweep_like(n):
-    """A classify-only sweep table of ``n`` rows: coded axes, one plain column, coded nan and labels."""
+    """A classify-only sweep table of ``n`` rows: coded axes, one plain column, coded nan and text."""
     k = np.arange(n)
     columns = [
         experiments.CodedColumn(np.linspace(-2.0, 6.0, 97), k // 89 % 97),
         experiments.CodedColumn(np.linspace(-3.0, 3.0, 89), k % 89),
         np.where(k % 3 == 0, -1.5, np.sqrt(k) / 7.0),
         experiments.CodedColumn(np.array([math.nan]), np.zeros(n, np.int64)),
+        experiments.CodedColumn(("PositiveReal", "Zero", "NegativeReal", "StrictlyComplex"), k % 4),
     ]
-    return ["re", "im", "predicted_rate", "measured_rate", "class"], columns, experiments.CodedColumn(
-        ("PositiveReal", "Zero", "NegativeReal", "StrictlyComplex"), k % 4
-    )
+    return ["re", "im", "predicted_rate", "measured_rate", "class"], columns
 
 
 def _plain_table(n, ncols):
@@ -181,30 +203,28 @@ def _plain_table(n, ncols):
     return [f"c{j}" for j in range(ncols)], columns
 
 
-def test_write_csv_chunks_hold_about_4096_plain_values(tmp_path, monkeypatch):
-    # max(1024, 4096 // plain columns) rows, never more than 4096
-    header, columns, labels = _sweep_like(9000)
-    assert _chunk_rows(monkeypatch, tmp_path, header, columns, labels)[0] == [4096, 4096, 808]
-    for ncols, rows in ((1, 4096), (2, 2048), (3, 1365), (4, 1024), (5, 1024), (9, 1024)):
-        header, columns = _plain_table(5000, ncols)
+def test_write_csv_chunks_hold_about_one_pass_of_plain_values(tmp_path, monkeypatch):
+    # max(1024, 8192 // plain columns) rows, never more than 8192
+    assert _csvformat._PASS_VALUES == 8192 and _csvformat._CHUNK_ROWS == 1024
+    header, columns = _sweep_like(17000)
+    assert _chunk_rows(monkeypatch, tmp_path, header, columns)[0] == [8192, 8192, 616]
+    for ncols, rows in ((1, 8192), (2, 4096), (3, 2730), (7, 1170), (8, 1024), (12, 1024)):
+        header, columns = _plain_table(17000, ncols)
         assert set(_chunk_rows(monkeypatch, tmp_path, header, columns)[0][:-1]) == {rows}
-    # no plain column at all: the budget is still 4096 rows
-    coded = [experiments.CodedColumn(np.array([0.5, 2.0]), np.arange(5000) % 2)]
-    assert _chunk_rows(monkeypatch, tmp_path, ["a"], coded)[0] == [4096, 904]
+    # no plain column at all: the budget is still 8192 rows
+    coded = [experiments.CodedColumn(np.array([0.5, 2.0]), np.arange(9000) % 2)]
+    assert _chunk_rows(monkeypatch, tmp_path, ["a"], coded)[0] == [8192, 808]
 
 
 @pytest.mark.parametrize("table", ["narrow_coded", "wide_plain"])
 def test_write_csv_bytes_do_not_depend_on_the_chunk_budget(tmp_path, monkeypatch, table):
-    if table == "narrow_coded":
-        header, columns, labels = _sweep_like(5000)
-    else:
-        (header, columns), labels = _plain_table(3000, 7), None
-    names = None if labels is None else [labels.values[j] for j in labels.index]
-    want = _oracle(header, [_values(col) for col in columns], names)
-    for rows, values in ((1024, 4096), (1, 0), (333, 0), (1024, 10**6), (5000, 0)):
+    # the pass size sets the chunk's value budget and splits each cell_table call
+    header, columns = _sweep_like(5000) if table == "narrow_coded" else _plain_table(3000, 7)
+    want = _oracle(header, [_values(col) for col in columns])
+    for rows, values in ((1024, 4096), (1, 1), (333, 333), (1024, 10**6), (5000, 5000), (1024, 129)):
         monkeypatch.setattr(_csvformat, "_CHUNK_ROWS", rows)
-        monkeypatch.setattr(_csvformat, "_CHUNK_VALUES", values)
-        chunks, got = _chunk_rows(monkeypatch, tmp_path, header, columns, labels)
+        monkeypatch.setattr(_csvformat, "_PASS_VALUES", values)
+        chunks, got = _chunk_rows(monkeypatch, tmp_path, header, columns)
         assert got == want
         assert sum(chunks) == len(columns[0])
 
@@ -216,12 +236,29 @@ def test_write_csv_refuses_ragged_input(tmp_path):
         experiments.write_csv(path, ["a", "b"], [a, b])
     short, nul = np.zeros(3, int), np.array([0, 1, 0, 0])
     with pytest.raises(ValueError, match="lengths differ"):
-        experiments.write_csv(path, ["a", "tag"], [a], labels=experiments.CodedColumn(("x",), short))
+        experiments.write_csv(path, ["a", "tag"], [a, experiments.CodedColumn(("x",), short)])
     with pytest.raises(ValueError, match="NUL"):
-        experiments.write_csv(path, ["a", "tag"], [a], labels=experiments.CodedColumn(("x", "y\0"), nul))
-    with pytest.raises(TypeError, match="CodedColumn"):
-        experiments.write_csv(path, ["a", "tag"], [a], labels=["x"] * 4)
+        experiments.write_csv(path, ["a", "tag"], [a, experiments.CodedColumn(("x", "y\0"), nul)])
+    with pytest.raises(ValueError, match="NUL"):
+        experiments.write_csv(path, ["tag", "a"], [experiments.CodedColumn(("x", "y\0"), nul), a])
+    with pytest.raises(ValueError, match="column counts differ"):
+        experiments.write_csv(path, ["a"], [a, experiments.CodedColumn(("x",), np.zeros(4, int))])
     assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "column",
+    [["x"] * 4, np.array(["1", "2", "3", "4"]), np.array([None] * 4), np.zeros(4, complex)],
+    ids=["list_of_str", "str_array", "object_array", "complex"],
+)
+def test_write_csv_refuses_a_plain_column_of_str_or_objects(tmp_path, column):
+    # text goes in a CodedColumn of str; any other plain column is refused
+    # before a file is created, even where numpy could read its strings as
+    # numbers, and a complex one, whose imaginary parts would be dropped
+    path = tmp_path / "out" / "t.csv"
+    with pytest.raises(TypeError, match="CodedColumn of str"):
+        experiments.write_csv(str(path), ["a", "tag"], [np.zeros(4), column])
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -235,5 +272,5 @@ def test_write_csv_refuses_an_index_outside_its_table(tmp_path, index):
     with pytest.raises(ValueError, match="index of a coded column"):
         experiments.write_csv(str(path), ["a"], [experiments.CodedColumn(table, index)])
     with pytest.raises(ValueError, match="index of a coded column"):
-        experiments.write_csv(str(path), ["a", "tag"], [table], labels=experiments.CodedColumn(("x", "y"), index))
+        experiments.write_csv(str(path), ["a", "tag"], [table, experiments.CodedColumn(("x", "y"), index)])
     assert not path.exists()
