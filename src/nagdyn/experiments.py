@@ -936,10 +936,18 @@ def _check(name, measured, threshold, detail=""):
 def _check_grids(dt: float) -> dict[str, dynamics.IntegratorConfig]:
     """Every integration grid of :func:`run_invariant_checks` at step ``dt``.
 
-    Raises ``ValueError`` when ``dt`` leaves any of them without steps.
+    Raises ``ValueError`` when ``dt`` leaves any of them without steps, or
+    leaves t30 fewer rows than the five-point derivatives of the Lyapunov
+    and flux checks read (dt <= 8.28 keeps five).
     """
+    t30 = dynamics.IntegratorConfig(t0=1.0, t_end=30.0, dt=dt)
+    if t30.n_steps < 4:
+        raise ValueError(
+            f"the grid on [1, 30] keeps {t30.n_steps + 1} rows at this step, and the five-point derivatives "
+            "of the Lyapunov and flux checks need at least 5 (dt <= 8.28)"
+        )
     return {
-        "t30": dynamics.IntegratorConfig(t0=1.0, t_end=30.0, dt=dt),
+        "t30": t30,
         "order": dynamics.IntegratorConfig(t0=1.0, t_end=1.0 + 200.0 * dt, dt=dt),
         "order_half": dynamics.IntegratorConfig(t0=1.0, t_end=1.0 + 200.0 * dt, dt=dt / 2.0),
         **{
@@ -951,6 +959,73 @@ def _check_grids(dt: float) -> dict[str, dynamics.IntegratorConfig]:
     }
 
 
+def _vector_flow_checks(grids: dict[str, dynamics.IntegratorConfig], rng) -> dict[str, CheckResult]:
+    """The r = 3 vector-flow checks of :func:`run_invariant_checks`, by name.
+
+    Their five runs share t0, dt and r and differ in G and in their grid,
+    so they run as one block-diagonal system on t60, the longest grid.
+    RK4 on a linear flow multiplies only by G~ and by scalars, so each
+    block evolves as it would alone, and a grid that shares t0, dt and r
+    with a longer one is a row prefix of it: a run reads its block's
+    columns and its own grid's rows, bit for bit its separate run.  At
+    every step ``_check_grids`` accepts the batch stays far below the
+    overflow guard, which would otherwise cut every block at once.
+    ``rng`` draws the translation sample.
+    """
+    psd = [[0.4, 0.2], [0.2, 0.8]]
+    skew = [[0.0, 1.0], [-1.0, 0.0]]
+    # translation invariance of the inhomogeneous flow: the run from q0 with
+    # offset b against the homogeneous run from q0 - x*
+    basis, _ = np.linalg.qr(rng.randn(3, 3))
+    gmat = basis @ np.diag([0.4, 0.9, 1.7]) @ basis.T
+    b = rng.randn(3) * 0.3
+    x_star = np.linalg.solve(gmat, -b)
+    q0 = rng.randn(3)
+    v0 = rng.randn(3) * 0.2
+    # (G, b, q0, v0, grid) of each run, in block order
+    runs = (
+        (psd, [0.0, 0.0], [0.5, 0.3], [0.0, 0.0], "t30"),
+        (skew, [0.0, 0.0], [1.0, 0.0], [0.0, 0.0], "t30"),
+        (gmat, b, q0, v0, "t20"),
+        (gmat, np.zeros(3), q0 - x_star, v0, "t20"),
+        ([[0.0]], [0.0], [0.2], [0.8], "t60"),
+    )
+    mats, offsets, q0s, v0s, names = zip(*runs)
+    edges = np.cumsum([0] + [len(q) for q in q0s])
+    g = np.zeros((edges[-1], edges[-1]))
+    for gi, lo, hi in zip(mats, edges, edges[1:]):
+        g[lo:hi, lo:hi] = gi
+    batch = dynamics.simulate_nagd(g, np.concatenate(offsets), np.concatenate(q0s), np.concatenate(v0s), grids["t60"])
+    recs = []
+    for name, lo, hi in zip(names, edges, edges[1:]):
+        cfg = grids[name]
+        m = cfg.n_steps // cfg.record_stride + 1
+        q, v = batch.q[:m, lo:hi], batch.v[:m, lo:hi]
+        recs.append(dynamics._record("nagd", batch.times[:m], q, v, batch.saturated, cfg))
+    rec_psd, rec_skew, rec_inhom, rec_hom, rec_zero = recs
+
+    # Lyapunov monotonicity on a symmetric PSD sample
+    lyap = analysis.lyapunov_series(rec_psd, psd)
+    increase = float(np.max(np.diff(lyap.V) / np.maximum(lyap.V[:-1], 1e-300)))
+    # skew interaction: the certificate must report not-applicable, not fail
+    lyap_skew = analysis.lyapunov_series(rec_skew, skew)
+    # a zero mode tends to its limit
+    lim = spectral.nullspace_limit(1.0, 0.2, 0.8)
+    checks = (
+        _check("lyapunov_dissipation", increase, 1e-8, detail="max relative per-step increase"),
+        CheckResult(
+            "lyapunov_skew_not_applicable",
+            passed=not lyap_skew.applicable,
+            measured=float(np.max(np.abs(lyap_skew.skew_residual))),
+            threshold=0.0,
+            detail="skew residual magnitude; pass = certificate declares itself inapplicable",
+        ),
+        _check("translation_invariance", float(np.max(np.abs(rec_inhom.q - (rec_hom.q + x_star)))), 1e-10),
+        _check("nullspace_limit", abs(float(rec_zero.q[-1, 0]) - lim), 1e-3),
+    )
+    return {c.name: c for c in checks}
+
+
 def run_invariant_checks(dt: float = 0.01) -> list[CheckResult]:
     """Cross-cutting consistency checks; ``dt`` scales the integration grids.
 
@@ -960,6 +1035,11 @@ def run_invariant_checks(dt: float = 0.01) -> list[CheckResult]:
     the report is meant to expose.
     """
     grids = _check_grids(dt)  # a step that fits no grid fails before any check runs
+    # the batch runs first and is freed on return, before the Bessel and
+    # modal stages allocate theirs, so the two peaks do not stack; the
+    # eigensolver samples below continue the rng after the translation sample
+    rng = np.random.RandomState(7)
+    flows = _vector_flow_checks(grids, rng)
     checks: list[CheckResult] = []
 
     # Wronskian of the oscillatory pair: J1 Y1' - J1' Y1 = 2/(pi z).
@@ -1039,48 +1119,12 @@ def run_invariant_checks(dt: float = 0.01) -> list[CheckResult]:
     # the steep early transient of (t0/t)^4 puts the RK4 floor near 2e-8
     checks.append(_check("damping_power_law", worst, 1e-7))
 
-    # Lyapunov monotonicity on a symmetric PSD sample
-    cfg_l = grids["t30"]
-    rec = dynamics.simulate_nagd([[0.4, 0.2], [0.2, 0.8]], [0.0, 0.0], [0.5, 0.3], [0.0, 0.0], cfg_l)
-    lyap = analysis.lyapunov_series(rec, [[0.4, 0.2], [0.2, 0.8]])
-    increase = float(np.max(np.diff(lyap.V) / np.maximum(lyap.V[:-1], 1e-300)))
-    checks.append(_check("lyapunov_dissipation", increase, 1e-8, detail="max relative per-step increase"))
-
-    # skew interaction: the certificate must report not-applicable, not fail
-    rec = dynamics.simulate_nagd([[0.0, 1.0], [-1.0, 0.0]], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0], cfg_l)
-    lyap_skew = analysis.lyapunov_series(rec, [[0.0, 1.0], [-1.0, 0.0]])
-    checks.append(
-        CheckResult(
-            "lyapunov_skew_not_applicable",
-            passed=not lyap_skew.applicable,
-            measured=float(np.max(np.abs(lyap_skew.skew_residual))),
-            threshold=0.0,
-            detail="skew residual magnitude; pass = certificate declares itself inapplicable",
-        )
-    )
-
+    checks.append(flows["lyapunov_dissipation"])
+    checks.append(flows["lyapunov_skew_not_applicable"])
     # flux identity for a purely imaginary eigenvalue, from the 1j lane above
     checks.append(_check("flux_identity_residual", flux_resid, 1e-5))
-
-    # translation invariance of the inhomogeneous flow
-    rng = np.random.RandomState(7)
-    basis, _ = np.linalg.qr(rng.randn(3, 3))
-    gmat = basis @ np.diag([0.4, 0.9, 1.7]) @ basis.T
-    b = rng.randn(3) * 0.3
-    x_star = np.linalg.solve(gmat, -b)
-    cfg_t = grids["t20"]
-    q0 = rng.randn(3)
-    v0 = rng.randn(3) * 0.2
-    rec_inhom = dynamics.simulate_nagd(gmat, b, q0, v0, cfg_t)
-    rec_hom = dynamics.simulate_nagd(gmat, np.zeros(3), q0 - x_star, v0, cfg_t)
-    worst = float(np.max(np.abs(rec_inhom.q - (rec_hom.q + x_star))))
-    checks.append(_check("translation_invariance", worst, 1e-10))
-
-    # a zero mode tends to its limit
-    rec = dynamics.simulate_nagd([[0.0]], [0.0], [0.2], [0.8], grids["t60"])
-    lim = spectral.nullspace_limit(1.0, 0.2, 0.8)
-    err = abs(float(rec.q[-1, 0]) - lim)
-    checks.append(_check("nullspace_limit", err, 1e-3))
+    checks.append(flows["translation_invariance"])
+    checks.append(flows["nullspace_limit"])
 
     # eigensolver reconstruction on seeded well-conditioned samples
     worst = 0.0

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nagdyn import _csvformat, cli, experiments, game, special, spectral
+from nagdyn import _csvformat, analysis, cli, dynamics, experiments, game, special, spectral
 from nagdyn.errors import ConfigError, OutputError, OverflowSaturation
 
 FIG1 = {
@@ -893,7 +893,40 @@ def test_check_degraded_dt_names_failures(tmp_path, capsys):
     assert "FAIL modal_closed_form_agreement" in out
 
 
-@pytest.mark.parametrize("dt", ["0", "-0.01", "nan", "1000", "1e-320"])
+def _separate_flow_checks(dt):
+    """The measured values of the batched checks from separate runs, one
+    simulate_nagd per system on its own grid (and the flux lane alone)."""
+    t30, t20, t60 = (dynamics.IntegratorConfig(t0=1.0, t_end=t_end, dt=dt) for t_end in (30.0, 20.0, 60.0))
+    psd, skew = [[0.4, 0.2], [0.2, 0.8]], [[0.0, 1.0], [-1.0, 0.0]]
+    lyap = analysis.lyapunov_series(dynamics.simulate_nagd(psd, [0.0, 0.0], [0.5, 0.3], [0.0, 0.0], t30), psd)
+    lyap_skew = analysis.lyapunov_series(dynamics.simulate_nagd(skew, [0.0, 0.0], [1.0, 0.0], [0.0, 0.0], t30), skew)
+    rng = np.random.RandomState(7)
+    basis, _ = np.linalg.qr(rng.randn(3, 3))
+    gmat = basis @ np.diag([0.4, 0.9, 1.7]) @ basis.T
+    b = rng.randn(3) * 0.3
+    x_star = np.linalg.solve(gmat, -b)
+    q0, v0 = rng.randn(3), rng.randn(3) * 0.2
+    rec_inhom = dynamics.simulate_nagd(gmat, b, q0, v0, t20)
+    rec_hom = dynamics.simulate_nagd(gmat, np.zeros(3), q0 - x_star, v0, t20)
+    rec_zero = dynamics.simulate_nagd([[0.0]], [0.0], [0.2], [0.8], t60)
+    flux = dynamics.simulate_modal(1j, 1.0, 0.0, t30)
+    return {
+        "lyapunov_dissipation": float(np.max(np.diff(lyap.V) / np.maximum(lyap.V[:-1], 1e-300))),
+        "lyapunov_skew_not_applicable": float(np.max(np.abs(lyap_skew.skew_residual))),
+        "translation_invariance": float(np.max(np.abs(rec_inhom.q - (rec_hom.q + x_star)))),
+        "nullspace_limit": abs(float(rec_zero.q[-1, 0]) - spectral.nullspace_limit(1.0, 0.2, 0.8)),
+        "flux_identity_residual": analysis.energy_identity_residual(flux.times, flux.q, flux.v, 1j),
+    }
+
+
+@pytest.mark.parametrize("dt", [0.0099, 0.5, 8.0])
+def test_batched_flow_checks_equal_separate_runs(dt):
+    expected = _separate_flow_checks(dt)
+    measured = {c.name: c.measured for c in experiments.run_invariant_checks(dt) if c.name in expected}
+    assert measured == expected
+
+
+@pytest.mark.parametrize("dt", ["0", "-0.01", "nan", "1000", "1e-320", "9", "17.5"])
 def test_check_bad_dt_is_config_error(tmp_path, capsys, dt):
     rc = cli.main(["check", "--dt", dt, "--out", str(tmp_path)])
     assert rc == cli.EXIT_CONFIG
@@ -901,6 +934,8 @@ def test_check_bad_dt_is_config_error(tmp_path, capsys, dt):
     assert "config error: --dt" in captured.err
     assert "Traceback" not in captured.err
     assert not (tmp_path / "check_report.json").exists()
+    if dt in ("9", "17.5"):  # a step that leaves t30 too few rows names the minimum
+        assert "need at least 5" in captured.err
 
 
 def test_check_rejects_bad_dt_before_any_check(tmp_path, capsys, monkeypatch):

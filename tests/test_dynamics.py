@@ -645,6 +645,36 @@ def test_modal_lanes_equal_single_runs_bit_for_bit(monkeypatch, cells, dt):
         assert _same_bits(rec.v, v[:n, p])
 
 
+@pytest.mark.parametrize("dt", [0.0099, 0.01, 0.5, 2.0])
+def test_block_diagonal_blocks_and_grid_prefixes_equal_single_runs_bit_for_bit(dt):
+    # the invariant checks run their r = 3 vector flows as one such batch:
+    # each block with its own offset, each on a grid that is a prefix of
+    # the batch's, must read back its own run bit for bit
+    rng = np.random.RandomState(3)
+    blocks = [
+        ([[0.4, 0.2], [0.2, 0.8]], [0.3, -0.5], 30.0),
+        ([[0.0, 1.0], [-1.0, 0.0]], [0.0, 0.0], 30.0),
+        (rng.randn(3, 3) + 2.0 * np.eye(3), rng.randn(3) * 0.3, 20.0),
+        ([[0.0]], [0.0], 60.0),
+    ]
+    q0s = [rng.randn(len(b)) for _, b, _ in blocks]
+    v0s = [rng.randn(len(b)) * 0.2 for _, b, _ in blocks]
+    edges = np.cumsum([0] + [len(b) for _, b, _ in blocks])
+    g = np.zeros((edges[-1], edges[-1]))
+    for (gi, _, _), lo, hi in zip(blocks, edges, edges[1:]):
+        g[lo:hi, lo:hi] = gi
+    offset = np.concatenate([b for _, b, _ in blocks])
+    batch = simulate_nagd(g, offset, np.concatenate(q0s), np.concatenate(v0s), IntegratorConfig(t_end=60.0, dt=dt))
+    assert not batch.saturated
+    for (gi, b, t_end), q0, v0, lo, hi in zip(blocks, q0s, v0s, edges, edges[1:]):
+        rec = simulate_nagd(gi, b, q0, v0, IntegratorConfig(t_end=t_end, dt=dt))
+        n = rec.n_samples
+        assert not rec.saturated and n <= batch.n_samples
+        assert _same_bits(rec.times, batch.times[:n])
+        assert _same_bits(rec.q, batch.q[:n, lo:hi])
+        assert _same_bits(rec.v, batch.v[:n, lo:hi])
+
+
 def test_drive_records_a_short_chunk_that_ends_the_run():
     # x doubles 50 times a step, so x_9 = 2^450 passes the guard and
     # x_10 = 2^500 fails it; 4-step chunks put step 10 second in the third,
