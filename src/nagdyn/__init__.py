@@ -73,6 +73,7 @@ from .special import (
     bessel_y0,
     bessel_y1,
     eval_modal,
+    eval_modal_batch,
     eval_modal_series,
     make_modal_solution,
 )

@@ -959,10 +959,17 @@ def _check_grids(dt: float) -> dict[str, dynamics.IntegratorConfig]:
     }
 
 
-def _vector_flow_checks(grids: dict[str, dynamics.IntegratorConfig], rng) -> dict[str, CheckResult]:
-    """The r = 3 vector-flow checks of :func:`run_invariant_checks`, by name.
+def _damping_error(rec: dynamics.TrajectoryRecord, cfg: dynamics.IntegratorConfig) -> float:
+    """Worst relative error of a free particle's speed against v(t) = (t0/t)^r, v0 = 1."""
+    expect = (cfg.t0 / rec.times) ** cfg.damping_exponent
+    return float(np.max(np.abs(rec.v[:, 0] - expect) / expect))
 
-    Their five runs share t0, dt and r and differ in G and in their grid,
+
+def _vector_flow_checks(grids: dict[str, dynamics.IntegratorConfig], rng) -> tuple[dict[str, CheckResult], float]:
+    """The r = 3 vector-flow checks of :func:`run_invariant_checks`, by
+    name, and the r = 3 free particle's damping-law error.
+
+    Their six runs share t0, dt and r and differ in G and in their grid,
     so they run as one block-diagonal system on t60, the longest grid.
     RK4 on a linear flow multiplies only by G~ and by scalars, so each
     block evolves as it would alone, and a grid that shares t0, dt and r
@@ -989,6 +996,7 @@ def _vector_flow_checks(grids: dict[str, dynamics.IntegratorConfig], rng) -> dic
         (gmat, b, q0, v0, "t20"),
         (gmat, np.zeros(3), q0 - x_star, v0, "t20"),
         ([[0.0]], [0.0], [0.2], [0.8], "t60"),
+        ([[0.0]], [0.0], [0.0], [1.0], "damping_3"),
     )
     mats, offsets, q0s, v0s, names = zip(*runs)
     edges = np.cumsum([0] + [len(q) for q in q0s])
@@ -1002,7 +1010,7 @@ def _vector_flow_checks(grids: dict[str, dynamics.IntegratorConfig], rng) -> dic
         m = cfg.n_steps // cfg.record_stride + 1
         q, v = batch.q[:m, lo:hi], batch.v[:m, lo:hi]
         recs.append(dynamics._record("nagd", batch.times[:m], q, v, batch.saturated, cfg))
-    rec_psd, rec_skew, rec_inhom, rec_hom, rec_zero = recs
+    rec_psd, rec_skew, rec_inhom, rec_hom, rec_zero, rec_free = recs
 
     # Lyapunov monotonicity on a symmetric PSD sample
     lyap = analysis.lyapunov_series(rec_psd, psd)
@@ -1023,7 +1031,7 @@ def _vector_flow_checks(grids: dict[str, dynamics.IntegratorConfig], rng) -> dic
         _check("translation_invariance", float(np.max(np.abs(rec_inhom.q - (rec_hom.q + x_star)))), 1e-10),
         _check("nullspace_limit", abs(float(rec_zero.q[-1, 0]) - lim), 1e-3),
     )
-    return {c.name: c for c in checks}
+    return {c.name: c for c in checks}, _damping_error(rec_free, grids["damping_3"])
 
 
 def run_invariant_checks(dt: float = 0.01) -> list[CheckResult]:
@@ -1039,7 +1047,7 @@ def run_invariant_checks(dt: float = 0.01) -> list[CheckResult]:
     # modal stages allocate theirs, so the two peaks do not stack; the
     # eigensolver samples below continue the rng after the translation sample
     rng = np.random.RandomState(7)
-    flows = _vector_flow_checks(grids, rng)
+    flows, damping_3 = _vector_flow_checks(grids, rng)
     checks: list[CheckResult] = []
 
     # Wronskian of the oscillatory pair: J1 Y1' - J1' Y1 = 2/(pi z).
@@ -1076,6 +1084,11 @@ def run_invariant_checks(dt: float = 0.01) -> list[CheckResult]:
     )
     checks.append(_check("bessel_series_asymptotic_band", worst, 1e-8))
 
+    # RK4 order: halving dt should shrink the error by about 16; its two
+    # runs come first, so their closed forms join the modal ones below
+    order_lam = 0.7
+    order_recs = [dynamics.simulate_modal(order_lam, 1.0, 0.0, grids[g]) for g in ("order", "order_half")]
+
     # closed-form modal solution vs RK4.  These five modes and the flux
     # mode 1j share the t30 grid and y = 1, y' = 0, so they run as six
     # lanes of one batched integration; lane p is q[:rows[p], p], bit for
@@ -1089,33 +1102,31 @@ def run_invariant_checks(dt: float = 0.01) -> list[CheckResult]:
     flux_resid = analysis.energy_identity_residual(times[:n], q[:n, -1], v[:n, -1], 1j)
     modes = q[:, :-1].copy()
     del q, v
+    # every closed form in one evaluation: each branch's modes share one
+    # Bessel call, bit for bit the modes evaluated one by one
+    sols = [special.make_modal_solution(lam, 1.0, 1.0, 0.0) for lam in modal_lams + (order_lam,)]
+    series = special.eval_modal_batch(
+        sols + sols[-1:], [times[: rows[p]] for p in range(len(modal_lams))] + [rec.times for rec in order_recs]
+    )
     worst = 0.0
-    for p, lam in enumerate(modal_lams):
-        sol = special.make_modal_solution(lam, 1.0, 1.0, 0.0)
-        series = special.eval_modal_series(sol, times[: rows[p]])
-        scale = float(np.max(np.abs(series.y)))
-        worst = max(worst, float(np.max(np.abs(series.y - modes[: rows[p], p]))) / scale)
+    for p, ref in enumerate(series[: len(modal_lams)]):
+        scale = float(np.max(np.abs(ref.y)))
+        worst = max(worst, float(np.max(np.abs(ref.y - modes[: rows[p], p]))) / scale)
     checks.append(_check("modal_closed_form_agreement", worst, 1e-5, detail="sup-relative over [1, 30]"))
 
-    # RK4 order: halving dt should shrink the error by about 16
-    lam = 0.7
-    sol = special.make_modal_solution(lam, 1.0, 1.0, 0.0)
-    errs = []
-    for cfg_o in (grids["order"], grids["order_half"]):
-        rec = dynamics.simulate_modal(lam, 1.0, 0.0, cfg_o)
-        ref = special.eval_modal_series(sol, rec.times)
-        errs.append(float(np.max(np.abs(ref.y - rec.q))))
+    errs = [float(np.max(np.abs(ref.y - rec.q))) for ref, rec in zip(series[len(modal_lams) :], order_recs)]
     factor = errs[0] / max(errs[1], 1e-300)
     ok = 12.0 <= factor <= 20.0
     checks.append(CheckResult("rk4_order_factor", ok, factor, 16.0, detail="error ratio for dt vs dt/2"))
 
-    # free-particle damping law: v(t) = (t0/t)^r v0
-    worst = 0.0
-    for r in (2.0, 3.0, 4.0):
-        cfg_r = grids[f"damping_{r:g}"]
-        rec = dynamics.simulate_nagd([[0.0]], [0.0], [0.0], [1.0], cfg_r)
-        expect = (cfg_r.t0 / rec.times) ** r
-        worst = max(worst, float(np.max(np.abs(rec.v[:, 0] - expect) / expect)))
+    # free-particle damping law: v(t) = (t0/t)^r v0; the r = 3 run is a
+    # block of the vector-flow batch.  max runs over r = 2, 3, 4 in order,
+    # which decides what a NaN error reads as
+    damping_2, damping_4 = (
+        _damping_error(dynamics.simulate_nagd([[0.0]], [0.0], [0.0], [1.0], cfg), cfg)
+        for cfg in (grids["damping_2"], grids["damping_4"])
+    )
+    worst = max(0.0, damping_2, damping_3, damping_4)
     # the steep early transient of (t0/t)^4 puts the RK4 floor near 2e-8
     checks.append(_check("damping_power_law", worst, 1e-7))
 

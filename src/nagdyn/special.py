@@ -47,6 +47,11 @@ other entries of its array.  A scalar and an array entry agree bit for bit
 wherever the arithmetic is real: for I, K and J/Y on the positive real
 axis.  Off it numpy rounds complex products of scalars and of arrays
 differently, in the last bit.
+
+:func:`eval_modal_batch` evaluates many modal solutions at once: the
+solutions of one branch share one Bessel call on their concatenated
+arguments, and each applies its own scalars to its own slice, so each
+series is bit for bit what its solution gives alone.
 """
 
 from __future__ import annotations
@@ -77,6 +82,7 @@ __all__ = [
     "make_modal_solution",
     "eval_modal",
     "eval_modal_series",
+    "eval_modal_batch",
 ]
 
 #: Handover radius to the asymptotic expansions.
@@ -158,25 +164,32 @@ def _miller_sweep(two_over_z):
     ``alt_even`` and ``alt_odd`` are sum f_2k, sum (-1)^k f_2k and
     sum (-1)^j f_2j+1, and ``y0_sum`` and ``y1_sum`` the Neumann sums of
     :func:`_jy01_series`, all in one common scale.  The same loop serves a
-    float64 and a complex128 ``two_over_z``.
+    float64 and a complex128 ``two_over_z``.  Only the complex plane's
+    normalisation e^{sz} reads the alternating sums, so a float64 sweep
+    (the positive real axis) skips them and returns None for both; no
+    other sum depends on them, so no output bit changes.
     """
+    alternating = np.iscomplexobj(two_over_z)
     f_above, f = 0.0, 1.0
-    even = alt_even = alt_odd = y0_sum = y1_sum = 0.0
+    even = y0_sum = y1_sum = 0.0
+    alt_even = alt_odd = 0.0 if alternating else None
     for n, a, b in _MILLER_WEIGHTS:
         f_above, f = f, (n * two_over_z) * f - f_above  # f is now f_{n-1}
         if n % 2 == 0:
-            alt_odd = alt_odd + a * f
+            if alternating:
+                alt_odd = alt_odd + a * f
             y1_sum = y1_sum + b * f
         elif n > 1:
             even = even + f
-            alt_even = alt_even + a * f
+            if alternating:
+                alt_even = alt_even + a * f
             y0_sum = y0_sum + b * f
         if n % _MILLER_RESCALE_EVERY == 0:
             big = abs(f) > _MILLER_RESCALE_AT
             if big.any():
                 # only the big entries: a complex times 1 + 0i can flip a zero's sign
                 f, f_above, even, alt_even, alt_odd, y0_sum, y1_sum = (
-                    np.where(big, v * _MILLER_RESCALE_BY, v)[()]
+                    None if v is None else np.where(big, v * _MILLER_RESCALE_BY, v)[()]
                     for v in (f, f_above, even, alt_even, alt_odd, y0_sum, y1_sum)
                 )
     return f, f_above, even, alt_even, alt_odd, y0_sum, y1_sum
@@ -216,8 +229,9 @@ def _jy01_series_real(z):
     by Smith's method: (a + 0i)/(c + 0i) is a * (1/c), not a/c.  The
     normalisation multiplies by reciprocals to match, and the log stays
     numpy's complex one, which is not np.log of a real near |z| = 1, so the
-    outputs are bit for bit those of the complex sweep.  The negative real
-    axis needs the log's i pi and stays complex.
+    outputs are bit for bit the real parts of the complex sweep's; they are
+    returned in float64, and :func:`_by_regime` adds the + 0i.  The negative
+    real axis needs the log's i pi and stays complex.
     """
     inv_x = 1.0 / z.real
     f, f_above, even, _, _, y0_sum, y1_sum = _miller_sweep(2.0 * inv_x)
@@ -226,7 +240,7 @@ def _jy01_series_real(z):
     log_term = np.log(0.5 * z).real + _GAMMA
     y0_ = (2.0 / math.pi) * (log_term * j0 - 2.0 * y0_sum * inv)
     y1_ = (2.0 / math.pi) * (log_term * j1 + y1_sum * inv - j0 * inv_x)
-    return tuple(np.complex128(v) for v in (j0, j1, y0_, y1_))
+    return j0, j1, y0_, y1_
 
 
 def _asym_coeffs(nu: int) -> np.ndarray:
@@ -258,10 +272,11 @@ def _by_regime(x: np.ndarray, regime, evaluators: tuple, n_out: int):
     np.searchsorted(bounds, |x|), k where bounds[k-1] < |x| <= bounds[k], which
     puts NaN in the last.  A 0-d ``x`` runs only its own regime, on a numpy scalar.
     An array is split by mask and each regime fills its entries.  Each
-    evaluator returns ``n_out`` values of ``x``'s dtype.
+    evaluator returns ``n_out`` values that cast to ``x``'s dtype, which
+    they take on the way out: real values of a complex ``x`` become v + 0i.
     """
     if x.ndim == 0:
-        return evaluators[regime](x[()])
+        return tuple(x.dtype.type(v) for v in evaluators[regime](x[()]))
     out = [np.empty_like(x) for _ in range(n_out)]
     for k, evaluate in enumerate(evaluators):
         mask = regime == k
@@ -520,30 +535,60 @@ class ModalSolution:
     ydot0: complex
 
 
-def _basis(branch: EigenvalueClass, lam: complex, ts: np.ndarray):
-    """Basis values and derivatives (b1, b2, b1', b2') at the given times.
+def _ik01(x):
+    """I0, I1, K0, K1 for x > 0."""
+    return _i01(x) + _k01(x)
 
-    Derivatives use d/dt [t^{-1} C_1(s t)] = s C_0(s t)/t - 2 C_1(s t)/t^2,
-    which follows from C_1'(z) = C_0(z) - C_1(z)/z for C in {J, Y, I} and
-    K_1'(z) = -K_0(z) - K_1(z)/z.
+
+def _bessel_family(branch: EigenvalueClass, lam: complex):
+    """(evaluate, dtype, a, (d1, d2)) of the Bessel basis of ``lam``.
+
+    The basis is b = C_1(a t)/t for the two families of ``evaluate``, which
+    returns (C_0, C_1, D_0, D_1) at arguments a t of ``dtype``: J/Y with
+    a = s = sqrt(lam), I/K with a = mu = sqrt(-lam).  Their derivatives are
+    b' = d C_0(a t)/t - 2 C_1(a t)/t^2 by C_1'(z) = C_0(z) - C_1(z)/z for
+    C in {J, Y, I} (d = a) and K_1'(z) = -K_0(z) - K_1(z)/z (d = -a).
     """
     if branch is EigenvalueClass.NEGATIVE_REAL:
         mu = math.sqrt(-lam.real)
-        x = mu * ts
-        i0, i1 = _i01(x)
-        k0, k1 = _k01(x)
-        b1, b2 = i1 / ts, k1 / ts
-        d1 = mu * i0 / ts - 2.0 * i1 / ts**2
-        d2 = -mu * k0 / ts - 2.0 * k1 / ts**2
-    elif branch is EigenvalueClass.ZERO:
+        return _ik01, float, mu, (mu, -mu)
+    if branch is EigenvalueClass.ZERO:
         raise ValueError("zero branch has no Bessel basis")
-    else:
-        s = math.sqrt(lam.real) if branch is EigenvalueClass.POSITIVE_REAL else complex(np.sqrt(complex(lam)))
-        j0, j1, y0_, y1_ = _jy01(s * ts.astype(complex))
-        b1, b2 = j1 / ts, y1_ / ts
-        d1 = s * j0 / ts - 2.0 * j1 / ts**2
-        d2 = s * y0_ / ts - 2.0 * y1_ / ts**2
-    return b1, b2, d1, d2
+    s = math.sqrt(lam.real) if branch is EigenvalueClass.POSITIVE_REAL else complex(np.sqrt(complex(lam)))
+    return _jy01, complex, s, (s, s)
+
+
+def _basis(branch: EigenvalueClass, lam: complex, t: np.float64):
+    """Basis values and derivatives (b1, b2, b1', b2') at one time, in numpy
+    scalar arithmetic, which rounds complex products unlike arrays do;
+    :func:`_fill_modal` is the same formulas in place on arrays."""
+    evaluate, dtype, a, (d1, d2) = _bessel_family(branch, lam)
+    c0, c1, e0, e1 = evaluate(a * t.astype(dtype))
+    return c1 / t, e1 / t, d1 * c0 / t - 2.0 * c1 / t**2, d2 * e0 / t - 2.0 * e1 / t**2
+
+
+def _fill_modal(c1, c2, d, bessel, ts: np.ndarray, y: np.ndarray, ydot: np.ndarray) -> None:
+    """Write y = c1 b1 + c2 b2 and ydot = c1 b1' + c2 b2' at the times ``ts``
+    into ``y`` and ``ydot``, from ``bessel`` = (C_0, C_1, D_0, D_1) at a ts.
+
+    :func:`_basis`'s formulas in its order of operations, with b and b'
+    overwriting C_1 and C_0.  A product of a complex scalar and an array
+    is never formed in place: numpy rounds it as z s there on one-entry
+    arrays, and z s is not s z.
+    """
+    t2 = ts**2
+    for scale, f0, f1 in ((d[0], bessel[0], bessel[1]), (d[1], bessel[2], bessel[3])):
+        tail = np.multiply(2.0, f1)
+        tail /= t2
+        lead = np.multiply(scale, f0)
+        lead /= ts
+        np.subtract(lead, tail, out=f0)  # b'
+        f1 /= ts  # b
+    b1p, b1, b2p, b2 = bessel
+    np.multiply(c1, b1, out=y)
+    y += c2 * b2
+    np.multiply(c1, b1p, out=ydot)
+    ydot += c2 * b2p
 
 
 def make_modal_solution(
@@ -583,39 +628,71 @@ def make_modal_solution(
     return ModalSolution(lam=lam, t0=t0, branch=cls.tag, rate=cls.rate, c1=c1, c2=c2, y0=y0, ydot0=ydot0)
 
 
+def _modal_times(sol: ModalSolution, times) -> np.ndarray:
+    ts = np.asarray(times, dtype=float)
+    if ts.ndim == 0:
+        ts = ts.reshape(1)
+    if not np.all(np.isfinite(ts)):
+        raise DomainError("evaluation times must be finite")
+    if np.any(ts < sol.t0 * (1.0 - 1e-12)):
+        raise DomainError("evaluation before t0 is outside the solution domain")
+    return ts
+
+
+def eval_modal_batch(sols, times) -> list[ModalSeries]:
+    """:func:`eval_modal_series` of each solution over its own times, in one pass.
+
+    ``sols`` and ``times`` pair up one to one; times may be shared.  The
+    solutions of one Bessel branch share one call of its Bessel evaluators
+    on their concatenated arguments, whose entries do not depend on one
+    another, and each solution then applies its own scalars to its own
+    slice, so every series is bit for bit its solution's evaluated alone.
+    """
+    sols = list(sols)
+    tss = [_modal_times(sol, ts) for sol, ts in zip(sols, times, strict=True)]
+    series = [
+        ModalSeries(np.empty(ts.shape, complex), np.empty(ts.shape, complex), sol.rate * ts > EXPONENT_CAP)
+        for sol, ts in zip(sols, tss)
+    ]
+    # per Bessel branch, each solution's unsaturated times and the first as
+    # many entries of its outputs, which hold its values until the end
+    branches: dict = {}
+    for sol, ts, (y, ydot, saturated) in zip(sols, tss, series):
+        if sol.branch is EigenvalueClass.ZERO:
+            y[...] = sol.c1 + sol.c2 / ts**2
+            ydot[...] = -2.0 * sol.c2 / ts**3
+        else:
+            ts = ts[~saturated]
+            branches.setdefault(sol.branch, []).append((sol, ts, y.reshape(-1)[: ts.size], ydot.reshape(-1)[: ts.size]))
+    for members in branches.values():
+        families = [_bessel_family(sol.branch, sol.lam) for sol, *_ in members]
+        evaluate, dtype = families[0][:2]
+        edges = np.cumsum([0] + [ts.size for _, ts, _, _ in members])
+        spans = list(zip(edges, edges[1:]))
+        args = np.empty(edges[-1], dtype)
+        for (_, ts, _, _), (_, _, a, _), (lo, hi) in zip(members, families, spans):
+            np.multiply(a, ts, out=args[lo:hi])
+        bessel = evaluate(args)
+        for (sol, ts, y, ydot), (_, _, _, d), (lo, hi) in zip(members, families, spans):
+            _fill_modal(sol.c1, sol.c2, d, [v[lo:hi] for v in bessel], ts, y, ydot)
+    sentinel = math.exp(EXPONENT_CAP)
+    for y, ydot, saturated in series:
+        if saturated.any():
+            ok = ~saturated
+            for v in (y, ydot):
+                v[ok] = v.reshape(-1)[: np.count_nonzero(ok)].copy()
+                v[saturated] = sentinel
+    return series
+
+
 def eval_modal_series(sol: ModalSolution, times) -> ModalSeries:
-    """Evaluate (y, ydot) over an array of times t >= t0.
+    """Evaluate (y, ydot) over an array of finite times t >= t0.
 
     Where the growing factor would exceed exp(EXPONENT_CAP) the entries
     are replaced by a finite sentinel of magnitude exp(EXPONENT_CAP) and
     flagged in ``saturated`` instead of overflowing to inf/NaN.
     """
-    ts = np.asarray(times, dtype=float)
-    if ts.ndim == 0:
-        ts = ts.reshape(1)
-    if np.any(ts < sol.t0 * (1.0 - 1e-12)):
-        raise DomainError("evaluation before t0 is outside the solution domain")
-
-    y = np.empty(ts.shape, dtype=complex)
-    ydot = np.empty(ts.shape, dtype=complex)
-    saturated = np.zeros(ts.shape, dtype=bool)
-
-    if sol.branch is EigenvalueClass.ZERO:
-        y[...] = sol.c1 + sol.c2 / ts**2
-        ydot[...] = -2.0 * sol.c2 / ts**3
-        return ModalSeries(y, ydot, saturated)
-
-    saturated = sol.rate * ts > EXPONENT_CAP
-    ok = ~saturated
-    if np.any(ok):
-        b1, b2, d1, d2 = _basis(sol.branch, sol.lam, ts[ok])
-        y[ok] = sol.c1 * b1 + sol.c2 * b2
-        ydot[ok] = sol.c1 * d1 + sol.c2 * d2
-    if np.any(saturated):
-        sentinel = math.exp(EXPONENT_CAP)
-        y[saturated] = sentinel
-        ydot[saturated] = sentinel
-    return ModalSeries(y, ydot, saturated)
+    return eval_modal_batch([sol], [times])[0]
 
 
 def eval_modal(sol: ModalSolution, t: float) -> ModalValue:

@@ -895,7 +895,8 @@ def test_check_degraded_dt_names_failures(tmp_path, capsys):
 
 def _separate_flow_checks(dt):
     """The measured values of the batched checks from separate runs, one
-    simulate_nagd per system on its own grid (and the flux lane alone)."""
+    simulate_nagd per system on its own grid, one simulate_modal per mode
+    and one eval_modal_series per closed form."""
     t30, t20, t60 = (dynamics.IntegratorConfig(t0=1.0, t_end=t_end, dt=dt) for t_end in (30.0, 20.0, 60.0))
     psd, skew = [[0.4, 0.2], [0.2, 0.8]], [[0.0, 1.0], [-1.0, 0.0]]
     lyap = analysis.lyapunov_series(dynamics.simulate_nagd(psd, [0.0, 0.0], [0.5, 0.3], [0.0, 0.0], t30), psd)
@@ -910,7 +911,27 @@ def _separate_flow_checks(dt):
     rec_hom = dynamics.simulate_nagd(gmat, np.zeros(3), q0 - x_star, v0, t20)
     rec_zero = dynamics.simulate_nagd([[0.0]], [0.0], [0.2], [0.8], t60)
     flux = dynamics.simulate_modal(1j, 1.0, 0.0, t30)
+    modal = 0.0
+    for lam in (0.317, 0.883, 1.0, -0.5, complex(6.0, 1.5)):
+        rec = dynamics.simulate_modal(lam, 1.0, 0.0, t30)
+        y = special.eval_modal_series(special.make_modal_solution(lam, 1.0, 1.0, 0.0), rec.times).y
+        modal = max(modal, float(np.max(np.abs(y - rec.q))) / float(np.max(np.abs(y))))
+    sol = special.make_modal_solution(0.7, 1.0, 1.0, 0.0)
+    errs = []
+    for h in (dt, dt / 2.0):
+        rec = dynamics.simulate_modal(0.7, 1.0, 0.0, dynamics.IntegratorConfig(t0=1.0, t_end=1.0 + 200.0 * dt, dt=h))
+        errs.append(float(np.max(np.abs(special.eval_modal_series(sol, rec.times).y - rec.q))))
+    damping = 0.0
+    for r in (2.0, 3.0, 4.0):
+        rec = dynamics.simulate_nagd(
+            [[0.0]], [0.0], [0.0], [1.0], dynamics.IntegratorConfig(t0=1.0, t_end=10.0, dt=dt, damping_exponent=r)
+        )
+        expect = (1.0 / rec.times) ** r
+        damping = max(damping, float(np.max(np.abs(rec.v[:, 0] - expect) / expect)))
     return {
+        "modal_closed_form_agreement": modal,
+        "rk4_order_factor": errs[0] / max(errs[1], 1e-300),
+        "damping_power_law": damping,
         "lyapunov_dissipation": float(np.max(np.diff(lyap.V) / np.maximum(lyap.V[:-1], 1e-300))),
         "lyapunov_skew_not_applicable": float(np.max(np.abs(lyap_skew.skew_residual))),
         "translation_invariance": float(np.max(np.abs(rec_inhom.q - (rec_hom.q + x_star)))),

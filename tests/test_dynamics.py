@@ -656,6 +656,7 @@ def test_block_diagonal_blocks_and_grid_prefixes_equal_single_runs_bit_for_bit(d
         ([[0.0, 1.0], [-1.0, 0.0]], [0.0, 0.0], 30.0),
         (rng.randn(3, 3) + 2.0 * np.eye(3), rng.randn(3) * 0.3, 20.0),
         ([[0.0]], [0.0], 60.0),
+        ([[0.0]], [0.0], 10.0),  # the free particle of the damping law
     ]
     q0s = [rng.randn(len(b)) for _, b, _ in blocks]
     v0s = [rng.randn(len(b)) * 0.2 for _, b, _ in blocks]

@@ -408,8 +408,8 @@ def test_jy01_keeps_the_log_branch_on_the_negative_real_axis():
     ids=["tiny", "series", "series_real", "asymptotic", "asymptotic_reflected", "asymptotic_reflected_below"],
 )
 def test_jy01_of_one_argument_gives_numpy_scalars(z):
-    # _by_regime runs a single argument on a numpy scalar, and every
-    # evaluator returns values of its dtype, the reflected Hankel one too
+    # _by_regime runs a single argument on a numpy scalar and returns values
+    # of its dtype, for the float64 sweep and the reflected Hankel one too
     values = special._jy01(z)
     assert [type(v) for v in values] == [np.complex128] * 4
     for got, batch in zip(values, special._jy01(np.array([z, z]))):
@@ -559,6 +559,48 @@ def test_modal_rejects_bad_domain():
         special.eval_modal(sol, 1.0)  # before t0
     with pytest.raises(OverflowSaturation):
         special.make_modal_solution(-4.0, 1000.0, 1.0, 0.0)
+    # NaN passes the t < t0 test, and inf reads as NaN: neither is a time
+    for lam in (1.0, -0.5, 6 + 1.5j, 0.0):
+        sol = special.make_modal_solution(lam, 2.0, 1.0, 0.0)
+        for times in ([math.nan], [2.0, math.nan], [math.inf]):
+            with pytest.raises(DomainError):
+                special.eval_modal_series(sol, times)
+            with pytest.raises(DomainError):
+                special.eval_modal_batch([sol, sol], [[3.0], times])
+
+
+def test_batched_modal_evaluation_equals_separate_calls_bit_for_bit():
+    # every branch, entries past the cap (lam = -1 at t = 800) between
+    # others, empty times, one time, and solutions that share their times
+    # and that do not; each series must be its solution's evaluated alone,
+    # and each entry of it the entry evaluated on its own
+    shared = np.linspace(1.0, 30.0, 41)
+    cases = [
+        (0.317, shared),
+        (1.0, shared),
+        (0.7, np.linspace(1.0, 3.0, 11)),
+        (0.7, np.array([2.5])),
+        (1.0, np.array([])),
+        (-0.5, shared),
+        (-1.0, np.array([10.0, 650.0, 800.0, 1.5])),
+        (-3.0, np.array([])),
+        (6 + 1.5j, shared),
+        (-1 + 2j, np.linspace(1.0, 5.0, 7)),
+        (0.5j, np.array([3.0])),
+        (0.0, shared),
+        (0.0, np.array([])),
+    ]
+    sols = [special.make_modal_solution(lam, 1.0, 1.0, -0.3) for lam, _ in cases]
+    batch = special.eval_modal_batch(sols, [ts for _, ts in cases])
+    assert len(batch) == len(cases)
+    for sol, (lam, ts), got in zip(sols, cases, batch):
+        for name, g, want in zip(("y", "ydot", "saturated"), got, special.eval_modal_series(sol, ts)):
+            assert _same_bits(g, want), f"{name} at lam = {lam!r}"
+        for i, t in enumerate(ts):
+            val = special.eval_modal(sol, t)
+            assert _same_bits(got.y[i], val.y) and _same_bits(got.ydot[i], val.ydot), f"lam = {lam!r}, t = {t!r}"
+            assert got.saturated[i] == val.saturated
+    assert batch[6].saturated.tolist() == [False, False, True, False]
 
 
 def test_eval_modal_scalar_matches_series():
