@@ -56,7 +56,6 @@ from .game import (
     pseudo_gradient,
     solve_equilibrium,
     translate_to_homogeneous,
-    with_equilibrium,
 )
 from .special import (
     EXPONENT_CAP,

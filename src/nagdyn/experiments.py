@@ -356,7 +356,7 @@ def _verdict_report(spectrum: spectral.Spectrum, verdict: spectral.StabilityVerd
         # Decay rate of dx/dt = -Gx: min Re(lam); negative means growth.
         "first_order_rate": float(min(l.real for l in spectrum.eigenvalues)),
         "bound_constant": verdict.bound_constant,
-        "kappa_P": verdict.kappa_P,
+        "kappa_P": spectrum.kappa_P,
         "is_symmetric": spectrum.is_symmetric,
         "is_diagonalizable": spectrum.is_diagonalizable,
     }
@@ -405,12 +405,10 @@ def _chetaev_negative(cfg, spectrum, verdict, record):
         return {}, {}
     _derived_at_r3(cfg)  # W, its cone and t0_required
     cls, w = found
-    che = analysis.chetaev_negative(record, w, cls.rate)
-    if che.xi[-1] < 0.0:
-        # the sign of an eigenvector is arbitrary and W is even in it, but
-        # the cone is not: orient it by the side xi ends on.  xi and zeta
-        # change sign exactly, so W keeps its bits.
-        che = analysis.chetaev_negative(record, -w, cls.rate)
+    # the sign of an eigenvector is arbitrary and W is even in it, but the
+    # cone is not: orient it by the side xi ends on.  xi and zeta change
+    # sign exactly, so W keeps its bits.
+    che = analysis.chetaev_negative(record, -w if record.q[-1] @ w.real < 0.0 else w, cls.rate)
     return {"W": che.W}, {
         "chetaev_negative": {
             "mu": cls.rate,
@@ -464,21 +462,37 @@ def _rates(cfg, spectrum, verdict, record):
     limit = verdict.nagd is spectral.NagdVerdict.STABLE_TO_NULLSPACE
     code = spectral.CLASSES.index(spectral.EigenvalueClass.ZERO if limit else cls)
     predicted = float(spectral.predicted_rate(code, verdict.dominant_growth_rate, cfg.integrator.damping_exponent))
+    notes = []
+    positive = [c.value.real for c in verdict.per_eigenvalue if c.tag is spectral.EigenvalueClass.POSITIVE_REAL]
+    if positive:
+        # RK4 scales an undamped mode by |R(iy)| = (1 - y^6/72 + y^8/576)^(1/2)
+        # per step, y = h sqrt(lam): a decay that the flow itself does not have
+        lam, h = max(positive), cfg.integrator.dt
+        y = h * math.sqrt(lam)
+        lo, hi = fit.window
+        loss = (hi - lo) / h * -0.5 * math.log1p(y**8 / 576.0 - y**6 / 72.0)
+        if loss > 0.1:
+            notes.append(
+                f"rates: RK4 itself damps the PositiveReal eigenvalue {lam:.6g} by {loss:.4g} in log amplitude over "
+                f"the fit window [{lo:g}, {hi:g}] (h*sqrt(lambda) = {y:.4g}); the fitted slope includes that decay"
+            )
     return {}, {
         "rate_fit": {
             "kind": fit.kind,
             "slope": fit.slope,
             **_fitted(fit),
             "predicted": predicted,
-        }
+        },
+        "notes": notes,
     }
 
 
 #: The diagnostics in CSV column order, as (config name, function, what a
 #: record too short for the function leaves undone).  Each function maps
 #: (cfg, spectrum, verdict, record) to (CSV columns by name, summary
-#: entries), or raises NotApplicable when its hypotheses fail.  ``chetaev``
-#: has two rows, one per unstable class.
+#: entries), or raises NotApplicable when its hypotheses fail; a ``notes``
+#: entry extends the summary's notes.  ``chetaev`` has two rows, one per
+#: unstable class.
 _DIAGNOSTICS = (
     ("modal", _modal, ""),
     ("lyapunov", _lyapunov, "certificate not evaluated"),
@@ -548,6 +562,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dynamics.TrajectoryRecord, di
         else:
             header += columns
             cols += columns.values()
+            notes += entries.pop("notes", [])
             summary.update(entries)
     return record, summary, header, cols
 
@@ -816,9 +831,9 @@ class SweepResult:
     of ``im_axis``, and ``fold[k]`` is its point of the folded grid (see
     :func:`run_sweep`).  ``fold_rate``, ``fold_measured`` (``None`` when the
     sweep was not measured) and ``fold_codes`` (indices into
-    ``spectral.CLASS_NAMES``) hold one entry per folded point; the
-    properties give them per point, and :attr:`columns` gives the CSV
-    writer each table once and an index per point.
+    ``spectral.CLASS_NAMES``) hold one entry per folded point, and
+    :attr:`columns` gives the CSV writer each table once and an index per
+    point.
     """
 
     re_axis: np.ndarray
@@ -830,18 +845,6 @@ class SweepResult:
 
     def __len__(self) -> int:
         return self.fold.shape[0]
-
-    @property
-    def predicted_rate(self) -> np.ndarray:
-        return self.fold_rate[self.fold]
-
-    @property
-    def measured_rate(self) -> np.ndarray | None:
-        return None if self.fold_measured is None else self.fold_measured[self.fold]
-
-    @property
-    def class_codes(self) -> np.ndarray:
-        return self.fold_codes[self.fold]
 
     @property
     def columns(self) -> list[CodedColumn]:
@@ -900,7 +903,7 @@ def run_sweep(grid_spec: str, measure: bool = False) -> SweepResult:
     im_values, im_fold = np.unique(np.abs(im_axis), return_inverse=True)
     re = np.repeat(re_values, im_values.shape[0])
     im = np.tile(im_values, re_values.shape[0])
-    codes, rates = spectral._classify_codes(re, im)
+    codes, rates = spectral.classify_eigenvalues(re, im)
     predicted = spectral.predicted_rate(codes, rates)
     measured = None
     if measure:

@@ -12,7 +12,7 @@ symmetric precisely when the game is potential.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ __all__ = [
     "PseudoGradientSystem",
     "pseudo_gradient",
     "solve_equilibrium",
-    "with_equilibrium",
     "translate_to_homogeneous",
 ]
 
@@ -84,7 +83,6 @@ class PseudoGradientSystem:
 
     matrix: np.ndarray
     offset: np.ndarray
-    equilibrium: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         g = _as_matrix(self.matrix, "matrix")
@@ -98,12 +96,6 @@ class PseudoGradientSystem:
         b.setflags(write=False)
         object.__setattr__(self, "matrix", g)
         object.__setattr__(self, "offset", b)
-        if self.equilibrium is not None:
-            x = np.asarray(self.equilibrium, dtype=float)
-            if x.shape != b.shape:
-                raise ValueError("equilibrium must match the system dimension")
-            x.setflags(write=False)
-            object.__setattr__(self, "equilibrium", x)
 
     @property
     def n(self) -> int:
@@ -139,11 +131,6 @@ def solve_equilibrium(system: PseudoGradientSystem) -> np.ndarray:
     return x
 
 
-def with_equilibrium(system: PseudoGradientSystem) -> PseudoGradientSystem:
-    """Return a copy of the system carrying its solved equilibrium."""
-    return replace(system, equilibrium=solve_equilibrium(system))
-
-
 def translate_to_homogeneous(system: PseudoGradientSystem, q0, v0):
     """Shift coordinates to the equilibrium: returns (G, q0 - x*, v0).
 
@@ -155,5 +142,4 @@ def translate_to_homogeneous(system: PseudoGradientSystem, q0, v0):
     v0 = np.asarray(v0, dtype=float)
     if q0.shape != (system.n,) or v0.shape != (system.n,):
         raise ValueError("q0 and v0 must match the system dimension")
-    x_star = system.equilibrium if system.equilibrium is not None else solve_equilibrium(system)
-    return system.matrix, q0 - x_star, v0.copy()
+    return system.matrix, q0 - solve_equilibrium(system), v0.copy()

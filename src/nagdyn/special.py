@@ -531,8 +531,6 @@ class ModalSolution:
     rate: float
     c1: complex
     c2: complex
-    y0: complex
-    ydot0: complex
 
 
 def _ik01(x):
@@ -625,7 +623,7 @@ def make_modal_solution(
             raise SingularBasis(f"basis Wronskian vanished at t0 = {t0:g}")
         c1 = (y0 * d2 - ydot0 * b2) / det
         c2 = (ydot0 * b1 - y0 * d1) / det
-    return ModalSolution(lam=lam, t0=t0, branch=cls.tag, rate=cls.rate, c1=c1, c2=c2, y0=y0, ydot0=ydot0)
+    return ModalSolution(lam=lam, t0=t0, branch=cls.tag, rate=cls.rate, c1=c1, c2=c2)
 
 
 def _modal_times(sol: ModalSolution, times) -> np.ndarray:

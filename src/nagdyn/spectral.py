@@ -99,7 +99,7 @@ class EigenvalueClass(Enum):
     STRICTLY_COMPLEX = "StrictlyComplex"
 
 
-#: The classes in code order: the class code k of :func:`_classify_codes`,
+#: The classes in code order: the class code k of :func:`classify_eigenvalues`,
 #: 0 (PositiveReal) to 3 (StrictlyComplex), is ``CLASSES[k]``.
 CLASSES = tuple(EigenvalueClass)
 
@@ -153,7 +153,6 @@ class Spectrum:
     kappa_P: float
     biorthogonality_residual: float
     is_symmetric: bool
-    is_normal: bool
     is_diagonalizable: bool
     tol: float
 
@@ -170,18 +169,14 @@ class StabilityVerdict:
     (minimum over strictly positive eigenvalues, t0/(r-1) alone when there
     are none) entering the trajectory bound; it is None when the accelerated
     verdict is unstable or indeterminate, or at r <= 1.  ``dominant_growth_rate``
-    is the largest per-mode envelope rate, 0.0 for stable verdicts, and the
-    offending eigenvalue is recorded in ``dominant_eigenvalue``.
+    is the largest per-mode envelope rate, 0.0 for stable verdicts.
     """
 
     nagd: NagdVerdict
     first_order: FirstOrderVerdict
     per_eigenvalue: tuple[ClassifiedEigenvalue, ...]
     dominant_growth_rate: float
-    dominant_eigenvalue: complex | None
     bound_constant: float | None
-    kappa_P: float
-    t0: float
 
 
 # --------------------------------------------------------------------------
@@ -191,36 +186,23 @@ class StabilityVerdict:
 def classify_eigenvalue(lam: complex, tol: float = DEFAULT_SCALAR_TOL) -> ClassifiedEigenvalue:
     """Classify one eigenvalue and attach its envelope growth rate.
 
-    A one-point view of :func:`_classify_codes`, which holds the rule.
+    A one-point view of :func:`classify_eigenvalues`, which holds the rule.
     """
     lam = complex(lam)
-    codes, rates = _classify_codes([lam.real], [lam.imag], tol)
+    codes, rates = classify_eigenvalues([lam.real], [lam.imag], tol)
     return ClassifiedEigenvalue(CLASSES[codes[0]], lam, float(rates[0]))
 
 
-def classify_eigenvalues(re, im, tol: float = DEFAULT_SCALAR_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Classify the points re + i im and compute their envelope rates.
-
-    Returns ``(tags, rates)``: the class names (``EigenvalueClass``
-    values) as an object array of str, and the rates.  Snapping order:
-    values with |Im| <= tol are treated as real, then reals with
-    |Re| <= tol as zero, so the corner case with both parts just inside
-    tolerance is deterministically Zero.
-    """
-    codes, rates = _classify_codes(re, im, tol)
-    return np.array(CLASS_NAMES, dtype=object)[codes], rates
-
-
-#: Points classified at a time by :func:`_classify_codes`.  Its temporaries,
-#: a few dozen arrays of a block, then stay within a 2 MiB L2 cache, and
-#: none is the size of the grid: on the 513 x 257 grid of the benchmark, on a
-#: 2-vCPU Xeon, blocks of 8192 points took 9.4 ms, of 4096 10.4 ms and of
-#: 32768 15.8 ms.
+#: Points classified at a time by :func:`classify_eigenvalues`.  Its
+#: temporaries, a few dozen arrays of a block, then stay within a 2 MiB L2
+#: cache, and none is the size of the grid: on the 513 x 257 grid of the
+#: benchmark, on a 2-vCPU Xeon, blocks of 8192 points took 9.4 ms, of 4096
+#: 10.4 ms and of 32768 15.8 ms.
 _BLOCK = 8192
 
-#: Points up to which :func:`_classify_codes` calls ``math.hypot`` one point
-#: at a time: on the same machine :func:`_hypot` costs about 30 us whatever
-#: the size, as much as ``math.hypot`` on some 300 points.
+#: Points up to which :func:`classify_eigenvalues` calls ``math.hypot`` one
+#: point at a time: on the same machine :func:`_hypot` costs about 30 us
+#: whatever the size, as much as ``math.hypot`` on some 300 points.
 _FEW_POINTS = 256
 
 #: A complex eigenvalue whose larger part is below ``_TINY`` has its rate
@@ -286,8 +268,15 @@ def _math_hypot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array(list(map(math.hypot, a.tolist(), b.tolist())), dtype=float)
 
 
-def _classify_codes(re, im, tol: float = DEFAULT_SCALAR_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`classify_eigenvalues` with each class as its code, its index in ``CLASSES``."""
+def classify_eigenvalues(re, im, tol: float = DEFAULT_SCALAR_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Classify the points re + i im and compute their envelope rates.
+
+    Returns ``(codes, rates)``: each class as its code, its index in
+    ``CLASSES`` (its name is ``CLASS_NAMES[code]``), and the rates.
+    Snapping order: values with |Im| <= tol are treated as real, then
+    reals with |Re| <= tol as zero, so the corner case with both parts
+    just inside tolerance is deterministically Zero.
+    """
     a = np.asarray(re, dtype=float)
     b = np.asarray(im, dtype=float)
     if a.shape != b.shape:
@@ -346,7 +335,7 @@ def predicted_rate(codes, rates, r: float = 3.0) -> np.ndarray:
     The growth rate where it is positive (the slope of log |y| against t),
     0 for Zero (the mode tends to a finite limit) and
     :func:`envelope_power` of ``r`` otherwise (the slope of log |y| against
-    log t).  ``codes`` and ``rates`` are as :func:`_classify_codes` returns
+    log t).  ``codes`` and ``rates`` are as :func:`classify_eigenvalues` returns
     them, or scalars, which give a 0-d array.
     """
     zero = codes == CLASSES.index(EigenvalueClass.ZERO)
@@ -383,7 +372,7 @@ def _phase_normalize(vecs: np.ndarray) -> np.ndarray:
 def eigendecompose(matrix: np.ndarray) -> Spectrum:
     """Full eigendecomposition of a real square matrix by LAPACK ``geev``.
 
-    The tolerance of its symmetry, normality and classification tests is
+    The tolerance of its symmetry and classification tests is
     :func:`matrix_tolerance` of the matrix.
 
     Raises ``ValueError`` when the matrix is not square, not finite, or
@@ -428,7 +417,6 @@ def eigendecompose(matrix: np.ndarray) -> Spectrum:
     biorth = float(np.max(np.abs(winv @ vecs - np.eye(n))))
     left = np.conj(winv)
 
-    is_normal = float(np.linalg.norm(g @ g.T - g.T @ g)) <= tol * max(normg, 1.0)
     is_diag = kappa <= DIAGONALIZABLE_KAPPA_MAX and biorth <= BIORTHOGONALITY_MAX
 
     for arr in (vals, vecs, left):
@@ -440,7 +428,6 @@ def eigendecompose(matrix: np.ndarray) -> Spectrum:
         kappa_P=kappa,
         biorthogonality_residual=biorth,
         is_symmetric=bool(is_sym),
-        is_normal=bool(is_normal),
         is_diagonalizable=bool(is_diag),
         tol=tol,
     )
@@ -460,11 +447,10 @@ def classify_matrix(spectrum: Spectrum, t0: float = 1.0, r: float = 3.0) -> Stab
     if t0 <= 0.0:
         raise ValueError("t0 must be positive")
     vals = spectrum.eigenvalues
-    codes, rates = _classify_codes(vals.real, vals.imag, spectrum.tol)
+    codes, rates = classify_eigenvalues(vals.real, vals.imag, spectrum.tol)
     classes = tuple(map(ClassifiedEigenvalue, map(CLASSES.__getitem__, codes.tolist()), vals.tolist(), rates.tolist()))
     unstable = [c for c in classes if c.tag in (EigenvalueClass.NEGATIVE_REAL, EigenvalueClass.STRICTLY_COMPLEX)]
     bound_c: float | None = None
-    dominant: complex | None = None
     if unstable:
         dom = max(unstable, key=lambda c: c.rate)
         verdict = (
@@ -473,7 +459,6 @@ def classify_matrix(spectrum: Spectrum, t0: float = 1.0, r: float = 3.0) -> Stab
             else NagdVerdict.UNSTABLE_COMPLEX
         )
         growth = dom.rate
-        dominant = dom.value
     elif not spectrum.is_diagonalizable:
         verdict = NagdVerdict.INDETERMINATE_JORDAN
         growth = 0.0
@@ -498,10 +483,7 @@ def classify_matrix(spectrum: Spectrum, t0: float = 1.0, r: float = 3.0) -> Stab
         first_order=first,
         per_eigenvalue=classes,
         dominant_growth_rate=growth,
-        dominant_eigenvalue=dominant,
         bound_constant=bound_c,
-        kappa_P=spectrum.kappa_P,
-        t0=float(t0),
     )
 
 

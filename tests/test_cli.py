@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nagdyn import _csvformat, analysis, cli, dynamics, experiments, game, special, spectral
-from nagdyn.errors import ConfigError, OutputError, OverflowSaturation
+from nagdyn.errors import ConfigError, OutputError, OverflowSaturation, SingularBasis
 
 FIG1 = {
     "label": "potential",
@@ -94,6 +94,15 @@ def test_config_game_offsets():
         (lambda p: p.update(diagnostics=["spectra"]), "diagnostics"),
         (lambda p: p["source"].pop("matrix"), "source"),
         (lambda p: p.update(extras=1), "top level"),
+        (lambda p: p.pop("initial"), "initial: required"),
+        (lambda p: p.update(integrator=[0.01]), "integrator: expected an object"),
+        (lambda p: p.update(diagnostics="rates"), "diagnostics: expected a list"),
+        (lambda p: p["source"].update(matrix=[[0.4, 0.2], [0.2]]), "source.matrix: expected a numeric"),
+        (lambda p: p["source"]["matrix"][0].__setitem__(0, math.nan), "source.matrix: entries must be finite"),
+        (lambda p: p.update(source={"game": {"offsets": [[0.0, 0.0]] * 2}}), "source.game: expected an object"),
+        (lambda p: p.update(source={"game": {"payoffs": []}}), "source.game.payoffs: expected a nonempty list"),
+        (lambda p: p.update(source={"game": {"payoffs": [[[0.2, 0.1], [0.0, 0.5]], PAYOFFS[1]]}}),
+         "source.game: payoffs[0] must be symmetric"),
     ],
 )
 def test_config_errors_name_the_key(tmp_path, capsys, mutate, key):
@@ -180,6 +189,20 @@ def test_config_refuses_a_damping_exponent_that_is_not_positive(tmp_path, capsys
         assert "integrator: damping_exponent must be finite and positive" in err
         assert "Traceback" not in err
     assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("[1, 2]", "top level: expected an object"), (None, "cannot read config file")],
+    ids=["json_list", "missing_file"],
+)
+def test_config_file_that_holds_no_config_object(tmp_path, capsys, text, message):
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    assert cli.main(["classify", "--config", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}") and err.count("\n") == 1
 
 
 def test_config_invalid_json(tmp_path):
@@ -293,6 +316,44 @@ def test_simulate_refuses_a_step_past_the_rk4_stability_limit(tmp_path, capsys):
     assert cli.main(["simulate", "--config", config, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
     summary = json.loads((tmp_path / "out" / "stiff.json").read_text())
     assert summary["saturated"] is False and summary["notes"] == []
+
+
+@pytest.mark.parametrize("lam, noted", [(1e4, True), (900.0, False)], ids=["1e4", "900"])
+def test_rates_note_rk4_damping_of_a_stiff_positive_mode(tmp_path, lam, noted):
+    # h sqrt(1e4) = 1 is within RK4's stability limit, but RK4 scales the
+    # mode by (1 - y^6/72 + y^8/576)^(1/2) a step: 24.4 in log amplitude
+    # over the 4 000 steps of [20, 60], which the fit reports as decay
+    payload = {
+        "label": "stiff",
+        "source": {"matrix": [[lam, 0.0], [0.0, 1e-4]]},
+        "initial": {"q0": [1.0, 0.0]},
+        "integrator": {"t0": 1.0, "t_end": 60.0, "dt": 0.01},
+        "diagnostics": ["rates"],
+    }
+    assert cli.main(["simulate", "--config", _write_config(tmp_path, payload), "--out", str(tmp_path)]) == cli.EXIT_OK
+    summary = json.loads((tmp_path / "stiff.json").read_text())
+    assert summary["spectrum"]["nagd_verdict"] == "StableConvergent"
+    assert summary["rate_fit"]["predicted"] == -1.5
+    if noted:
+        assert summary["rate_fit"]["slope"] < -20.0
+        [note] = summary["notes"]
+        assert note.startswith("rates: RK4 itself damps the PositiveReal eigenvalue 10000 by 24.45 ")
+        assert "[20, 60]" in note
+    else:
+        assert summary["notes"] == []
+
+
+def test_simulate_notes_diagnostics_that_do_not_apply(tmp_path):
+    payload = dict(FIG1, diagnostics=["chetaev", "nullspace", "energy"])
+    assert cli.main(["simulate", "--config", _write_config(tmp_path, payload), "--out", str(tmp_path)]) == cli.EXIT_OK
+    summary = json.loads((tmp_path / "potential.json").read_text())
+    assert summary["notes"] == [
+        "chetaev: spectrum has no unstable eigenvalue",
+        "nullspace: matrix has full rank",
+        "energy: spectrum has no strictly complex eigenvalue",
+    ]
+    header, _ = _read_csv(tmp_path / "potential.csv")
+    assert header == ["t", "q_1", "q_2", "v_1", "v_2", "norm_q"]
 
 
 def test_lyapunov_note_names_the_failed_hypothesis(tmp_path):
@@ -653,9 +714,8 @@ def test_sweep_csv_matches_per_cell_format(tmp_path, monkeypatch):
         rc = cli.main(["sweep", f"--grid={grid}", "--out", str(out)] + ["--measure"] * measure)
         assert rc == cli.EXIT_OK
         re_vals, im_vals = experiments.parse_grid(grid)
-        measured = experiments.run_sweep(grid, measure=True).measured_rate if measure else [math.nan] * (
-            re_vals.size * im_vals.size
-        )
+        sweep = experiments.run_sweep(grid, measure=measure)
+        measured = sweep.fold_measured[sweep.fold] if measure else [math.nan] * len(sweep)
         lines = (out / "sweep.csv").read_text().split("\n")
         assert lines[0] == "re,im,predicted_rate,measured_rate,class" and lines[-1] == ""
         want = []
@@ -714,7 +774,7 @@ def test_sweep_fold_matches_a_sweep_of_every_point(re_axis, im_axis, measure):
     # formatting every point, mirrors one rounding apart and -0.0 included
     re = np.repeat(re_axis, im_axis.size)
     im = np.tile(im_axis, re_axis.size)
-    codes, rates = spectral._classify_codes(re, im)
+    codes, rates = spectral.classify_eigenvalues(re, im)
     predicted = spectral.predicted_rate(codes, rates)
     lam = re.astype(complex)
     lam.imag = im
@@ -732,9 +792,9 @@ def test_sweep_fold_matches_a_sweep_of_every_point(re_axis, im_axis, measure):
         with open(os.path.join(out, "sweep.csv"), "rb") as fh:
             written = fh.read()
     assert len(sweep) == re.size
-    assert _bits(sweep.predicted_rate) == _bits(predicted)
-    assert _bits(sweep.class_codes) == _bits(codes)
-    assert (sweep.measured_rate is None) if not measure else _bits(sweep.measured_rate) == _bits(measured)
+    assert _bits(sweep.fold_rate[sweep.fold]) == _bits(predicted)
+    assert _bits(sweep.fold_codes[sweep.fold]) == _bits(codes)
+    assert (sweep.fold_measured is None) if not measure else _bits(sweep.fold_measured[sweep.fold]) == _bits(measured)
     assert written == b"re,im,predicted_rate,measured_rate,class\n" + rows
 
 
@@ -757,8 +817,9 @@ def test_sweep_and_run_predict_the_same_rate(cls, lam, matrix, t_end):
     cfg = experiments._experiment("one", matrix, [1.0] * n, [0.0] * n, t_end, ["rates"])
     _, summary, _, _ = experiments.run_experiment(cfg)
     sweep = experiments.run_sweep(f"{lam.real!r}:{lam.real!r}:1,{lam.imag!r}:{lam.imag!r}:1")
-    assert spectral.CLASSES[sweep.class_codes[0]] is cls
-    assert sweep.predicted_rate[0] == summary["rate_fit"]["predicted"]
+    [k] = sweep.fold
+    assert spectral.CLASSES[sweep.fold_codes[k]] is cls
+    assert sweep.fold_rate[k] == summary["rate_fit"]["predicted"]
 
 
 def test_sweep_overflowing_grid_is_config_error(tmp_path, capsys):
@@ -793,8 +854,18 @@ def test_sweep_axis_above_the_cap_is_refused_before_it_is_built(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
-def test_sweep_bad_grid(tmp_path):
-    assert cli.main(["sweep", "--grid", "0:1,0:1:2", "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+def test_sweep_bad_grid(tmp_path, capsys):
+    for grid, key in (
+        ("0:1,0:1:2", "grid.real: expected"),
+        ("0:1:3", "grid: expected"),
+        ("0:1:x,0:1:3", "grid.real: invalid literal"),
+        ("0:1:0,0:1:3", "grid.real: count"),
+        ("nan:1:3,0:1:3", "grid.real: bounds"),
+    ):
+        assert cli.main(["sweep", f"--grid={grid}", "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}") and err.count("\n") == 1, grid
+    assert not list(tmp_path.iterdir())
 
 
 # --------------------------------------------------------------------------
@@ -996,6 +1067,15 @@ def test_numerical_error_exit_code(tmp_path, capsys, monkeypatch, argv, target, 
     err = capsys.readouterr().err
     assert err == message + "\n"
     assert "Traceback" not in err
+
+
+def test_any_other_nagdyn_error_exits_4_on_one_line(capsys, monkeypatch):
+    def singular(out_dir, dt):
+        raise SingularBasis("basis Wronskian vanished")
+
+    monkeypatch.setattr(cli, "cmd_check", singular)
+    assert cli.main(["check"]) == cli.EXIT_INVARIANT
+    assert capsys.readouterr().err == "error: basis Wronskian vanished\n"
 
 
 # --------------------------------------------------------------------------

@@ -111,12 +111,14 @@ def test_solve_equilibrium_inconsistent():
 def test_with_equilibrium_and_translate():
     g = np.array([[0.4, 0.2], [0.2, 0.8]])
     b = np.array([0.3, -0.5])
-    sys = game.with_equilibrium(game.PseudoGradientSystem(matrix=g, offset=b))
-    assert sys.equilibrium is not None
+    sys = game.PseudoGradientSystem(matrix=g, offset=b)
     gm, q0s, v0s = game.translate_to_homogeneous(sys, [1.0, 1.0], [0.1, 0.2])
     assert np.array_equal(gm, g)
-    assert np.allclose(q0s, np.array([1.0, 1.0]) - sys.equilibrium, atol=1e-15)
+    assert np.array_equal(q0s, np.array([1.0, 1.0]) - game.solve_equilibrium(sys))
     assert np.array_equal(v0s, [0.1, 0.2])
+    inconsistent = game.PseudoGradientSystem(matrix=np.ones((2, 2)), offset=np.array([1.0, -1.0]))
+    with pytest.raises(NoEquilibrium):
+        game.translate_to_homogeneous(inconsistent, [1.0, 1.0], [0.0, 0.0])
 
 
 def test_field_jacobian_is_the_matrix():

@@ -38,7 +38,7 @@ def test_two_player_potential_spectrum():
     expect = np.array([0.6 - 0.2 * SQRT2, 0.6 + 0.2 * SQRT2])
     assert np.allclose(np.real(spec.eigenvalues), expect, rtol=0, atol=1e-14)
     assert np.max(np.abs(np.imag(spec.eigenvalues))) == 0.0
-    assert spec.is_symmetric and spec.is_normal and spec.is_diagonalizable
+    assert spec.is_symmetric and spec.is_diagonalizable
     assert spec.kappa_P <= 1.0 + 1e-12
 
 
@@ -53,7 +53,7 @@ def test_rotationally_coupled_pair():
     spec = eigendecompose([[6.0, 1.5], [-1.5, 6.0]])
     assert np.allclose(sorted(spec.eigenvalues, key=lambda z: z.imag),
                        [6.0 - 1.5j, 6.0 + 1.5j], atol=1e-13)
-    assert spec.is_normal and not spec.is_symmetric
+    assert not spec.is_symmetric
     assert spec.kappa_P <= 1.0 + 1e-10
 
 
@@ -338,11 +338,11 @@ def test_array_classification_matches_the_partition_rule_and_cmath():
     rng = np.random.default_rng(11)
     re = np.concatenate([np.repeat(edges + big, len(edges + big)), rng.normal(size=4000) * 7.0])
     im = np.concatenate([np.tile(edges + big, len(edges + big)), rng.normal(size=4000) * 7.0])
-    tags, rates = spectral.classify_eigenvalues(re, im)
-    assert tags.shape == rates.shape == re.shape
-    for a, b, tag, rate in zip(re.tolist(), im.tolist(), tags.tolist(), rates.tolist()):
+    codes, rates = spectral.classify_eigenvalues(re, im)
+    assert codes.shape == rates.shape == re.shape
+    for a, b, code, rate in zip(re.tolist(), im.tolist(), codes.tolist(), rates.tolist()):
         want = _partition(a, b)
-        assert tag == want.value, (a, b)
+        assert spectral.CLASS_NAMES[code] == want.value, (a, b)
         if want is EigenvalueClass.STRICTLY_COMPLEX:
             beta = abs(cmath.sqrt(complex(a, b)).imag)
             assert abs(rate - beta) <= 1e-15 * beta, (a, b)
@@ -361,7 +361,7 @@ def test_class_table_is_in_code_order():
     points = {EigenvalueClass.POSITIVE_REAL: 2.0, EigenvalueClass.ZERO: 0.0, EigenvalueClass.NEGATIVE_REAL: -2.0,
               EigenvalueClass.STRICTLY_COMPLEX: 1.0 + 1.0j}
     lam = np.array(list(points.values()), dtype=complex)
-    codes, rates = spectral._classify_codes(lam.real, lam.imag)
+    codes, rates = spectral.classify_eigenvalues(lam.real, lam.imag)
     assert [spectral.CLASSES[k] for k in codes] == list(points)
     assert predicted_rate(codes, rates).tolist() == [-1.5, 0.0, SQRT2, rates[3]]
     # the envelope model at damping r/t: t^{-r/2}, and the fit recipe of each class
@@ -448,7 +448,7 @@ def test_blocked_classification_keeps_the_bits_of_the_plain_formula(monkeypatch,
     # the small grids through math.hypot and the large one through the port
     monkeypatch.setattr(spectral, "_FEW_POINTS", few_points)
     re, im = _grid(spec)
-    codes, rates = spectral._classify_codes(re, im, tol)
+    codes, rates = spectral.classify_eigenvalues(re, im, tol)
     want_codes, want_rates = _plain_classify_codes(re, im, tol)
     assert codes.dtype == want_codes.dtype and np.array_equal(codes, want_codes)
     assert np.array_equal(_bits(rates), _bits(want_rates))
@@ -468,7 +468,7 @@ def test_rates_of_subnormal_eigenvalues(monkeypatch, few_points):
     monkeypatch.setattr(spectral, "_FEW_POINTS", few_points)
     lam = np.array(TINY_LAMS)
     with np.errstate(all="raise"):
-        codes, rates = spectral._classify_codes(lam.real, lam.imag, 0.0)
+        codes, rates = spectral.classify_eigenvalues(lam.real, lam.imag, 0.0)
     assert all(spectral.CLASSES[k] is EigenvalueClass.STRICTLY_COMPLEX for k in codes)
     for z, rate in zip(TINY_LAMS, rates.tolist()):
         beta = abs(cmath.sqrt(z).imag)
@@ -481,18 +481,18 @@ def test_classification_blocks_and_shapes(monkeypatch):
     monkeypatch.setattr(spectral, "_BLOCK", 7)
     monkeypatch.setattr(spectral, "_FEW_POINTS", 0)
     re, im = _grid("-2:2:9,-1:1:5")
-    codes, rates = spectral._classify_codes(re, im)
+    codes, rates = spectral.classify_eigenvalues(re, im)
     whole = [classify_eigenvalue(complex(a, b)) for a, b in zip(re.tolist(), im.tolist())]
     assert [spectral.CLASSES[k] for k in codes] == [c.tag for c in whole]
     assert rates.tolist() == [c.rate for c in whole]
-    square_codes, square_rates = spectral._classify_codes(re.reshape(9, 5), im.reshape(9, 5))
+    square_codes, square_rates = spectral.classify_eigenvalues(re.reshape(9, 5), im.reshape(9, 5))
     assert np.array_equal(square_codes, codes.reshape(9, 5)) and np.array_equal(square_rates, rates.reshape(9, 5))
-    one_code, one_rate = spectral._classify_codes(-4.0, 0.0)
+    one_code, one_rate = spectral.classify_eigenvalues(-4.0, 0.0)
     assert one_code.shape == one_rate.shape == () and one_code == 2 and one_rate == 2.0
     with pytest.raises(ValueError, match="finite"):
-        spectral._classify_codes(re.tolist() + [math.inf], im.tolist() + [0.0])
+        spectral.classify_eigenvalues(re.tolist() + [math.inf], im.tolist() + [0.0])
     with pytest.raises(ValueError, match="shape"):
-        spectral._classify_codes([1.0, 2.0], [0.0])
+        spectral.classify_eigenvalues([1.0, 2.0], [0.0])
 
 
 # --------------------------------------------------------------------------
