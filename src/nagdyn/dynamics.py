@@ -76,6 +76,7 @@ __all__ = [
     "simulate_smooth_nagd",
     "finite_difference_jacobian",
     "check_rk4_step",
+    "rk4_mode_step",
 ]
 
 #: Position-norm guard beyond which integration truncates.
@@ -90,7 +91,7 @@ class IntegratorConfig:
     a run of n_steps steps records n_steps // record_stride + 1 rows.
     ``n_steps`` rounds (t_end - t0) / dt to the nearest integer, so the
     last grid time t0 + n_steps dt can miss t_end by up to dt/2:
-    ``t0=0.001, t_end=50`` ends at 50.001.  A ``damping_exponent`` <= 0,
+    ``t0=0.011, t_end=50`` ends at 50.001.  A ``damping_exponent`` <= 0,
     where the spectral verdicts do not hold, is refused; one in (0, 1],
     outside the guaranteed-convergence regime, is accepted, and a run of
     ``experiments.run_experiment`` notes it in its summary.
@@ -378,28 +379,55 @@ def simulate_first_order(matrix, offset, x0, config: IntegratorConfig = Integrat
     return _record("first-order", times, q, -(q @ g.T) - b, saturated[0], config)
 
 
-#: RK4's stability limit on the imaginary axis: |R(iy)| <= 1 for |y| <= 2 sqrt(2).
+#: RK4's stability limits (Hairer & Wanner, Solving ODEs II, IV.2), where
+#: R(w) = 1 + w + w^2/2 + w^3/6 + w^4/24: on the damping axis |R(-x)| <= 1
+#: for 0 <= x <= the nonzero real root of R(-x) = 1, and on the oscillation
+#: axis |R(iy)| <= 1 for |y| <= 2 sqrt(2).
+_RK4_DAMPING_LIMIT = 2.785293563405282
 _RK4_IMAGINARY_LIMIT = 2.0 * math.sqrt(2.0)
+
+
+def rk4_mode_step(h: float, t: float, r: float, lam: float) -> tuple[float, float]:
+    """What one RK4 step of size ``h`` from time ``t`` does to a mode of y'' + (r/t) y' + lam y = 0.
+
+    Returns ``(margin, loss)``.  ``margin`` is the larger of h (r/t) over
+    the damping-axis limit and h sqrt(max(lam, 0)) over the oscillation-axis
+    limit.  On either axis, lam = 0 or r/t = 0, a margin of at most 1 is
+    stable; between them it is a guide (near both limits at once the step
+    map grows the mode by 1.29 at a margin of 0.9999).  ``loss`` is the log
+    amplitude that the step takes from an undamped mode, which RK4 scales
+    by |R(iy)| = (1 - y^6/72 + y^8/576)^(1/2), y = h sqrt(lam): a decay that
+    the flow itself does not have.  It is NaN past the oscillation limit,
+    where the step grows the mode and y**8 may overflow.
+    """
+    y = h * math.sqrt(max(lam, 0.0))
+    margin = max(h * (r / t) / _RK4_DAMPING_LIMIT, y / _RK4_IMAGINARY_LIMIT)
+    return margin, -0.5 * math.log1p(y**8 / 576.0 - y**6 / 72.0) if y <= _RK4_IMAGINARY_LIMIT else math.nan
+
+
+def _two_digits(x: float, rounding: Callable = math.floor) -> str:
+    """``x`` rounded to two significant digits by ``math.floor`` or ``math.ceil``, or, under- or overflowed, formatted."""
+    unit = 10.0 ** (math.floor(math.log10(x)) - 1) if 0.0 < x < math.inf else 0.0
+    return f"{rounding(x / unit) * unit:.2g}" if unit else f"{x:.2g}"
 
 
 def check_rk4_step(h: float, lams) -> None:
     """Raise ``ValueError`` when RK4 at step ``h`` is unstable on y'' + lam y = 0 for a lam > 0 of ``lams``.
 
     The mode's eigenvalues are +-i sqrt(lam), so RK4 is stable on it only
-    for h sqrt(lam) <= 2 sqrt(2).  The damping (r/t) y' fades as t grows,
-    so past that limit a long run grows until it saturates, on a mode that
-    decays.  The message suggests a stable step, rounded down to two
-    significant digits.
+    for h sqrt(lam) <= 2 sqrt(2): the margin of :func:`rk4_mode_step` at
+    t = infinity.  The damping limit binds at t0 and the oscillation limit
+    binds as t grows, so past this one a long run grows until it
+    saturates, on a mode that decays.  The message suggests a stable step,
+    rounded down to two significant digits.
     """
     lam = max(lams, default=0.0)
-    if h * math.sqrt(lam) <= _RK4_IMAGINARY_LIMIT:
+    if rk4_mode_step(h, math.inf, 0.0, lam)[0] <= 1.0:
         return
-    limit = _RK4_IMAGINARY_LIMIT / math.sqrt(lam)
-    unit = 10.0 ** (math.floor(math.log10(limit)) - 1)
     raise ValueError(
         f"{h!r} is past RK4's stability limit on the eigenvalue {lam:.6g} "
         f"(h*sqrt(lambda) = {h * math.sqrt(lam):.4g} > 2*sqrt(2)); "
-        f"choose dt <= {math.floor(limit / unit) * unit:.2g}"
+        f"choose dt <= {_two_digits(_RK4_IMAGINARY_LIMIT / math.sqrt(lam))}"
     )
 
 

@@ -465,16 +465,14 @@ def _rates(cfg, spectrum, verdict, record):
     notes = []
     positive = [c.value.real for c in verdict.per_eigenvalue if c.tag is spectral.EigenvalueClass.POSITIVE_REAL]
     if positive:
-        # RK4 scales an undamped mode by |R(iy)| = (1 - y^6/72 + y^8/576)^(1/2)
-        # per step, y = h sqrt(lam): a decay that the flow itself does not have
+        # RK4's own decay of the stiffest positive mode over the fit window
         lam, h = max(positive), cfg.integrator.dt
-        y = h * math.sqrt(lam)
         lo, hi = fit.window
-        loss = (hi - lo) / h * -0.5 * math.log1p(y**8 / 576.0 - y**6 / 72.0)
+        loss = (hi - lo) / h * dynamics.rk4_mode_step(h, math.inf, 0.0, lam)[1]
         if loss > 0.1:
             notes.append(
                 f"rates: RK4 itself damps the PositiveReal eigenvalue {lam:.6g} by {loss:.4g} in log amplitude over "
-                f"the fit window [{lo:g}, {hi:g}] (h*sqrt(lambda) = {y:.4g}); the fitted slope includes that decay"
+                f"the fit window [{lo:g}, {hi:g}] (h*sqrt(lambda) = {h * math.sqrt(lam):.4g}); the fitted slope includes that decay"
             )
     return {}, {
         "rate_fit": {
@@ -511,8 +509,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dynamics.TrajectoryRecord, di
     the fixed order V, Vdot, W, rho, dist_null; diagnostics that do not
     apply to the system, or that the record has too few rows for, are
     skipped with a note in the summary.  A step past RK4's stability limit
-    on a PositiveReal mode is refused with :class:`ConfigError` before any
-    integration.
+    on a PositiveReal mode, or at t0 on the damping r/t, is refused with
+    :class:`ConfigError` before any integration.
     """
     system = cfg.system
     spectrum = spectral.eigendecompose(system.matrix)
@@ -523,6 +521,14 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dynamics.TrajectoryRecord, di
         dynamics.check_rk4_step(cfg.integrator.dt, positive)
     except ValueError as exc:
         raise ConfigError(f"integrator.dt: {exc}") from exc
+    # the damping limit binds at the first step; every later step is inside it
+    margin = dynamics.rk4_mode_step(h := cfg.integrator.dt, t0 := cfg.integrator.t0, r, 0.0)[0]
+    if margin > 1.0:
+        raise ConfigError(
+            f"integrator.t0: the first step from {t0!r} is past RK4's stability limit on the damping r/t "
+            f"(dt*r/t0 = {h * (r / t0):.4g} > 2.785); choose integrator.dt <= "
+            f"{dynamics._two_digits(h / margin)} or integrator.t0 >= {dynamics._two_digits(t0 * margin, math.ceil)}"
+        )
     record = dynamics.simulate_nagd(system.matrix, system.offset, cfg.q0, cfg.v0, cfg.integrator)
 
     header = ["t"]

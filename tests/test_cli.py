@@ -318,6 +318,60 @@ def test_simulate_refuses_a_step_past_the_rk4_stability_limit(tmp_path, capsys):
     assert summary["saturated"] is False and summary["notes"] == []
 
 
+def _kick(t0, t_end=2.0, dt=0.01):
+    """A StableToNullSpace run kicked along the null space, started at ``t0``."""
+    return {
+        "label": "kick",
+        "source": {"matrix": [[0.0, 0.0], [0.0, 1.0]]},
+        "initial": {"q0": [0.0, 1.0], "v0": [1.0, 0.0]},
+        "integrator": {"t0": t0, "t_end": t_end, "dt": dt},
+    }
+
+
+def _kick_within_bound(tmp_path, payload):
+    """Simulate ``payload`` into ``tmp_path/out`` and check |q| against the a-priori bound."""
+    config = _write_config(tmp_path, payload)
+    assert cli.main(["simulate", "--config", config, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    header, rows = _read_csv(tmp_path / "out" / "kick.csv")
+    spectrum = spectral.eigendecompose(np.array(payload["source"]["matrix"]))
+    bound = spectral.boundedness_bound(spectrum, payload["integrator"]["t0"], 1.0, 1.0)
+    assert 1.0 <= max(float(row[header.index("norm_q")]) for row in rows) <= bound
+
+
+@pytest.mark.parametrize("t0, dt_max", [(1e-6, "9.2e-07"), (1e-4, "9.2e-05")])
+def test_simulate_refuses_a_first_step_past_the_rk4_damping_limit(tmp_path, capsys, t0, dt_max):
+    # h r / t0 = 3e4 and 300 are past RK4's limit 2.785 on the damping
+    # axis: integrated, these runs broke the a-priori bound 2 with
+    # sup |q| = 349.8 and 3.48, exited 0 and noted nothing
+    config = _write_config(tmp_path, _kick(t0))
+    assert cli.main(["simulate", "--config", config, "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: integrator.t0: ") and err.count("\n") == 1
+    assert err.endswith(f"choose integrator.dt <= {dt_max} or integrator.t0 >= 0.011\n")
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["cfg.json"]
+    # the suggested step runs, over 10 000 steps, and so does the suggested start
+    _kick_within_bound(tmp_path, _kick(t0, t0 + 1e4 * float(dt_max), float(dt_max)))
+    _kick_within_bound(tmp_path, _kick(0.011))
+
+
+def test_simulate_refuses_a_first_step_whose_damping_overflows(tmp_path, capsys):
+    # r / t0 = 1e600 reads as inf: the passing dt underflows to 0 and the
+    # passing t0 overflows, and the message formats them without rounding
+    payload = _kick(1e-300)
+    payload["integrator"]["damping_exponent"] = 1e300
+    config = _write_config(tmp_path, payload)
+    assert cli.main(["simulate", "--config", config, "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: integrator.t0: ") and err.count("\n") == 1
+    assert err.endswith("choose integrator.dt <= 0 or integrator.t0 >= inf\n")
+
+
+@pytest.mark.parametrize("t0", [0.0108, 0.011])
+def test_simulate_runs_a_first_step_inside_the_rk4_damping_limit(tmp_path, t0):
+    # the limit at dt = 0.01, r = 3 is t0 = 0.03 / 2.785 = 0.01077
+    _kick_within_bound(tmp_path, _kick(t0))
+
+
 @pytest.mark.parametrize("lam, noted", [(1e4, True), (900.0, False)], ids=["1e4", "900"])
 def test_rates_note_rk4_damping_of_a_stiff_positive_mode(tmp_path, lam, noted):
     # h sqrt(1e4) = 1 is within RK4's stability limit, but RK4 scales the

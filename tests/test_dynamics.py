@@ -306,6 +306,47 @@ def test_check_rk4_step_refuses_a_step_past_the_imaginary_axis_limit():
         dynamics.check_rk4_step(0.01, [0.5, 1e6])
 
 
+def _step_map(t, h, r, lam):
+    """The 2x2 RK4 step map of y'' + (r/t) y' + lam y = 0 from ``t``, from ``_step_coefficients``."""
+    c = dynamics._step_coefficients(np.array([t]), h, r)[0]
+    z = h * h * lam
+    return c[0] + z * c[1] + z * z * c[2]
+
+
+@pytest.mark.parametrize("lam", [1.0, 100.0, 400.0, 800.0, 1.001**2 * 800.0], ids=["0.1", "1", "2", "limit", "past"])
+def test_rk4_mode_step_is_the_step_map_on_an_undamped_mode(lam):
+    # at t = 1e12 the damping h r / t = 3e-13 is negligible, so the map's
+    # spectral radius is |R(iy)| at y = h sqrt(lam) = 0.1, 1, 2, 2 sqrt(2)
+    # and 1.001 * 2 sqrt(2)
+    h, t = 0.1, 1e12
+    radius = np.abs(np.linalg.eigvals(_step_map(t, h, 3.0, lam))).max()
+    margin, loss = dynamics.rk4_mode_step(h, t, 3.0, lam)
+    assert (radius <= 1.0) == (margin <= 1.0) == (lam <= 800.0)
+    if lam <= 800.0:
+        assert abs(radius - math.exp(-loss)) <= 1e-12
+    else:
+        assert math.isnan(loss)
+
+
+@pytest.mark.parametrize("d", [0.5, 1.0, 2.0, 2.7, 2.85, 3.5])
+def test_rk4_mode_step_is_the_step_map_on_the_damping_axis(d):
+    # lam = 0, h = 1 and r = d t at t = 1e6: the damping stays within 1e-6
+    # of d over the step, and the velocity coefficient is R(-d)
+    t = 1e6
+    velocity = _step_map(t, 1.0, d * t, 0.0)[1, 1]
+    assert abs(velocity - (1.0 - d + d**2 / 2.0 - d**3 / 6.0 + d**4 / 24.0)) <= 1e-5
+    margin, _ = dynamics.rk4_mode_step(1.0, t, d * t, 0.0)
+    assert (abs(velocity) <= 1.0) == (margin <= 1.0) == (d <= 2.785293563405282)
+
+
+def test_rk4_damping_limit_is_where_the_step_map_crosses_one():
+    d = dynamics._RK4_DAMPING_LIMIT
+    assert abs(-1.0 + d / 2.0 - d**2 / 6.0 + d**3 / 24.0) <= 1e-15  # R(-d) = 1
+    t = 1e6
+    below, above = (_step_map(t, 1.0, x * t, 0.0)[1, 1] for x in (d - 1e-4, d + 1e-4))
+    assert below < 1.0 < above
+
+
 def test_simulate_modal_is_one_lane_of_the_batch():
     cfg = IntegratorConfig(t0=1.0, t_end=10.0, dt=0.01, record_stride=4)
     rec = simulate_modal(6 + 1.5j, 0.25, -1.0, cfg)
