@@ -24,20 +24,22 @@ little-endian 64-bit words, and each cell is laid out as ``%g`` does
 (``ddd.ddd``, ``0.000ddd`` or ``d.ddde-XX``, trailing zeros and a bare
 point dropped) by masking and shifting those words with a per-layout
 record.  A row is a run of slots, one cell and its separator each,
-padded with NUL; dropping the NUL bytes leaves the CSV text.  A cell
-fills all of its slot, so one row buffer serves every chunk of a write.
+padded with NUL; dropping the NUL bytes leaves the CSV text.
 
-A column may also be a :class:`CodedColumn`, a table of values and one
-index into it per row (dictionary encoding: Abadi, Madden & Ferreira,
-SIGMOD 2006); a table of ``str`` makes a text column.  :func:`csv_chunks`
-formats each table entry once per write into a slot table, whose entries
-are as wide as its longest cell and its separator, and each row of a
-chunk gathers its slot: text and coded numbers alike.  A plain column's
-slot is 25 bytes, the longest ``%.17g`` cell and its separator, set once
-per buffer.  :func:`_cells` formats at most ``_PASS_VALUES`` values a
-call, whether they fill a chunk or a table.  Up to ``_FEW_VALUES``
-values, ``%.17g`` one value at a time is faster than the array path and
-formats them.
+Every column reaches the rows through a slot table, whose entries are
+its cells NUL-padded to the longest and each followed by its separator.
+A plain column of numbers gets one table per chunk of rows, made from
+its cells in that chunk, so its slots are as wide as the chunk's widest
+cell.  A column may also be a :class:`CodedColumn`, a table of values and
+one index into it per row (dictionary encoding: Abadi, Madden &
+Ferreira, SIGMOD 2006); a table of ``str`` makes a text column.
+:func:`csv_chunks` formats each entry of such a table once per write,
+and each row of a chunk gathers its slot: text and coded numbers alike.
+A slot fills all of its bytes, so the rows of a chunk are copied into an
+uninitialised buffer.  :func:`_cells` formats at most ``_PASS_VALUES``
+values a call, whether they fill a chunk or a table.  Up to
+``_FEW_VALUES`` values, ``%.17g`` one value at a time is faster than the
+array path and formats them.
 """
 
 from __future__ import annotations
@@ -52,8 +54,7 @@ import numpy as np
 _XMIN, _XMAX = -11, 15  # decimal exponents of the fast path
 _NX = _XMAX - _XMIN + 1
 _NFAST = 2 * _NX * 17  # layouts: sign x exponent x significant digits kept
-_CELL = 24  # bytes of text in a slot: the longest "%.17g" output
-_SLOT = _CELL + 1  # and its separator
+_CELL = 24  # bytes of text in a cell: the longest "%.17g" output
 
 _POW10 = np.array([10**k for k in range(28)], dtype=np.longdouble)
 # Half an ulp of y < 1e17 < 2**57; it exceeds 1/2 unless long double holds
@@ -267,12 +268,8 @@ def label_table(names: Sequence[str], sep: bytes) -> np.ndarray:
     return _slots(text, longest, sep)
 
 
-def value_table(values: np.ndarray, sep: bytes) -> np.ndarray:
-    """Entry k is ``"%.17g" % values[k]``, NUL-padded to the longest cell, and ``sep``: a slot table.
-
-    The cells take ``_CELL`` bytes an entry, which the table shares.
-    """
-    words = cell_table(values)
+def _cell_slots(words: np.ndarray, sep: bytes) -> np.ndarray:
+    """The cells ``words`` of :func:`cell_table`, NUL-padded to the longest and ended by ``sep``: a slot table."""
     # a cell is a prefix of its row, so the longest ends at the highest
     # nonzero byte of the largest value of the last word any cell reaches
     used = 0
@@ -284,23 +281,15 @@ def value_table(values: np.ndarray, sep: bytes) -> np.ndarray:
     return _slots(words.view(np.uint8), used, sep)
 
 
-def row_buffer(rows: int, tables: Sequence[np.ndarray | None]) -> np.ndarray:
-    """A buffer for ``rows`` CSV rows, column j plain where ``tables[j]`` is None, else coded by that slot table.
+def value_table(values: np.ndarray, sep: bytes) -> np.ndarray:
+    """Entry k is ``"%.17g" % values[k]``, NUL-padded to the longest cell, and ``sep``: a slot table.
 
-    A plain column takes a ``_SLOT``-byte slot whose separator is set here,
-    a coded one a slot as wide as its table's entries, which carry their
-    own.  Every cell that :func:`format_rows` writes overwrites all the bytes
-    of its slot, so one buffer serves every chunk of a write.
+    The cells take ``_CELL`` bytes an entry, which the table shares.
     """
-    widths = [_SLOT if table is None else table.itemsize for table in tables]
-    buf = np.zeros((rows, sum(widths)), np.uint8)
-    for j, end in enumerate(itertools.accumulate(widths)):
-        if tables[j] is None:
-            buf[:, end - 1] = ord("\n" if j == len(tables) - 1 else ",")
-    return buf
+    return _cell_slots(cell_table(values), sep)
 
 
-def format_rows(columns: list[np.ndarray | tuple[np.ndarray, np.ndarray]], buf: np.ndarray | None = None) -> np.ndarray:
+def format_rows(columns: list[np.ndarray | tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """The CSV rows of ``columns``, as UTF-8 bytes.
 
     A column is either a float64 array, whose cells ``"%.17g" % x`` are
@@ -308,36 +297,26 @@ def format_rows(columns: list[np.ndarray | tuple[np.ndarray, np.ndarray]], buf: 
     (:func:`value_table`, :func:`label_table`) and one entry of it per CSV
     row; the last column's table must end its entries with a newline.
     Indices are not checked.  All columns have the same number of rows.
-    ``buf`` is a :func:`row_buffer` of these columns with at least that
-    many rows, whose first rows are overwritten; by default one is made.
+
+    The plain columns are formatted in one :func:`cell_table` call, and
+    each becomes a slot table of its own, one entry per row, as wide as its
+    longest cell in these rows; then each column's entries are copied into
+    the rows, one column at a time.
     """
-    tables = [None if isinstance(col, np.ndarray) else col[0] for col in columns]
-    first = columns[0]
-    rows = (first if tables[0] is None else first[1]).shape[0]
-    if buf is None:
-        buf = row_buffer(rows, tables)
-    buf = buf[:rows]
-    width = buf.shape[1]
-    plain, runs, at = [], [], 0  # runs: the offset and count of each run of adjacent plain columns
-    for j, (col, table) in enumerate(zip(columns, tables)):
-        if table is None:
-            if j and tables[j - 1] is None:
-                runs[-1][1] += 1
-            else:
-                runs.append([at, 1])
-            plain.append(col)
-            at += _SLOT
-        else:
-            np.ndarray((rows,), table.dtype, buf, at, (width,))[...] = table[col[1]]
-            at += table.itemsize
-    if plain:
-        # the plain columns one after another, in one call whatever their count
-        cells = cell_table(np.concatenate(plain)).reshape(len(plain), rows, 3)
-        k = 0
-        for at, count in runs:
-            words = np.ndarray((rows, count, 3), "<u8", buf, at, (width, _SLOT, 8))
-            words[...] = cells[k : k + count].transpose(1, 0, 2)
-            k += count
+    plain = [col for col in columns if isinstance(col, np.ndarray)]
+    cells = iter(cell_table(np.concatenate(plain)).reshape(len(plain), -1, 3) if plain else [])
+    rows = len(plain[0]) if plain else columns[0][1].shape[0]
+    last = len(columns) - 1
+    # (table, index) per column; a plain column's table holds its rows, all taken by the index ...
+    slots = [
+        (_cell_slots(next(cells), b"\n" if j == last else b","), ...) if isinstance(col, np.ndarray) else col
+        for j, col in enumerate(columns)
+    ]
+    buf = np.empty((rows, sum(table.itemsize for table, _ in slots)), np.uint8)  # every slot fills all its bytes
+    at = 0
+    for table, index in slots:
+        np.ndarray((rows,), table.dtype, buf, at, (buf.shape[1],))[...] = table[index]
+        at += table.itemsize
     flat = buf.ravel()
     return flat[flat != 0]
 
@@ -370,7 +349,9 @@ def csv_chunks(header: list[str], columns: list[np.ndarray | CodedColumn]) -> It
 
     A column is an array of numbers or a :class:`CodedColumn`, whose table
     holds numbers or, for a text column, ``str``.  The input is checked,
-    and each table formatted once, here, before the first chunk is taken.
+    and each table formatted once, here, before the first chunk is taken;
+    the plain columns of a chunk are formatted with it, each into a slot
+    table as wide as its widest cell in the chunk (:func:`format_rows`).
 
     A chunk holds ``max(_CHUNK_ROWS, _PASS_VALUES // max(p, 1))`` rows for
     ``p`` plain columns, 1024 to 8192 rows: about one pass of
@@ -412,15 +393,13 @@ def csv_chunks(header: list[str], columns: list[np.ndarray | CodedColumn]) -> It
         yield (",".join(header) + "\n").encode("utf-8")
         if not rows:
             return
-        buf = row_buffer(min(rows, chunk_rows), tables)
         for lo in range(0, rows, chunk_rows):
             hi = lo + chunk_rows
             yield format_rows(
                 [
                     np.asarray(col[lo:hi], dtype=float) if table is None else (table, col.index[lo:hi])
                     for col, table in zip(columns, tables)
-                ],
-                buf,
+                ]
             )
 
     return chunks()

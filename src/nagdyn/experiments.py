@@ -298,7 +298,10 @@ def write_csv(path: str, header: list[str], columns: list[np.ndarray | CodedColu
 
     A column is an array of numbers or a :class:`CodedColumn`: the same
     bytes as ``values[index]`` passed plainly, but each table entry is
-    formatted once per call and each row only gathers its cell.  A column
+    formatted once per call and each row only gathers its cell.  Either
+    kind reaches the rows as a table of slots, each cell NUL-padded to the
+    table's longest and followed by its separator: a plain column gets one
+    table per chunk, as wide as its widest cell there.  A column
     that repeats values, such as a grid axis, a constant, a class name or a
     sweep point's rate, then costs a gather per row in place of a
     formatting.  A :class:`CodedColumn` whose table holds ``str`` is a text
@@ -502,6 +505,25 @@ _DIAGNOSTICS = (
 )
 
 
+def _first_step_grows(verdict: spectral.StabilityVerdict, h: float, t0: float, r: float) -> bool:
+    """Whether RK4's first step from ``t0`` has a map that is not finite on a mode of G, or grows a bounded one.
+
+    The bounded modes are the Zero and PositiveReal ones.  A Zero mode is
+    taken at lam = 0, where its map has the eigenvalue 1 exactly, so a
+    spectral radius up to 1 + 1e-12 is rounding, not growth.
+    """
+    zero, positive = spectral.EigenvalueClass.ZERO, spectral.EigenvalueClass.POSITIVE_REAL
+    classes = verdict.per_eigenvalue
+    lam = np.array([0.0 if c.tag is zero else c.value for c in classes], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # where r/t0 overflows
+        maps = dynamics._modal_step_maps(lam, np.array([t0]), h, r, np.empty((1, 2, 2, lam.size), dtype=complex))[0]
+    if not np.isfinite(maps).all():
+        return True
+    bounded = maps[..., [c.tag in (zero, positive) for c in classes]]
+    radius = np.abs(np.linalg.eigvals(bounded.transpose(2, 1, 0)))  # bounded[j, i, p] is M[i, j] of mode p
+    return bool((radius > 1.0 + 1e-12).any())
+
+
 def run_experiment(cfg: ExperimentConfig) -> tuple[dynamics.TrajectoryRecord, dict, list[str], list[np.ndarray]]:
     """Simulate one configuration and assemble its CSV columns and summary.
 
@@ -509,7 +531,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dynamics.TrajectoryRecord, di
     the fixed order V, Vdot, W, rho, dist_null; diagnostics that do not
     apply to the system, or that the record has too few rows for, are
     skipped with a note in the summary.  A step past RK4's stability limit
-    on a PositiveReal mode, or at t0 on the damping r/t, is refused with
+    on a PositiveReal mode, or a first step past its limit on the damping
+    r/t that grows a Zero or PositiveReal mode, is refused with
     :class:`ConfigError` before any integration.
     """
     system = cfg.system
@@ -523,7 +546,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dynamics.TrajectoryRecord, di
         raise ConfigError(f"integrator.dt: {exc}") from exc
     # the damping limit binds at the first step; every later step is inside it
     margin = dynamics.rk4_mode_step(h := cfg.integrator.dt, t0 := cfg.integrator.t0, r, 0.0)[0]
-    if margin > 1.0:
+    if margin > 1.0 and _first_step_grows(verdict, h, t0, r):
         raise ConfigError(
             f"integrator.t0: the first step from {t0!r} is past RK4's stability limit on the damping r/t "
             f"(dt*r/t0 = {h * (r / t0):.4g} > 2.785); choose integrator.dt <= "

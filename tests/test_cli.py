@@ -318,20 +318,28 @@ def test_simulate_refuses_a_step_past_the_rk4_stability_limit(tmp_path, capsys):
     assert summary["saturated"] is False and summary["notes"] == []
 
 
-def _kick(t0, t_end=2.0, dt=0.01):
-    """A StableToNullSpace run kicked along the null space, started at ``t0``."""
+def _kick(t0, t_end=2.0, dt=0.01, matrix=((0.0, 0.0), (0.0, 1.0))):
+    """A run of ``matrix`` started at ``t0`` from its last unit vector, kicked along its first.
+
+    By default a StableToNullSpace run kicked along the null space.
+    """
+    n = len(matrix)
     return {
         "label": "kick",
-        "source": {"matrix": [[0.0, 0.0], [0.0, 1.0]]},
-        "initial": {"q0": [0.0, 1.0], "v0": [1.0, 0.0]},
+        "source": {"matrix": [list(row) for row in matrix]},
+        "initial": {"q0": [0.0] * (n - 1) + [1.0], "v0": [1.0] + [0.0] * (n - 1)},
         "integrator": {"t0": t0, "t_end": t_end, "dt": dt},
     }
 
 
+def _simulate_kick(tmp_path, payload):
+    """The exit code of simulating ``payload`` into ``tmp_path/out``."""
+    return cli.main(["simulate", "--config", _write_config(tmp_path, payload), "--out", str(tmp_path / "out")])
+
+
 def _kick_within_bound(tmp_path, payload):
     """Simulate ``payload`` into ``tmp_path/out`` and check |q| against the a-priori bound."""
-    config = _write_config(tmp_path, payload)
-    assert cli.main(["simulate", "--config", config, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    assert _simulate_kick(tmp_path, payload) == cli.EXIT_OK
     header, rows = _read_csv(tmp_path / "out" / "kick.csv")
     spectrum = spectral.eigendecompose(np.array(payload["source"]["matrix"]))
     bound = spectral.boundedness_bound(spectrum, payload["integrator"]["t0"], 1.0, 1.0)
@@ -354,9 +362,11 @@ def test_simulate_refuses_a_first_step_past_the_rk4_damping_limit(tmp_path, caps
     _kick_within_bound(tmp_path, _kick(0.011))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_simulate_refuses_a_first_step_whose_damping_overflows(tmp_path, capsys):
     # r / t0 = 1e600 reads as inf: the passing dt underflows to 0 and the
-    # passing t0 overflows, and the message formats them without rounding
+    # passing t0 overflows, and the message formats them without rounding;
+    # the step map, not finite, warns of nothing on its way to the refusal
     payload = _kick(1e-300)
     payload["integrator"]["damping_exponent"] = 1e300
     config = _write_config(tmp_path, payload)
@@ -370,6 +380,34 @@ def test_simulate_refuses_a_first_step_whose_damping_overflows(tmp_path, capsys)
 def test_simulate_runs_a_first_step_inside_the_rk4_damping_limit(tmp_path, t0):
     # the limit at dt = 0.01, r = 3 is t0 = 0.03 / 2.785 = 0.01077
     _kick_within_bound(tmp_path, _kick(t0))
+
+
+def test_simulate_runs_a_first_step_past_the_damping_limit_that_grows_no_mode(tmp_path, capsys):
+    # h r / t0 = 3 is past the damping-axis limit 2.785, but lam = 1e4 is no
+    # Zero mode: both roots of the first step's map lie inside the unit
+    # circle (spectral radius 0.554), so the run goes ahead
+    _kick_within_bound(tmp_path, _kick(0.01, matrix=((1e4,),)))
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [((0.0, 0.0), (0.0, 1.0)), ((1.0,),), ((1e4,),), ((0.0, 0.0), (0.0, 400.0))],
+    ids=["diag_0_1", "1", "1e4", "diag_0_400"],
+)
+def test_simulate_runs_past_the_damping_limit_keep_within_the_bound(tmp_path, matrix):
+    # every first step from t0 < 0.0108 is past the damping-axis limit at
+    # dt = 0.01; those whose map grows no bounded mode run, and must keep
+    # within the a-priori bound; run unrefused, t0 from 1e-4 to 6e-4 broke
+    # it by up to 3.3x
+    accepted = []
+    for t0 in np.geomspace(1e-4, 0.03, 17).tolist():
+        rc = _simulate_kick(tmp_path, _kick(t0, matrix=matrix))
+        assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG)
+        if rc == cli.EXIT_OK:
+            _kick_within_bound(tmp_path, _kick(t0, matrix=matrix))
+            accepted.append(t0)
+    assert 1e-4 not in accepted and 0.0072 < min(accepted) < 0.0108 and accepted[-1] == 0.03
 
 
 @pytest.mark.parametrize("lam, noted", [(1e4, True), (900.0, False)], ids=["1e4", "900"])

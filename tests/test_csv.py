@@ -173,9 +173,9 @@ def _chunk_rows(monkeypatch, tmp_path, header, columns):
     rows = []
     format_rows = _csvformat.format_rows
 
-    def spy(cols, buf=None):
+    def spy(cols):
         rows.append(len(cols[0]) if isinstance(cols[0], np.ndarray) else cols[0][1].shape[0])
-        return format_rows(cols, buf)
+        return format_rows(cols)
 
     path = tmp_path / "t.csv"
     with monkeypatch.context() as m:
@@ -203,6 +203,20 @@ def _plain_table(n, ncols):
     return [f"c{j}" for j in range(ncols)], columns
 
 
+def _mixed_width_plain(n):
+    """Plain columns whose widest cell differs by column and, for the last, by 1024-row block."""
+    k = np.arange(n)
+    columns = [
+        (k % 13).astype(float),
+        # 24-byte cells, which fill all of a cell's words, among narrow ones
+        np.where(k % 5 == 0, -1.2345678901234567e-100, k * 0.5),
+        np.array([math.nan, math.inf, -math.inf])[k % 3],
+        # 1 byte wide in one block, 23 in the next
+        np.where(k // 1024 % 2 == 0, k % 10, 1.2345678901234567e-100),
+    ]
+    return ["small", "long", "nonfinite", "blocks"], columns
+
+
 def test_write_csv_chunks_hold_about_one_pass_of_plain_values(tmp_path, monkeypatch):
     # max(1024, 8192 // plain columns) rows, never more than 8192
     assert _csvformat._PASS_VALUES == 8192 and _csvformat._CHUNK_ROWS == 1024
@@ -216,10 +230,15 @@ def test_write_csv_chunks_hold_about_one_pass_of_plain_values(tmp_path, monkeypa
     assert _chunk_rows(monkeypatch, tmp_path, ["a"], coded)[0] == [8192, 808]
 
 
-@pytest.mark.parametrize("table", ["narrow_coded", "wide_plain"])
+@pytest.mark.parametrize("table", ["narrow_coded", "wide_plain", "mixed_width_plain"])
 def test_write_csv_bytes_do_not_depend_on_the_chunk_budget(tmp_path, monkeypatch, table):
-    # the pass size sets the chunk's value budget and splits each cell_table call
-    header, columns = _sweep_like(5000) if table == "narrow_coded" else _plain_table(3000, 7)
+    # the pass size sets the chunk's value budget and splits each cell_table
+    # call; a plain column's slots are as wide as its widest cell in the chunk
+    header, columns = {
+        "narrow_coded": _sweep_like(5000),
+        "wide_plain": _plain_table(3000, 7),
+        "mixed_width_plain": _mixed_width_plain(3000),
+    }[table]
     want = _oracle(header, [_values(col) for col in columns])
     for rows, values in ((1024, 4096), (1, 1), (333, 333), (1024, 10**6), (5000, 5000), (1024, 129)):
         monkeypatch.setattr(_csvformat, "_CHUNK_ROWS", rows)
