@@ -234,11 +234,6 @@ def cell_table(values: np.ndarray) -> np.ndarray:
     return cells
 
 
-def cell_bytes(values: np.ndarray) -> list[bytes]:
-    """The cells ``b"%.17g" % x`` of the float64 ``values``, one bytes object each."""
-    return cell_table(values).view(f"S{_CELL}").ravel().tolist()  # bytes drop their NUL padding
-
-
 def _slots(text: np.ndarray, used: int, sep: bytes) -> np.ndarray:
     """The rows of ``text`` cut to ``used`` bytes and ended by ``sep``, one void entry each: a slot table; read-only.
 

@@ -89,7 +89,7 @@ def modal_project(record: TrajectoryRecord, left_vector) -> tuple[np.ndarray, np
 
 @dataclass(frozen=True)
 class RateFit:
-    """Least-squares slope of log |y| against log t or t."""
+    """Least-squares slope of log |y|, less the caller's ``detrend_log_power`` times log t, against log t or t."""
 
     kind: str
     slope: float
@@ -98,7 +98,6 @@ class RateFit:
     window: tuple[float, float]
     n_points: int
     envelope: bool
-    detrend_log_power: float
 
 
 def fit_rate(
@@ -165,7 +164,6 @@ def fit_rate(
         window=(lo, hi),
         n_points=int(t.shape[0]),
         envelope=envelope,
-        detrend_log_power=float(detrend_log_power),
     )
 
 
@@ -236,7 +234,7 @@ def lyapunov_series(record: TrajectoryRecord, matrix) -> LyapunovSeries:
 
 @dataclass(frozen=True)
 class ChetaevNegative:
-    """Instability certificate series for a negative eigenvalue -mu^2.
+    """Instability certificate series for a negative eigenvalue -mu^2, mu the caller's argument.
 
     xi = v^T q and zeta = v^T v for a unit left eigenvector v of the
     eigenvalue; W = xi zeta + (mu/3) xi^2 - xi^2 / (2 t) grows at least
@@ -252,7 +250,6 @@ class ChetaevNegative:
     W: np.ndarray
     in_omega: np.ndarray
     growth_ratio: np.ndarray
-    mu: float
     t0_required: float
     meets_entry_condition: bool
 
@@ -289,7 +286,6 @@ def chetaev_negative(record: TrajectoryRecord, eigvec, mu: float) -> ChetaevNega
         W=w,
         in_omega=in_omega,
         growth_ratio=ratio,
-        mu=float(mu),
         t0_required=t0_req,
         meets_entry_condition=bool(t[0] >= t0_req - 1e-12),
     )

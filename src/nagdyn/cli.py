@@ -115,7 +115,7 @@ def cmd_reproduce(figure: str, out_dir: str) -> int:
             line += f" slope={fit['slope']:.4f} (predicted {fit['predicted']:.4f}, kind={fit['kind']})"
         print(line)
     status = "pass" if summary["pass"] else "FAIL"
-    print(f"checks: {status} " + json.dumps(summary["checks"], sort_keys=True, default=experiments._json_default))
+    print(f"checks: {status} " + json.dumps(summary["checks"], sort_keys=True))
     print(f"wrote {os.path.join(out_dir, figure + '_summary.json')}")
     if not summary["pass"]:
         return EXIT_INVARIANT

@@ -315,23 +315,8 @@ def write_csv(path: str, header: list[str], columns: list[np.ndarray | CodedColu
     _atomic_write(path, _csvformat.csv_chunks(header, columns))
 
 
-def _json_default(obj):
-    """The ``default`` hook of ``json.dumps`` for the numpy and complex values of a summary."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
 def write_json(path: str, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
+    text = json.dumps(payload, indent=2, sort_keys=True)
     _atomic_write(path, [(text + "\n").encode("utf-8")])
 
 
@@ -339,7 +324,8 @@ def _fingerprint(system: game.PseudoGradientSystem) -> str:
     """The first 16 hex digits of the SHA-256 of G's entries and then b's, each ``"%.17g" % x``,
     joined by ``;`` within G and b and by ``|`` between them."""
     matrix = system.matrix.ravel()
-    text = _csvformat.cell_bytes(np.concatenate([matrix, system.offset]))
+    cells = _csvformat.cell_table(np.concatenate([matrix, system.offset]))
+    text = cells.view("S24").ravel().tolist()  # a row is 24 bytes; bytes drop their NUL padding
     blob = b";".join(text[: matrix.size]) + b"|" + b";".join(text[matrix.size :])
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -506,22 +492,22 @@ _DIAGNOSTICS = (
 
 
 def _first_step_grows(verdict: spectral.StabilityVerdict, h: float, t0: float, r: float) -> bool:
-    """Whether RK4's first step from ``t0`` has a map that is not finite on a mode of G, or grows a bounded one.
+    """Whether RK4's first step from ``t0`` has a map that is not finite on a mode of G, or outgrows a mode's envelope.
 
-    The bounded modes are the Zero and PositiveReal ones.  A Zero mode is
-    taken at lam = 0, where its map has the eigenvalue 1 exactly, so a
-    spectral radius up to 1 + 1e-12 is rounding, not growth.
+    A mode of envelope rate beta (``ClassifiedEigenvalue.rate``, 0 for the
+    Zero and PositiveReal modes) may grow by exp(h beta) in one step; a
+    spectral radius up to 1 + 1e-12 times that is rounding, not growth.  A
+    Zero mode is taken at lam = 0, where its map has the eigenvalue 1 exactly.
     """
-    zero, positive = spectral.EigenvalueClass.ZERO, spectral.EigenvalueClass.POSITIVE_REAL
     classes = verdict.per_eigenvalue
-    lam = np.array([0.0 if c.tag is zero else c.value for c in classes], dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):  # where r/t0 overflows
+    lam = np.array([0.0 if c.tag is spectral.EigenvalueClass.ZERO else c.value for c in classes], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # where r/t0 or h*beta overflows
         maps = dynamics._modal_step_maps(lam, np.array([t0]), h, r, np.empty((1, 2, 2, lam.size), dtype=complex))[0]
+        limit = np.exp(h * np.array([c.rate for c in classes])) * (1.0 + 1e-12)
     if not np.isfinite(maps).all():
         return True
-    bounded = maps[..., [c.tag in (zero, positive) for c in classes]]
-    radius = np.abs(np.linalg.eigvals(bounded.transpose(2, 1, 0)))  # bounded[j, i, p] is M[i, j] of mode p
-    return bool((radius > 1.0 + 1e-12).any())
+    radius = np.abs(np.linalg.eigvals(maps.transpose(2, 1, 0)))  # maps[j, i, p] is M[i, j] of mode p
+    return bool((radius > limit[:, None]).any())
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[dynamics.TrajectoryRecord, dict, list[str], list[np.ndarray]]:
@@ -532,8 +518,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dynamics.TrajectoryRecord, di
     apply to the system, or that the record has too few rows for, are
     skipped with a note in the summary.  A step past RK4's stability limit
     on a PositiveReal mode, or a first step past its limit on the damping
-    r/t that grows a Zero or PositiveReal mode, is refused with
-    :class:`ConfigError` before any integration.
+    r/t that grows some mode faster than that mode's envelope rate allows,
+    is refused with :class:`ConfigError` before any integration.
     """
     system = cfg.system
     spectrum = spectral.eigendecompose(system.matrix)
@@ -668,7 +654,7 @@ def _fig4_checks(runs, out_dir):
     oscillating = spectral.fit_recipe(spectral.EigenvalueClass.POSITIVE_REAL)  # the studies are at r = 3
     d_fit = analysis.fit_rate(rec.times, dist.distance, **oscillating)
     w = dist.basis[:, 0]
-    limit = spectral.nullspace_limit(rec.times[0], float(cfg.q0 @ w), float(cfg.v0 @ w))
+    limit = spectral.nullspace_limit(float(rec.times[0]), float(cfg.q0 @ w), float(cfg.v0 @ w))
     error = abs(float(rec.q[-1] @ w) - limit)
     return {
         **_envelope_slope("dist_null_slope", d_fit.slope),

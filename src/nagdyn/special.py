@@ -539,7 +539,7 @@ def _ik01(x):
 
 
 def _bessel_family(branch: EigenvalueClass, lam: complex):
-    """(evaluate, dtype, a, (d1, d2)) of the Bessel basis of ``lam``.
+    """(evaluate, dtype, a, (d1, d2)) of the Bessel basis of ``lam``, of any class but Zero.
 
     The basis is b = C_1(a t)/t for the two families of ``evaluate``, which
     returns (C_0, C_1, D_0, D_1) at arguments a t of ``dtype``: J/Y with
@@ -550,8 +550,6 @@ def _bessel_family(branch: EigenvalueClass, lam: complex):
     if branch is EigenvalueClass.NEGATIVE_REAL:
         mu = math.sqrt(-lam.real)
         return _ik01, float, mu, (mu, -mu)
-    if branch is EigenvalueClass.ZERO:
-        raise ValueError("zero branch has no Bessel basis")
     s = math.sqrt(lam.real) if branch is EigenvalueClass.POSITIVE_REAL else complex(np.sqrt(complex(lam)))
     return _jy01, complex, s, (s, s)
 
@@ -600,7 +598,8 @@ def make_modal_solution(
     The branch is chosen by :func:`nagdyn.spectral.classify_eigenvalue`
     at its default tolerance.  The 2x2 basis matrix at t0 has
     determinant 2/(pi t0^3) (J/Y pair) or -1/t0^3 (I/K pair), so it is
-    singular only through numerical saturation, which raises
+    singular only through numerical saturation: a basis that overflows at
+    t0, or a determinant below 1e-300, raises
     :class:`~nagdyn.errors.SingularBasis`.
     """
     t0 = float(t0)
@@ -617,8 +616,11 @@ def make_modal_solution(
     else:
         if cls.rate * t0 > EXPONENT_CAP:
             raise OverflowSaturation("basis already saturated at t0")
-        b1, b2, d1, d2 = map(complex, _basis(cls.tag, lam, np.float64(t0)))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # where the basis overflows at t0
+            b1, b2, d1, d2 = map(complex, _basis(cls.tag, lam, np.float64(t0)))
         det = b1 * d2 - b2 * d1
+        if not np.isfinite([b1, b2, d1, d2, det]).all():
+            raise SingularBasis(f"basis overflowed at t0 = {t0:g}")
         if abs(det) < 1e-300:
             raise SingularBasis(f"basis Wronskian vanished at t0 = {t0:g}")
         c1 = (y0 * d2 - ydot0 * b2) / det

@@ -156,10 +156,6 @@ class Spectrum:
     is_diagonalizable: bool
     tol: float
 
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.shape[0]
-
 
 @dataclass(frozen=True)
 class StabilityVerdict:

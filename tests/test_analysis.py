@@ -456,3 +456,42 @@ def test_nullspace_within_the_verdict_tolerance():
     dist = analysis.distance_to_nullspace(_short_record(g), g)
     assert dist.nullspace_dim == 1
     assert np.allclose(np.abs(dist.basis[:, 0]), [0.0, 1.0])
+
+
+# --------------------------------------------------------------------------
+# named refusals of malformed input
+
+_SCALAR = TrajectoryRecord(np.arange(1.0, 6.0), np.zeros(5, complex), np.zeros(5, complex), False, {})
+_PAIR = TrajectoryRecord(np.arange(1.0, 6.0), np.ones((5, 2)), np.zeros((5, 2)), False, {})
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (lambda: analysis._fd_derivative(np.arange(5.0), np.zeros(4)), ValueError, "equal length"),
+        (lambda: analysis._fd_derivative(np.array([0.0, 1.0, 2.0, 3.0, 5.0]), np.zeros(5)), ValueError, "uniform grid"),
+        (lambda: analysis.modal_project(_SCALAR, np.ones(1)), ValueError, "expects a vector trajectory"),
+        (lambda: fit_rate(np.arange(1.0, 11.0), np.ones(9)), ValueError, "1-d arrays of equal length"),
+        (
+            lambda: fit_rate(np.arange(1.0, 101.0), np.ones(100), window=(50.0, 53.0)),
+            InsufficientPoints,
+            r"window \[50, 53\] contains 4 samples",
+        ),
+        (lambda: analysis.lyapunov_series(_PAIR, np.eye(3)), ValueError, "dimensions do not match"),
+        (lambda: analysis.distance_to_nullspace(_PAIR, np.zeros((3, 3))), ValueError, "dimensions do not match"),
+        (lambda: analysis.chetaev_complex(_PAIR, np.ones(3)), ValueError, "left eigenvector length"),
+    ],
+    ids=[
+        "fd_lengths",
+        "fd_grid",
+        "modal_project_scalar",
+        "fit_shapes",
+        "fit_window",
+        "lyapunov_dims",
+        "nullspace_dims",
+        "chetaev_complex_length",
+    ],
+)
+def test_named_refusals(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

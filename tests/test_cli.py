@@ -114,6 +114,30 @@ def test_config_errors_name_the_key(tmp_path, capsys, mutate, key):
     assert key in capsys.readouterr().err
 
 
+_PAIR = game.PseudoGradientSystem(np.eye(2), np.zeros(2))
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (
+            lambda: experiments.ExperimentConfig("x", _PAIR, np.zeros(3), np.zeros(2), dynamics.IntegratorConfig()),
+            "initial: q0 and v0 must have length 2",
+        ),
+        (
+            lambda: experiments.ExperimentConfig("x", _PAIR, np.zeros(2), np.zeros(1), dynamics.IntegratorConfig()),
+            "initial: q0 and v0 must have length 2",
+        ),
+        (lambda: experiments.reproduce_figure("fig9", "unused"), "unknown figure 'fig9'; choose from ['fig1', "),
+    ],
+    ids=["q0_length", "v0_length", "unknown_figure"],
+)
+def test_experiments_named_refusals(call, fragment):
+    # parse_config and the CLI's choices refuse these first; the API refuses them too
+    with pytest.raises(ConfigError, match=re.escape(fragment)):
+        call()
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [
@@ -387,6 +411,23 @@ def test_simulate_runs_a_first_step_past_the_damping_limit_that_grows_no_mode(tm
     # Zero mode: both roots of the first step's map lie inside the unit
     # circle (spectral radius 0.554), so the run goes ahead
     _kick_within_bound(tmp_path, _kick(0.01, matrix=((1e4,),)))
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("lam", [-1.0, -25.0, -0.5, -1e-6, 0.5 + 2j, 6 + 1.5j, -3 + 0.1j], ids=str)
+def test_simulate_judges_a_first_step_past_the_damping_limit_by_each_mode_s_envelope(tmp_path, capsys, lam):
+    # a mode may grow by exp(dt * rate) in a step, its rate from the
+    # classifier; from t0 = 0.001, RK4's first step grew [[-1]] by 40.7,
+    # where the flow grows by 1.01, and the run went ahead
+    lam = complex(lam)
+    matrix = ((lam.real,),) if lam.imag == 0.0 else ((lam.real, -lam.imag), (lam.imag, lam.real))
+    for t0, dt_max in ((0.001, "0.00092"), (0.005, "0.0046")):
+        assert _simulate_kick(tmp_path, _kick(t0, matrix=matrix)) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: integrator.t0: ") and err.count("\n") == 1
+        assert err.endswith(f"choose integrator.dt <= {dt_max} or integrator.t0 >= 0.011\n")
+    for t0 in (0.0108, 0.011):
+        assert _simulate_kick(tmp_path, _kick(t0, matrix=matrix)) == cli.EXIT_OK
     assert capsys.readouterr().err == ""
 
 
@@ -1261,31 +1302,17 @@ def test_closed_stdout_pipe_ends_silently_with_the_output_code(tmp_path, capsys,
     assert capsys.readouterr().err == ""
 
 
-def test_write_json_converts_numpy_and_complex_values(tmp_path):
-    path = tmp_path / "a.json"
-    payload = {
-        "bool": np.bool_(True),
-        "int": np.int64(3),
-        "float32": np.float32(0.5),
-        "float64": np.float64(0.1),
-        "array": np.array([[1.0, 2.0]]),
-        "complex": [1.0 - 2.0j, np.complex128(3.0j)],
-        "tuple": (1, np.int32(2)),
-    }
-    experiments.write_json(str(path), payload)
-    loaded = json.loads(path.read_text())
-    assert loaded == {
-        "bool": True,
-        "int": 3,
-        "float32": 0.5,
-        "float64": 0.1,
-        "array": [[1.0, 2.0]],
-        "complex": [{"re": 1.0, "im": -2.0}, {"re": 0.0, "im": 3.0}],
-        "tuple": [1, 2],
-    }
-    assert loaded["bool"] is True and type(loaded["int"]) is int
-    with pytest.raises(TypeError):
-        experiments.write_json(str(path), {"set": {1}})
+@pytest.mark.parametrize(
+    "value",
+    [np.bool_(True), np.int64(3), np.array([1.0, 2.0]), 1.0 - 2.0j, {1}],
+    ids=["np_bool", "np_int64", "ndarray", "complex", "set"],
+)
+def test_write_json_refuses_values_that_are_not_plain_json(tmp_path, value):
+    # every summary holds plain JSON values: a numpy or complex value is a
+    # fault of its builder, not something to convert on the way out
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        experiments.write_json(str(tmp_path / "a.json"), {"value": value})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):

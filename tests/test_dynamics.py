@@ -861,3 +861,13 @@ def test_loops_match_plain_references_when_saturating_mid_chunk(monkeypatch, loo
     rows = min(a.shape[0] for a in run[1])  # of the saturating lane
     assert run[0] and 384 // stride + 1 < rows < 768 // stride
     assert _same_records(run, plain)
+
+
+@pytest.mark.parametrize(
+    "x0, v0, fragment",
+    [(np.ones((2, 2)), None, "x0 must be a vector"), (np.ones(2), np.ones(3), "v0 must have length 2")],
+    ids=["x0_not_1d", "v0_length"],
+)
+def test_smooth_nagd_refuses_malformed_initial_data(x0, v0, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        simulate_smooth_nagd(lambda x: x, x0, v0)

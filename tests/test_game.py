@@ -139,3 +139,28 @@ def test_equilibrium_property_random_solvable(n, seed):
     sys = game.PseudoGradientSystem(matrix=g, offset=b)
     x = game.solve_equilibrium(sys)
     assert np.linalg.norm(sys.field(x)) <= 1e-8 * max(1.0, float(np.linalg.norm(b)))
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: game.PseudoGradientSystem(matrix=np.ones((2, 3)), offset=np.zeros(2)), "matrix must be a square matrix"),
+        (lambda: game.PseudoGradientSystem(matrix=[[np.inf]], offset=[0.0]), "matrix must be finite"),
+        (
+            lambda: game.QuadraticGame(payoffs=(np.eye(3), np.eye(2)), offsets=(np.zeros(2), np.zeros(2))),
+            r"payoffs\[0\] must be 2x2 for an 2-player game",
+        ),
+        (
+            lambda: game.QuadraticGame(payoffs=(np.eye(2), np.eye(2)), offsets=(np.zeros(2), np.zeros(3))),
+            r"offsets\[1\] must be a finite length-2 vector",
+        ),
+        (
+            lambda: game.translate_to_homogeneous(game.PseudoGradientSystem(np.eye(2), np.zeros(2)), np.zeros(3), np.zeros(2)),
+            "q0 and v0 must match the system dimension",
+        ),
+    ],
+    ids=["not_square", "not_finite", "payoff_shape", "offset", "translate_shapes"],
+)
+def test_named_refusals(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nagdyn import special, spectral
-from nagdyn.errors import DomainError, OverflowSaturation
+from nagdyn.errors import DomainError, OverflowSaturation, SingularBasis
 
 # (function, argument, frozen mpmath value)
 ORACLE_REAL = [
@@ -448,6 +448,45 @@ def test_domain_errors():
             fn(0.0)
         with pytest.raises(DomainError):
             fn(-1.0)
+
+
+_OVERFLOWING_BASES = [(0.5, 1e-200), (2 + 1j, 1e-200), (-0.5, 1e-200), (-0.5, 1e-160), (-0.5, 1e-120), (0.5, 1e-160), (0.5, 1e-110)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (lambda: special.bessel_k0(math.inf), DomainError, "argument must be finite"),
+        (lambda: special.bessel_k1(math.nan), DomainError, "argument must be finite"),
+        # the Wronskian 2/(pi t0^3) is below 1e-300
+        (lambda: special.make_modal_solution(0.5, 1e101, 1.0, 0.0), SingularBasis, "Wronskian vanished"),
+    ]
+    # the second basis function's derivative, of order 1/t0^3, overflows; these calls
+    # raised a bare OverflowError (t0 = 1e-200) or returned NaN coefficients
+    + [
+        (lambda lam=lam, t0=t0: special.make_modal_solution(lam, t0, 1.0, 0.0), SingularBasis, "basis overflowed")
+        for lam, t0 in _OVERFLOWING_BASES
+    ],
+    ids=["k0_inf", "k1_nan", "wronskian"] + [f"{lam}@{t0:g}" for lam, t0 in _OVERFLOWING_BASES],
+)
+def test_named_refusals(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()
+
+
+@pytest.mark.filterwarnings("error")
+def test_modal_solution_at_the_smallest_t0_that_fits():
+    # the basis of lam = 0.5 still fits at t0 = 1e-100, and overflows at 1e-103
+    sol = special.make_modal_solution(0.5, 1e-100, 1.0, 0.0)
+    assert sol.c1 == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-15) and sol.c2 == 0.0
+
+
+def test_eval_modal_series_reads_a_0d_time_as_one_point():
+    sol = special.make_modal_solution(1.0, 2.0, 1.0, 0.0)
+    one, many = special.eval_modal_series(sol, np.float64(3.0)), special.eval_modal_series(sol, np.array([3.0]))
+    assert one.y.shape == (1,)
+    assert all(np.array_equal(a, b) for a, b in zip(one, many))
 
 
 def test_overflow_saturation_raises():

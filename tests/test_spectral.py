@@ -17,7 +17,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.optimize import linear_sum_assignment
 
 from nagdyn import experiments, spectral
-from nagdyn.errors import EigensolverNoConvergence
+from nagdyn.errors import EigensolverNoConvergence, NotApplicable
 from nagdyn.spectral import (
     EigenvalueClass,
     FirstOrderVerdict,
@@ -264,6 +264,28 @@ def test_overflowing_norm_is_rejected(matrix):
     # ||G||_F overflows, so no tolerance scaled to it is meaningful
     with pytest.raises(ValueError, match="norm overflows"):
         eigendecompose(matrix)
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (lambda: spectral.classify_eigenvalues(np.ones(2), np.zeros(2), tol=-1e-9), ValueError, "tol must be nonnegative"),
+        (lambda: eigendecompose(np.ones((2, 3))), ValueError, "square and nonempty"),
+        (lambda: eigendecompose(np.zeros((0, 0))), ValueError, "square and nonempty"),
+        (lambda: eigendecompose([[1.0, math.nan], [0.0, 1.0]]), ValueError, "matrix must be finite"),
+        (lambda: classify_matrix(eigendecompose(np.eye(2)), t0=0.0), ValueError, "t0 must be positive"),
+        (lambda: boundedness_bound(eigendecompose(np.eye(2)), 1.0, -1.0, 0.0), ValueError, "norms must be nonnegative"),
+        (
+            lambda: boundedness_bound(eigendecompose(np.diag([1.0, -0.5])), 1.0, 1.0, 0.0),
+            NotApplicable,
+            "no boundedness guarantee for verdict UnstableNegative",
+        ),
+    ],
+    ids=["negative_tol", "not_square", "empty", "not_finite", "t0", "negative_norm", "unstable"],
+)
+def test_named_refusals(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()
 
 
 # --------------------------------------------------------------------------
