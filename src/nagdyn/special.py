@@ -598,9 +598,10 @@ def make_modal_solution(
     The branch is chosen by :func:`nagdyn.spectral.classify_eigenvalue`
     at its default tolerance.  The 2x2 basis matrix at t0 has
     determinant 2/(pi t0^3) (J/Y pair) or -1/t0^3 (I/K pair), so it is
-    singular only through numerical saturation: a basis that overflows at
-    t0, or a determinant below 1e-300, raises
-    :class:`~nagdyn.errors.SingularBasis`.
+    singular only numerically: a basis that overflows at t0, or a computed
+    determinant off the exact one by more than 1e-8 of it (cancellation of
+    growing or oscillating terms, as for lam = 0.5 at t0 = 1e14 or
+    lam = -3 + 0.1i at t0 = 10), raises :class:`~nagdyn.errors.SingularBasis`.
     """
     t0 = float(t0)
     if not (t0 > 0.0) or not math.isfinite(t0):
@@ -621,8 +622,11 @@ def make_modal_solution(
         det = b1 * d2 - b2 * d1
         if not np.isfinite([b1, b2, d1, d2, det]).all():
             raise SingularBasis(f"basis overflowed at t0 = {t0:g}")
-        if abs(det) < 1e-300:
-            raise SingularBasis(f"basis Wronskian vanished at t0 = {t0:g}")
+        # t0^3 det against its exact value; the Wronskian exact / t0^3 itself underflows at large t0
+        exact = -1.0 if cls.tag is EigenvalueClass.NEGATIVE_REAL else 2.0 / math.pi
+        scaled = det * t0 * t0 * t0
+        if not abs(scaled - exact) <= 1e-8 * abs(exact):
+            raise SingularBasis(f"basis Wronskian lost its digits at t0 = {t0:g}: t0^3 W is {scaled:.6g}, not {exact:.6g}")
         c1 = (y0 * d2 - ydot0 * b2) / det
         c2 = (ydot0 * b1 - y0 * d1) / det
     return ModalSolution(lam=lam, t0=t0, branch=cls.tag, rate=cls.rate, c1=c1, c2=c2)

@@ -35,8 +35,8 @@ and the differential square-root correction of Borges, "An Improved
 Algorithm for hypot(a,b)", arXiv:1904.09481).  The port fixes the bits of
 CPython 3.11's ``math.hypot``, not those of whichever interpreter runs
 it; CPython 3.12 squares with fma and can differ in the last bit.
-Inputs of at most ``_FEW_POINTS`` points call ``math.hypot`` itself, which
-equals the port on CPython 3.11.  Points are classified ``_BLOCK`` at a
+Inputs of every size take the port, so a point's bits do not depend on
+the size of the input it comes in.  Points are classified ``_BLOCK`` at a
 time, so no temporary is the size of a large grid.
 """
 
@@ -196,11 +196,6 @@ def classify_eigenvalue(lam: complex, tol: float = DEFAULT_SCALAR_TOL) -> Classi
 #: 10.4 ms and of 32768 15.8 ms.
 _BLOCK = 8192
 
-#: Points up to which :func:`classify_eigenvalues` calls ``math.hypot`` one
-#: point at a time: on the same machine :func:`_hypot` costs about 30 us
-#: whatever the size, as much as ``math.hypot`` on some 300 points.
-_FEW_POINTS = 256
-
 #: A complex eigenvalue whose larger part is below ``_TINY`` has its rate
 #: computed on 4**300 lam, where lam/8 is exact, and scaled back by 2**-300.
 _TINY = 2.0**-500
@@ -259,11 +254,6 @@ def _hypot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.ldexp(h, e)
 
 
-def _math_hypot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``math.hypot`` of the running interpreter, one point at a time."""
-    return np.array(list(map(math.hypot, a.tolist(), b.tolist())), dtype=float)
-
-
 def classify_eigenvalues(re, im, tol: float = DEFAULT_SCALAR_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Classify the points re + i im and compute their envelope rates.
 
@@ -281,14 +271,13 @@ def classify_eigenvalues(re, im, tol: float = DEFAULT_SCALAR_TOL) -> tuple[np.nd
         raise ValueError("tol must be nonnegative")
     codes = np.empty(a.shape, dtype=int)
     rates = np.zeros(a.shape)
-    hypot = _hypot if a.size > _FEW_POINTS else _math_hypot
     flat = [x.reshape(-1) for x in (a, b, codes, rates)]
     for lo in range(0, a.size, _BLOCK):
-        _classify_block(*(x[lo : lo + _BLOCK] for x in flat), tol, hypot)
+        _classify_block(*(x[lo : lo + _BLOCK] for x in flat), tol)
     return codes, rates
 
 
-def _classify_block(a, b, codes, rates, tol, hypot) -> None:
+def _classify_block(a, b, codes, rates, tol) -> None:
     """Write the class codes and rates of the points a + ib into ``codes`` and zero-filled ``rates``."""
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("eigenvalue must be finite")
@@ -313,7 +302,7 @@ def _classify_block(a, b, codes, rates, tol, hypot) -> None:
         ac[tiny] *= 4.0**300
         bc[tiny] *= 4.0**300
     a8 = ac / 8.0
-    root = np.sqrt(hypot(a8, bc / 8.0) + np.abs(a8))
+    root = np.sqrt(_hypot(a8, bc / 8.0) + np.abs(a8))
     beta = np.where(a8 >= 0.0, np.abs(bc) / (4.0 * root), 2.0 * root)
     if scaled:
         beta[tiny] *= 2.0**-300
@@ -386,7 +375,7 @@ def eigendecompose(matrix: np.ndarray) -> Spectrum:
     if not math.isfinite(normg):
         raise ValueError("matrix norm overflows; rescale the matrix")
     n = g.shape[0]
-    tol = matrix_tolerance(g)
+    tol = 1e-9 * max(1.0, normg)  # matrix_tolerance(g)
     is_sym = float(np.linalg.norm(g - g.T)) <= tol
 
     try:

@@ -452,6 +452,12 @@ def test_domain_errors():
 
 _OVERFLOWING_BASES = [(0.5, 1e-200), (2 + 1j, 1e-200), (-0.5, 1e-200), (-0.5, 1e-160), (-0.5, 1e-120), (0.5, 1e-160), (0.5, 1e-110)]
 
+#: Bases whose computed Wronskian has cancelled: t0^3 W is off 2/pi by a
+#: relative 7.2e-2 (lam = -3 + 0.1i at t0 = 10, where matching y0 = 1 gave
+#: |c1| = 7.7e8 and a closed form 17.5% off the integrated mode on [10, 12]),
+#: 2.7e-5, 0.16 (a closed form 76% off) and about 1.
+_CANCELLED_BASES = [(-3 + 0.1j, 10.0), (0.5, 1e14), (0.5, 1e16), (0.5, 1e18)]
+
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
@@ -459,8 +465,12 @@ _OVERFLOWING_BASES = [(0.5, 1e-200), (2 + 1j, 1e-200), (-0.5, 1e-200), (-0.5, 1e
     [
         (lambda: special.bessel_k0(math.inf), DomainError, "argument must be finite"),
         (lambda: special.bessel_k1(math.nan), DomainError, "argument must be finite"),
-        # the Wronskian 2/(pi t0^3) is below 1e-300
-        (lambda: special.make_modal_solution(0.5, 1e101, 1.0, 0.0), SingularBasis, "Wronskian vanished"),
+        # the Wronskian 2/(pi t0^3) is below 1e-300, and t0^3 W computes to -8e-17
+        (lambda: special.make_modal_solution(0.5, 1e101, 1.0, 0.0), SingularBasis, "Wronskian lost its digits"),
+    ]
+    + [
+        (lambda lam=lam, t0=t0: special.make_modal_solution(lam, t0, 1.0, 0.0), SingularBasis, "Wronskian lost its digits")
+        for lam, t0 in _CANCELLED_BASES
     ]
     # the second basis function's derivative, of order 1/t0^3, overflows; these calls
     # raised a bare OverflowError (t0 = 1e-200) or returned NaN coefficients
@@ -468,7 +478,9 @@ _OVERFLOWING_BASES = [(0.5, 1e-200), (2 + 1j, 1e-200), (-0.5, 1e-200), (-0.5, 1e
         (lambda lam=lam, t0=t0: special.make_modal_solution(lam, t0, 1.0, 0.0), SingularBasis, "basis overflowed")
         for lam, t0 in _OVERFLOWING_BASES
     ],
-    ids=["k0_inf", "k1_nan", "wronskian"] + [f"{lam}@{t0:g}" for lam, t0 in _OVERFLOWING_BASES],
+    ids=["k0_inf", "k1_nan", "wronskian"]
+    + [f"cancelled-{lam}@{t0:g}" for lam, t0 in _CANCELLED_BASES]
+    + [f"{lam}@{t0:g}" for lam, t0 in _OVERFLOWING_BASES],
 )
 def test_named_refusals(call, error, fragment):
     with pytest.raises(error, match=fragment):
@@ -480,6 +492,15 @@ def test_modal_solution_at_the_smallest_t0_that_fits():
     # the basis of lam = 0.5 still fits at t0 = 1e-100, and overflows at 1e-103
     sol = special.make_modal_solution(0.5, 1e-100, 1.0, 0.0)
     assert sol.c1 == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-15) and sol.c2 == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam, t0", [(1j, 10.0), (0.5, 1e12)])
+def test_modal_solution_where_the_wronskian_keeps_its_digits(lam, t0):
+    # t0^3 W is off its exact value by 8.3e-11 and 9.9e-12 here, inside 1e-8
+    sol = special.make_modal_solution(lam, t0, 1.0, 0.0)
+    val = special.eval_modal(sol, t0)
+    assert abs(val.y - 1.0) <= 1e-9 and abs(val.ydot) <= 1e-9
 
 
 def test_eval_modal_series_reads_a_0d_time_as_one_point():

@@ -450,7 +450,6 @@ def _grid(spec):
 
 
 @CPYTHON_311
-@pytest.mark.parametrize("few_points", [0, spectral._FEW_POINTS])
 @pytest.mark.parametrize("tol", [spectral.DEFAULT_SCALAR_TOL, 0.0])
 @pytest.mark.parametrize(
     "spec",
@@ -465,10 +464,7 @@ def _grid(spec):
     ],
     ids=["tolerance-edges", "subnormal", "1e308", "513x257", "tiny"],
 )
-def test_blocked_classification_keeps_the_bits_of_the_plain_formula(monkeypatch, spec, tol, few_points):
-    # few_points = 0 sends every size through the port; the default sends
-    # the small grids through math.hypot and the large one through the port
-    monkeypatch.setattr(spectral, "_FEW_POINTS", few_points)
+def test_blocked_classification_keeps_the_bits_of_the_plain_formula(spec, tol):
     re, im = _grid(spec)
     codes, rates = spectral.classify_eigenvalues(re, im, tol)
     want_codes, want_rates = _plain_classify_codes(re, im, tol)
@@ -483,11 +479,9 @@ TINY_LAMS = [5e-324j, -5e-324j, 1e-320 + 3e-321j, -1e-320 + 3e-321j, 3e-321 - 1e
              complex(2.0**-500, -(2.0**-501)), complex(-np.nextafter(2.0**-500, 0.0), 2.0**-501)]
 
 
-@pytest.mark.parametrize("few_points", [0, spectral._FEW_POINTS])
-def test_rates_of_subnormal_eigenvalues(monkeypatch, few_points):
+def test_rates_of_subnormal_eigenvalues():
     # lam/8 is not exact for a subnormal part; the rate must still be
-    # |Im sqrt(lam)|, with no division by zero, through either hypot
-    monkeypatch.setattr(spectral, "_FEW_POINTS", few_points)
+    # |Im sqrt(lam)|, with no division by zero
     lam = np.array(TINY_LAMS)
     with np.errstate(all="raise"):
         codes, rates = spectral.classify_eigenvalues(lam.real, lam.imag, 0.0)
@@ -498,10 +492,23 @@ def test_rates_of_subnormal_eigenvalues(monkeypatch, few_points):
     assert classify_eigenvalue(5e-324j, tol=0.0).rate == abs(cmath.sqrt(5e-324j).imag)
 
 
+def test_a_point_keeps_its_bits_whatever_the_input_size(monkeypatch):
+    # every size takes the array port: with math.hypot unusable, one point
+    # and a 9 x 5 grid read the bits those points read inside 513 x 257
+    re, im = _grid("-3.0:5.0:513,-2.0:6.0:257")
+    codes, rates = spectral.classify_eigenvalues(re, im)
+    big = dict(zip(zip(re.tolist(), im.tolist()), zip(codes.tolist(), _bits(rates).tolist())))
+    monkeypatch.delattr(math, "hypot")
+    re, im = _grid("-2:2:9,-1:1:5")
+    codes, rates = spectral.classify_eigenvalues(re, im)
+    assert list(zip(codes.tolist(), _bits(rates).tolist())) == [big[p] for p in zip(re.tolist(), im.tolist())]
+    one = classify_eigenvalue(3 + 4j)
+    assert (spectral.CLASSES.index(one.tag), int(_bits(one.rate))) == big[(3.0, 4.0)]
+
+
 def test_classification_blocks_and_shapes(monkeypatch):
     # a grid over several blocks, a short last block, and 0-d and 2-D input
     monkeypatch.setattr(spectral, "_BLOCK", 7)
-    monkeypatch.setattr(spectral, "_FEW_POINTS", 0)
     re, im = _grid("-2:2:9,-1:1:5")
     codes, rates = spectral.classify_eigenvalues(re, im)
     whole = [classify_eigenvalue(complex(a, b)) for a, b in zip(re.tolist(), im.tolist())]
